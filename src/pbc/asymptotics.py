@@ -29,8 +29,8 @@ from statistics import linear_regression
 
 from .objects import Object, obj_to_str, object_normalize, star, tensor
 from .terms import (
-    Id, PBCError, PBCTypeError, TauStar, Term, par, pretty_term, seq,
-    typecheck,
+    Id, PBCError, PBCTypeError, TauStar, Term, exact_rational, par,
+    pretty_term, seq, typecheck,
 )
 from .semantics import denote, hom_distance
 from .iteration import TupleSpec, instantiate
@@ -273,7 +273,7 @@ def lemma_demo(name: str, k_max: int = 10, p=None):
     if name in ("otp", "keyguess") and p is not None:
         raise PBCError(f"demo {name} takes no bias parameter")
     if p is not None:
-        p = Fraction(p)
+        p = exact_rational(p)
         if not 0 < p < 1:
             raise PBCError(f"bias must be strictly between 0 and 1, got {p}")
 

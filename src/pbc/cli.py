@@ -7,7 +7,8 @@ byte-identical bytes, so every command is safe to pin in golden tests.
 Exit status: 0 on success (typechecks, equal, verdict consistent with
 negligible decay); 1 on a definite negative answer, which includes an
 inconclusive series verdict (``series`` only exits 0 when the verdict
-is positive); 2 on usage, parse, and type errors.
+is positive); 2 on usage, parse, and type errors, and, through the
+``run`` entry point of the ``pbc`` command, on any internal error.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .terms import (
     typecheck,
 )
 
-__all__ = ["main", "emit_dot"]
+__all__ = ["main", "run", "emit_dot"]
 
 
 class _CliError(Exception):
@@ -495,5 +496,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """Entry point of the ``pbc`` command.
+
+    Runs ``main`` and maps any exception it lets through, such as a
+    RecursionError, to one ``pbc: internal error`` line and exit status
+    2, so that a crash never reads as exit 1, a definite negative.
+    In-process callers of ``main`` still see the exception itself.
+    """
+    try:
+        return main(argv)
+    except Exception as err:
+        print(f"pbc: internal error: {type(err).__name__}: {err}",
+              file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

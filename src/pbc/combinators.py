@@ -19,7 +19,8 @@ from .objects import (
 )
 from .terms import (
     Id, PBCError, Swap, TauStar, Term,
-    coin, copy_gen, discard_gen, par, permute_blocks, phi_gen, phi_p, seq,
+    coin, copy_gen, discard_gen, exact_rational, par, permute_blocks, phi_gen,
+    phi_p, seq,
 )
 from .iteration import TupleSpec, pop_term, push_term
 
@@ -272,7 +273,7 @@ def _vn_undecided_step(q) -> Term:
 
 
 def vn_lhs(p) -> Term:
-    p = Fraction(p)
+    p = exact_rational(p)
     q = abs(2 * p - 1)
     body = seq(
         par(copy_gen(B), Id(B)),
@@ -365,14 +366,14 @@ def combinator(name: str, *params) -> Term:
             return _OBJECT_ARG[name](params[0])
         if name in _RATIONAL_ARG:
             _expect(name, params, 1)
-            return _RATIONAL_ARG[name](Fraction(params[0]))
+            return _RATIONAL_ARG[name](exact_rational(params[0]))
         if name in ("zip", "unzip"):
             _expect(name, params, 2)
             build = zip_streams if name == "zip" else unzip_streams
             return build(params[0], params[1])
         if name == "phi_p_at":
             _expect(name, params, 2)
-            return phi_p_at(params[0], Fraction(params[1]))
+            return phi_p_at(params[0], exact_rational(params[1]))
         if name in ("push", "pop"):
             _expect(name, params, 2)
             build = push_term if name == "push" else pop_term

@@ -10,15 +10,17 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .objects import is_star_free, width
 from .terms import (
-    COIN, COPY, DISCARD, PHI, Gen, Id, Par, PBCError, Seq, Swap, TauStar,
-    Term, typecheck,
+    COIN, COPY, DISCARD, Gen, Id, PHI, Par, PBCError, Seq, Swap, TauStar,
+    Term, exact_rational, typecheck,
 )
 
 __all__ = [
@@ -54,7 +56,8 @@ def _wire_limit() -> int:
         raise PBCError(f"PBC_MAX_WIRES must be an integer, got {raw!r}")
 
 
-def _check_width(n: int, what: str) -> None:
+def _check_width(n: int, what: str) -> int:
+    """Enforce the wire limit on an n-wire map; returns the limit."""
     limit = _wire_limit()
     if n > limit:
         raise WireLimitError(
@@ -64,13 +67,14 @@ def _check_width(n: int, what: str) -> None:
         warnings.warn(
             f"{what} uses {n} wires; expect slow exact arithmetic",
             stacklevel=3)
+    return limit
 
 
 def distribution(items) -> Distribution:
     """Build a validated distribution from (value, weight) pairs."""
     out: Distribution = {}
     for value, p in items:
-        p = Fraction(p)
+        p = exact_rational(p)
         if p < 0:
             raise ValueError(f"negative weight {p} at {value}")
         if p:
@@ -86,7 +90,7 @@ def dirac(value: int) -> Distribution:
 
 def bernoulli(p) -> Distribution:
     """Distribution on one wire that is 1 with probability p."""
-    p = Fraction(p)
+    p = exact_rational(p)
     if not 0 <= p <= 1:
         raise ValueError(f"bias {p} outside [0, 1]")
     out: Distribution = {}
@@ -190,14 +194,14 @@ def apply_map(f: StochMap, arg) -> Distribution:
 def tv_distance(v: Distribution, w: Distribution) -> Fraction:
     """Total variation distance, as half the pointwise difference mass.
 
-    The overlap form ``1 - sum(min)`` is asserted to agree; the assert
-    vanishes under ``python -O``.
+    Both distributions are scaled to one common integer denominator, so
+    the sum runs over ints and a single Fraction is built at the end.
     """
-    keys = set(v) | set(w)
-    total = sum((abs(v.get(k, ZERO) - w.get(k, ZERO)) for k in keys), ZERO)
-    result = total / 2
-    assert result == tv_distance_overlap(v, w)
-    return result
+    scale = math.lcm(*{p.denominator for d in (v, w) for p in d.values()})
+    a = {k: p.numerator * (scale // p.denominator) for k, p in v.items()}
+    b = {k: p.numerator * (scale // p.denominator) for k, p in w.items()}
+    total = sum(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys())
+    return Fraction(total, 2 * scale)
 
 
 def tv_distance_overlap(v: Distribution, w: Distribution) -> Fraction:
@@ -220,75 +224,338 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Denotation.
+# Denotation: a forward evaluator, one input row at a time.
+#
+# A term is compiled once per ``denote`` call into ``_Node``s.  A node is
+# deterministic (``det`` maps a packed input to its packed output) or
+# stochastic (``kernel`` maps it to ``(den, {output: numerator})``, int
+# numerators summing to the int ``den``).  Coin-free, if-free wiring also
+# keeps its bit selection, so any Seq/Par of wiring fuses into one
+# selection, applied as a few shift/mask groups.  Stochastic Seq and Par
+# nodes memoize their kernels per input value; a kernel of support one is
+# always ``(1, {value: 1})``, and numerators become reduced Fractions only
+# in the finished rows.
 
-def _mask(n: int) -> int:
-    return (1 << n) - 1
+class _Node:
+    """One compiled subterm of type ``n_in`` wires -> ``n_out`` wires.
+
+    Stochastic when ``kernel`` is set, else deterministic.  ``sel`` is
+    set on pure wiring: output bit i, counted from the least significant,
+    is input bit ``sel[i]``; its ``det`` is built on first use, because
+    most wiring only ever fuses into larger wiring.  ``injective`` says
+    that ``det`` never merges two inputs.
+    """
+
+    __slots__ = ("n_in", "n_out", "sel", "det", "injective", "kernel")
+
+    def __init__(self, n_in, n_out, *, sel=None, det=None, injective=False,
+                 kernel=None):
+        self.n_in = n_in
+        self.n_out = n_out
+        self.sel = sel  # tuple of input bit positions, or None
+        self.det = det  # int -> int
+        self.injective = injective
+        self.kernel = kernel  # int -> (den, {output: numerator})
+
+    def function(self):
+        if self.det is None:
+            self.det = _select(self.sel, self.n_in)
+        return self.det
 
 
-def _denote_gen(term: Gen) -> StochMap:
-    if term.kind == COIN:
-        return StochMap(0, 1, (bernoulli(term.p),))
-    w = width(term.at)
-    if term.kind == COPY:
-        _check_width(2 * w, "a copy")
-        return StochMap(w, 2 * w,
-                        tuple(dirac((i << w) | i) for i in range(1 << w)))
-    if term.kind == DISCARD:
-        return StochMap(w, 0, tuple(dirac(0) for _ in range(1 << w)))
-    if term.kind == PHI:
-        n = 2 * w + 1
-        _check_width(n, "a conditional")
-        rows = []
-        for i in range(1 << n):
-            first = i >> (w + 1)
-            bit = (i >> w) & 1
-            last = i & _mask(w)
-            rows.append(dirac(first if bit else last))
-        return StochMap(n, w, tuple(rows))
-    raise PBCError(f"unknown generator kind {term.kind!r}")
+def _select(sel: tuple, n_in: int):
+    """The int function of a bit selection: one mask per shift amount."""
+    by_shift: dict = {}
+    for out_bit, in_bit in enumerate(sel):
+        shift = out_bit - in_bit
+        by_shift[shift] = by_shift.get(shift, 0) | (1 << in_bit)
+    if not by_shift:
+        return lambda x: 0
+    if len(by_shift) == 1:
+        ((shift, mask),) = by_shift.items()
+        if shift >= 0:
+            if shift == 0 and mask == (1 << n_in) - 1:
+                return lambda x: x
+            return lambda x: (x & mask) << shift
+        shift = -shift
+        return lambda x: (x & mask) >> shift
+    up = tuple((m, s) for s, m in by_shift.items() if s >= 0)
+    down = tuple((m, -s) for s, m in by_shift.items() if s < 0)
+
+    def select(x):
+        y = 0
+        for mask, shift in up:
+            y |= (x & mask) << shift
+        for mask, shift in down:
+            y |= (x & mask) >> shift
+        return y
+    return select
+
+
+def _wiring(n_in: int, sel: tuple) -> _Node:
+    return _Node(n_in, len(sel), sel=sel, injective=len(set(sel)) == n_in)
+
+
+def _phi(w: int):
+    mask = (1 << w) - 1
+    return lambda x: x >> (w + 1) if (x >> w) & 1 else x & mask
+
+
+def _support_error(size: int, cap: int) -> WireLimitError:
+    return WireLimitError(
+        f"an intermediate distribution has {size} outcomes, above the "
+        f"limit of {cap} (2^PBC_MAX_WIRES; set PBC_MAX_WIRES to raise it)")
+
+
+def _push(den: int, dist: dict, kernel, cap: int):
+    """Push a distribution of support two or more through a kernel.
+
+    The kernels met are brought to one common denominator, so every
+    weight is an int product and no gcd runs per entry.
+    """
+    parts = [(n, kernel(v)) for v, n in dist.items()]
+    scale = math.lcm(*{d for _, (d, _) in parts})
+    out: dict = {}
+    get = out.get
+    for n, (d, k) in parts:
+        if d != scale:
+            n *= scale // d
+        for y, m in k.items():
+            out[y] = get(y, 0) + n * m
+        if len(out) > cap:
+            raise _support_error(len(out), cap)
+    if len(out) == 1:
+        return 1, dict.fromkeys(out, 1)
+    return den * scale, out
+
+
+def _stages(term: Seq) -> list:
+    """The non-Seq subterms of a Seq tree, left to right."""
+    out, todo = [], [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Seq):
+            todo.append(t.second)
+            todo.append(t.first)
+        else:
+            out.append(t)
+    return out
+
+
+def _compose(nodes: list) -> _Node:
+    """One deterministic node for a run of them, applied in order;
+    neighbouring wiring fuses into one selection."""
+    fused = [nodes[0]]
+    for g in nodes[1:]:
+        f = fused[-1]
+        if f.sel is not None and g.sel is not None:
+            fused[-1] = _wiring(f.n_in, tuple(f.sel[i] for i in g.sel))
+        else:
+            fused.append(g)
+    if len(fused) == 1:
+        return fused[0]
+    fns = tuple(n.function() for n in fused)
+
+    def det(x):
+        for fn in fns:
+            x = fn(x)
+        return x
+    return _Node(fused[0].n_in, fused[-1].n_out, det=det,
+                 injective=all(n.injective for n in fused))
+
+
+class _Compiler:
+    """Compiles the subterms of one term, bottom up with an explicit
+    stack.  Repeated occurrences of one term object (a loop body unrolled
+    k times is one object) share a node, and so share its memo."""
+
+    def __init__(self, cap: int):
+        self.cap = cap  # largest support a kernel may have
+        self.nodes: dict = {}  # id(term) -> (term, node)
+
+    def node(self, root: Term) -> _Node:
+        todo = [(root, False)]
+        while todo:
+            term, ready = todo.pop()
+            if id(term) in self.nodes:
+                continue
+            if ready or not isinstance(term, (Seq, Par)):
+                self.nodes[id(term)] = (term, self._build(term))
+            else:
+                todo.append((term, True))
+                parts = (_stages(term) if isinstance(term, Seq)
+                         else (term.left, term.right))
+                todo.extend((t, False) for t in parts)
+        return self.nodes[id(root)][1]
+
+    def _built(self, term: Term) -> _Node:
+        return self.nodes[id(term)][1]
+
+    def _build(self, term: Term) -> _Node:
+        if isinstance(term, Id):
+            n = width(term.obj)
+            return _wiring(n, tuple(range(n)))
+        if isinstance(term, Swap):
+            wl, wr = width(term.left), width(term.right)
+            return _wiring(wl + wr,
+                           tuple(range(wr, wr + wl)) + tuple(range(wr)))
+        if isinstance(term, Gen):
+            return self._gen(term)
+        if isinstance(term, Seq):
+            return self._seq([self._built(t) for t in _stages(term)])
+        if isinstance(term, Par):
+            return self._par(self._built(term.left), self._built(term.right))
+        if isinstance(term, TauStar):
+            raise PBCError("parametric iteration reached the evaluator; "
+                           "instantiate the term first")
+        raise PBCError(f"not a term: {term!r}")
+
+    def _gen(self, term: Gen) -> _Node:
+        if term.kind == COIN:
+            p = term.p
+            if p.denominator == 1:
+                value = p.numerator
+                return _Node(0, 1, det=lambda x: value, injective=True)
+            k = (p.denominator, {1: p.numerator, 0: p.denominator - p.numerator})
+            return _Node(0, 1, kernel=lambda x: k)
+        w = width(term.at)
+        if term.kind == COPY:
+            return _wiring(w, tuple(range(w)) * 2)
+        if term.kind == DISCARD:
+            return _wiring(w, ())
+        if term.kind == PHI:
+            return _Node(2 * w + 1, w, det=_phi(w))
+        raise PBCError(f"unknown generator kind {term.kind!r}")
+
+    def _seq(self, nodes: list) -> _Node:
+        # Runs of deterministic stages compose into one stage each.
+        stages = []
+        for det, run in groupby(nodes, key=lambda n: n.kernel is None):
+            if det:
+                stages.append(_compose(list(run)))
+            else:
+                stages.extend(run)
+        if len(stages) == 1:
+            return stages[0]
+        steps = tuple((None, False, s.kernel) if s.kernel else
+                      (s.function(), s.injective, None) for s in stages)
+        cap = self.cap
+        memo: dict = {}
+
+        def kernel(x):
+            hit = memo.get(x)
+            if hit is not None:
+                return hit
+            den, dist = 1, {x: 1}
+            for det, injective, ker in steps:
+                if len(dist) == 1:
+                    (v,) = dist
+                    if det is not None:
+                        dist = {det(v): 1}
+                    else:
+                        den, dist = ker(v)
+                elif det is None:
+                    den, dist = _push(den, dist, ker, cap)
+                elif injective:
+                    dist = {det(v): n for v, n in dist.items()}
+                else:
+                    out: dict = {}
+                    for v, n in dist.items():
+                        y = det(v)
+                        out[y] = out.get(y, 0) + n
+                    if len(out) == 1:
+                        den, out = 1, dict.fromkeys(out, 1)
+                    dist = out
+            memo[x] = hit = (den, dist)
+            return hit
+
+        return _Node(stages[0].n_in, stages[-1].n_out, kernel=kernel)
+
+    def _par(self, f: _Node, g: _Node) -> _Node:
+        g_in, g_out = g.n_in, g.n_out
+        n_in, n_out = f.n_in + g_in, f.n_out + g_out
+        if f.sel is not None and g.sel is not None:
+            return _wiring(n_in, g.sel + tuple(s + g_in for s in f.sel))
+        g_mask = (1 << g_in) - 1
+        fk, gk = f.kernel, g.kernel
+        fd = None if fk else f.function()
+        gd = None if gk else g.function()
+        if fd is not None and gd is not None:
+            return _Node(n_in, n_out,
+                         det=lambda x: (fd(x >> g_in) << g_out) | gd(x & g_mask),
+                         injective=f.injective and g.injective)
+        cap = self.cap
+        memo: dict = {}
+
+        def kernel(x):
+            hit = memo.get(x)
+            if hit is not None:
+                return hit
+            if fd is not None:
+                hi = fd(x >> g_in) << g_out
+                den, k = gk(x & g_mask)
+                hit = (den, {hi | v: n for v, n in k.items()}) if hi else (den, k)
+            elif gd is not None:
+                lo = gd(x & g_mask)
+                den, k = fk(x >> g_in)
+                hit = (den, {(u << g_out) | lo: n for u, n in k.items()})
+            else:
+                df, kf = fk(x >> g_in)
+                dg, kg = gk(x & g_mask)
+                if len(kf) == 1:
+                    (u,) = kf
+                    hi = u << g_out
+                    hit = (dg, {hi | v: m for v, m in kg.items()})
+                elif len(kg) == 1:
+                    (lo,) = kg
+                    hit = (df, {(u << g_out) | lo: n for u, n in kf.items()})
+                else:
+                    if len(kf) * len(kg) > cap:
+                        raise _support_error(len(kf) * len(kg), cap)
+                    hit = (df * dg, {(u << g_out) | v: n * m
+                                     for u, n in kf.items()
+                                     for v, m in kg.items()})
+            memo[x] = hit
+            return hit
+
+        return _Node(n_in, n_out, kernel=kernel)
 
 
 def denote(term: Term) -> StochMap:
     """Denote a star-free term as a stochastic map.
 
     Raises on parametric terms: instantiate them at a concrete size first.
-    Every intermediate map is bounded by the wire limit (PBC_MAX_WIRES,
-    default 20 wires).
+    The map's input and output widths are bounded by the wire limit
+    (PBC_MAX_WIRES, default 20 wires), and so is every distribution met
+    on the way: at most 2^limit outcomes.
     """
     judgement = typecheck(term)
     if not (is_star_free(judgement.domain) and is_star_free(judgement.codomain)):
         raise PBCError(
             f"term of parametric type {judgement} has no fixed-size "
             "semantics; instantiate it first")
-    return _denote(term)
-
-
-def _denote(term: Term) -> StochMap:
-    if isinstance(term, Id):
-        n = width(term.obj)
-        _check_width(n, "an identity")
-        return identity_map(n)
-    if isinstance(term, Gen):
-        return _denote_gen(term)
-    if isinstance(term, Swap):
-        wl = width(term.left)
-        wr = width(term.right)
-        _check_width(wl + wr, "a swap")
-        rows = []
-        for i in range(1 << (wl + wr)):
-            left = i >> wr
-            right = i & _mask(wr)
-            rows.append(dirac((right << wl) | left))
-        return StochMap(wl + wr, wl + wr, tuple(rows))
-    if isinstance(term, Seq):
-        return compose_maps(_denote(term.first), _denote(term.second))
-    if isinstance(term, Par):
-        return tensor_maps(_denote(term.left), _denote(term.right))
-    if isinstance(term, TauStar):
-        raise PBCError("parametric iteration reached the evaluator; "
-                       "instantiate the term first")
-    raise PBCError(f"not a term: {term!r}")
+    n_in, n_out = width(judgement.domain), width(judgement.codomain)
+    limit = _check_width(max(n_in, n_out), "the map")
+    # No distribution held in memory reaches 2^64 outcomes; the clamp
+    # keeps a huge PBC_MAX_WIRES from building a huge int.
+    node = _Compiler(1 << min(limit, 64)).node(term)
+    if node.kernel is None:
+        det = node.function()
+        return StochMap(n_in, n_out,
+                        tuple({det(x): ONE} for x in range(1 << n_in)))
+    weights: dict = {}  # den -> {numerator: Fraction}, shared by all rows
+    rows = []
+    for x in range(1 << n_in):
+        den, dist = node.kernel(x)
+        known = weights.setdefault(den, {})
+        row = {}
+        for y, n in dist.items():
+            p = known.get(n)
+            if p is None:
+                p = known[n] = Fraction(n, den)
+            row[y] = p
+        rows.append(row)
+    return StochMap(n_in, n_out, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ __all__ = [
     "Term", "Id", "Gen", "Swap", "Seq", "Par", "TauStar", "TypeJudgement",
     "PBCError", "PBCTypeError",
     "COPY", "DISCARD", "COIN", "PHI",
-    "copy_gen", "discard_gen", "coin", "phi_gen", "phi_p",
+    "copy_gen", "discard_gen", "coin", "phi_gen", "phi_p", "exact_rational",
     "seq", "par", "typecheck", "pretty_term", "permute_blocks",
 ]
 
@@ -67,6 +67,23 @@ class Gen:
             raise ValueError(f"unknown generator kind: {self.kind!r}")
         if (self.kind == COIN) != (self.p is not None):
             raise ValueError("coin takes a bias, other generators do not")
+        if self.p is not None:
+            object.__setattr__(self, "p", exact_rational(self.p))
+
+
+def exact_rational(p) -> Fraction:
+    """A Fraction from a Fraction, an int or a string such as "n/d".
+
+    Floats are refused: ``Fraction(0.1)`` is the binary approximation
+    3602879701896397/36028797018963968, not one tenth.
+    """
+    if type(p) is Fraction:
+        return p
+    if isinstance(p, (Fraction, int, str)):
+        return Fraction(p)
+    raise TypeError(
+        f"expected a Fraction, an int or a string like '1/3', not "
+        f"{type(p).__name__} {p!r}: floats are not exact")
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +133,7 @@ def discard_gen(obj: Object) -> Gen:
 
 
 def coin(p) -> Gen:
-    return Gen(COIN, UNIT, Fraction(p))
+    return Gen(COIN, UNIT, p)
 
 
 def phi_gen(obj: Object) -> Gen:

@@ -3,7 +3,9 @@
 from pathlib import Path
 
 import pytest
+from pbc import coin, par, pretty_term
 from pbc.cli import main
+from pbc.cli import run as pbc_command
 
 DATA = Path(__file__).parent / "data"
 
@@ -310,3 +312,19 @@ def test_dot_ports_appear_only_on_multi_wire_ends(capsys):
     assert code == 0
     assert 'taillabel="1", headlabel="1"' in out
     assert "n1 -> n2;\n" in out
+
+
+# ---------------------------------------------------------------------------
+# exit contract of the pbc command
+
+def test_internal_error_exits_two_not_one(capsys, tmp_path):
+    # Eleven fair coins still overflow the recursive normal-form spine;
+    # the command must report that as an error, not as "not equal".
+    path = tmp_path / "coins11.pbc"
+    path.write_text(f"main = {pretty_term(par(*[coin('1/2')] * 11))}\n")
+    code = pbc_command(["eq", str(path), str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("pbc: internal error: RecursionError")
+    assert "Traceback" not in captured.err

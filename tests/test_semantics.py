@@ -171,6 +171,31 @@ def test_env_override_lifts_the_limit(monkeypatch):
         denote(Id(bools(21)))
 
 
+def test_support_guard_bounds_intermediate_distributions(monkeypatch):
+    monkeypatch.setenv("PBC_MAX_WIRES", "4")
+    four = seq(par(*[coin("1/2")] * 4), discard_gen(bools(4)))
+    assert denote(four).rows == (dirac(0),)
+    five = seq(par(*[coin("1/2")] * 5), discard_gen(bools(5)))
+    with pytest.raises(WireLimitError, match="outcomes"):
+        denote(five)
+
+
+def test_wide_wiring_inside_a_narrow_map_evaluates():
+    # A copy fans 12 wires out to 24: only the map's own ends count.
+    fanned = seq(copy_gen(bools(12)), discard_gen(bools(24)))
+    assert denote(fanned).rows == tuple(dirac(0) for _ in range(1 << 12))
+    halved = seq(copy_gen(bools(12)),
+                 par(discard_gen(bools(12)), Id(bools(12))))
+    assert denote(halved) == identity_map(12)
+
+
+def test_soft_limit_warns_once_per_denote():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        denote(seq(Id(bools(14)), Swap(bools(7), bools(7)), Id(bools(14))))
+    assert len(caught) == 1
+
+
 # ---------------------------------------------------------------------------
 # Serialization.
 

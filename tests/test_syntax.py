@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -163,3 +164,18 @@ def test_bindings_resolve_in_order():
            "main = pair ; xor\n")
     f = denote(parse_circuit(src))
     assert f.rows[0][0] == f.rows[0][1]
+
+
+def test_coin_bias_rejects_floats():
+    # Fraction(0.1) would silently be 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="float"):
+        coin(0.1)
+    with pytest.raises(TypeError, match="float"):
+        Gen("coin", UNIT, 0.5)
+
+
+def test_coin_bias_is_stored_as_a_fraction():
+    for bias in (Fraction(1, 3), "1/3"):
+        assert coin(bias).p == Fraction(1, 3)
+        assert isinstance(Gen("coin", UNIT, bias).p, Fraction)
+    assert coin(1).p == Fraction(1) and isinstance(coin(1).p, Fraction)
