@@ -1,7 +1,7 @@
 """Exact distance series over the iteration size, and decay reports.
 
-Two parametric circuits are compared by instantiating both at each size
-k in a range and measuring the exact hom distance of the results.  A
+Two parametric circuits are compared by evaluating both at each size k
+in a range and measuring the exact hom distance of the results.  A
 ``DecaySeries`` is the raw list of (k, d_k); ``negligibility_report``
 scales it by k^a, classifies the trend, and looks for a threshold
 witness.  Everything is computed in rationals; the one floating-point
@@ -33,7 +33,7 @@ from .terms import (
     pretty_term, seq, typecheck,
 )
 from .semantics import denote, hom_distance
-from .iteration import TupleSpec, instantiate
+from .iteration import TupleSpec
 from . import combinators as C
 
 __all__ = [
@@ -106,7 +106,7 @@ class NewtonReport:
 def distance_series(f: Term, g: Term, k_min: int, k_max: int,
                     f_label: str | None = None,
                     g_label: str | None = None) -> DecaySeries:
-    """Exact hom distances of the two instantiated terms for each k."""
+    """Exact hom distances of the two terms at each size k."""
     jf = typecheck(f)
     jg = typecheck(g)
     if (jf.domain, jf.codomain) != (jg.domain, jg.codomain):
@@ -115,8 +115,7 @@ def distance_series(f: Term, g: Term, k_min: int, k_max: int,
         raise PBCError(f"bad size range {k_min}..{k_max}")
     pairs = []
     for k in range(k_min, k_max + 1):
-        d = hom_distance(denote(instantiate(k, f)),
-                         denote(instantiate(k, g)))
+        d = hom_distance(denote(f, k), denote(g, k))
         pairs.append((k, d))
     return DecaySeries(tuple(pairs),
                        f_label if f_label is not None else pretty_term(f),
@@ -232,8 +231,7 @@ def newton_bound_check(f: Term, g: Term, h: Term, spec: TupleSpec,
 
     rows = []
     for k in range(0, k_max + 1):
-        c = hom_distance(denote(instantiate(k, lhs)),
-                         denote(instantiate(k, rhs)))
+        c = hom_distance(denote(lhs, k), denote(rhs, k))
         ceiling = k * gap
         if c > ceiling:
             raise PBCError(

@@ -27,7 +27,7 @@ from .asymptotics import (
     negligibility_report,
     report_to_csv,
 )
-from .iteration import K_TEST, EqualUpTo, instantiate, star_equiv_bounded
+from .iteration import K_TEST, EqualUpTo, star_equiv_bounded
 from .normalform import decide_equal, nf_pretty, normalize
 from .objects import is_star_free, object_normalize, obj_to_str
 from .parser import PBCSyntaxError, parse_circuit, parse_term
@@ -314,9 +314,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     term, _ = _load_typed(args.file)
-    if args.k is not None:
-        term = instantiate(_parse_single_k(args.k, "eval"), term)
-    sys.stdout.write(_tsv(denote(term), args.decimal))
+    k = None if args.k is None else _parse_single_k(args.k, "eval")
+    sys.stdout.write(_tsv(denote(term, k), args.decimal))
     return 0
 
 
@@ -361,8 +360,7 @@ def _cmd_dist(args) -> int:
         return 0
     lo, hi = _parse_k(args.k)
     for k in range(lo, hi + 1):
-        d = hom_distance(denote(instantiate(k, s)),
-                         denote(instantiate(k, t)))
+        d = hom_distance(denote(s, k), denote(t, k))
         prefix = "" if lo == hi else f"{k}\t"
         print(prefix + _frac_str(d, args.decimal))
     return 0
@@ -441,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="print the exact stochastic map as TSV")
     p.add_argument("file")
-    p.add_argument("--k", help="instantiate iteration at size K first")
+    p.add_argument("--k", help="evaluate at size K")
     p.add_argument("--decimal", action="store_true",
                    help="append a rounded column after the exact one")
 

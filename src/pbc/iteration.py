@@ -10,17 +10,23 @@ The unrolling at k+1 peels one element off every input stream, runs the
 body once, recurses, then files the fresh output elements back into their
 streams.  Streams of several objects are stored block-wise (all elements
 of the first stream, then all of the second, and so on), so peeling and
-filing are wiring permutations; ``push_term`` and ``pop_term`` build them.
+filing are wiring permutations; ``push_term`` and ``pop_term`` (defined in
+``terms``) build them.
+
+``instantiate`` is the definition.  The evaluator reads the same
+unrolling equation, with the same pop and push wiring, directly
+(``denote(term, k)``) without building the unrolled term, so comparing
+at a size never instantiates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .objects import UNIT, BoolAtom, Object, Star, obj_to_str, power, tensor
+from .objects import BoolAtom, Object, Star, obj_to_str, power, tensor
 from .terms import (
     Gen, Id, Par, PBCError, PBCTypeError, Seq, Swap, TauStar, Term, par,
-    permute_blocks, seq, typecheck,
+    pop_term, push_term, seq, typecheck,
 )
 from .semantics import denote
 
@@ -53,41 +59,6 @@ def dot_power(blocks, k: int) -> Object:
     if k < 0:
         raise ValueError(f"negative power {k}")
     return tensor(*(power(b, k) for b in blocks))
-
-
-def _interleave_order(n: int):
-    # [A1..An, A1^k..An^k] read off as [A1, A1^k, A2, A2^k, ...]
-    order = []
-    for i in range(n):
-        order.append(i)
-        order.append(n + i)
-    return order
-
-
-def push_term(blocks, k: int) -> Term:
-    """Wiring of type ``blocks . 1 (x) blocks . k -> blocks . (k+1)``.
-
-    Files one fresh element per stream into the front of its block.
-    """
-    blocks = tuple(blocks)
-    n = len(blocks)
-    source = list(blocks) + [power(b, k) for b in blocks]
-    return permute_blocks(source, _interleave_order(n))
-
-
-def pop_term(blocks, k: int) -> Term:
-    """Wiring of type ``blocks . (k+1) -> blocks . 1 (x) blocks . k``.
-
-    Peels the front element off every stream; inverse of ``push_term``.
-    """
-    blocks = tuple(blocks)
-    n = len(blocks)
-    source = []
-    for b in blocks:
-        source.append(b)
-        source.append(power(b, k))
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return permute_blocks(source, order)
 
 
 def tau_k_expand(k: int, spec: TupleSpec, body: Term) -> Term:
@@ -143,9 +114,7 @@ def instantiate(k: int, term: Term) -> Term:
     if isinstance(term, Id):
         return Id(instantiate_object(k, term.obj))
     if isinstance(term, Gen):
-        if term.at == UNIT or all(isinstance(a, BoolAtom) for a in term.at):
-            return term
-        return Gen(term.kind, instantiate_object(k, term.at), term.p)
+        return term  # typecheck keeps generators at star-free words
     if isinstance(term, Swap):
         return Swap(instantiate_object(k, term.left),
                     instantiate_object(k, term.right))
@@ -192,9 +161,9 @@ class Counterexample:
 def star_equiv_bounded(s: Term, t: Term, k_max: int = K_TEST):
     """Compare two parametric terms at every size 0..k_max.
 
-    Returns ``EqualUpTo(k_max)`` when all instantiations denote equal
-    maps, else a ``Counterexample`` for the first disagreement.  Both
-    terms must share a type before instantiation.
+    Returns ``EqualUpTo(k_max)`` when both terms denote equal maps at
+    every size, else a ``Counterexample`` for the first disagreement.
+    Both terms must share one parametric type.
     """
     sj = typecheck(s)
     tj = typecheck(t)
@@ -202,8 +171,8 @@ def star_equiv_bounded(s: Term, t: Term, k_max: int = K_TEST):
         raise PBCTypeError(
             f"cannot compare terms of types {sj} and {tj}")
     for k in range(k_max + 1):
-        fs = denote(instantiate(k, s))
-        ft = denote(instantiate(k, t))
+        fs = denote(s, k)
+        ft = denote(t, k)
         if fs.rows == ft.rows:
             continue
         for i, (a, b) in enumerate(zip(fs.rows, ft.rows)):

@@ -83,12 +83,14 @@ NormalForm = Tree | Case
 
 
 def _build_spine(items) -> WeightedTree:
-    # items: ascending (value, mass) pairs, masses positive.
-    value, mass = items[0]
-    if len(items) == 1:
-        return Leaf(value)
-    total = sum(m for _, m in items)
-    return Node(mass / total, value, _build_spine(items[1:]))
+    # items: ascending (value, mass) pairs, masses positive.  Built from
+    # the end: each head is weighted by the mass from it on.
+    value, total = items[-1]
+    tree: WeightedTree = Leaf(value)
+    for value, mass in reversed(items[:-1]):
+        total += mass
+        tree = Node(mass / total, value, tree)
+    return tree
 
 
 def synthesize_from_map(f: StochMap) -> NormalForm:
@@ -155,7 +157,28 @@ def decide_equal(f: Term, g: Term) -> bool:
     gj = typecheck(g)
     if (fj.domain, fj.codomain) != (gj.domain, gj.codomain):
         raise PBCTypeError(f"cannot compare terms of types {fj} and {gj}")
-    return normalize(f) == normalize(g)
+    return _nf_equal(normalize(f), normalize(g))
+
+
+def _nf_equal(a: NormalForm, b: NormalForm) -> bool:
+    """Structural equality of two normal forms of one type, walked with
+    a loop: a spine is as long as its support, too deep to recurse on."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, Case):
+            todo.append((a.on_last_1, b.on_last_1))
+            todo.append((a.on_last_0, b.on_last_0))
+            continue
+        s, t = a.tree, b.tree
+        while isinstance(s, Node) and isinstance(t, Node):
+            if (s.p, s.head) != (t.p, t.head):
+                return False
+            s, t = s.rest, t.rest
+        if not (isinstance(s, Leaf) and isinstance(t, Leaf)
+                and s.value == t.value):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,22 @@ def is_star_free(obj: Object) -> bool:
     return all(isinstance(a, BoolAtom) for a in obj)
 
 
-def width(obj: Object) -> int:
-    """Number of Boolean wires of a star-free object."""
+def width(obj: Object, k: int | None = None) -> int:
+    """Number of Boolean wires of an object.
+
+    A starred atom counts k times the width of its inner object, so a
+    parametric object has a width only at a given size k.
+    """
+    n = 0
     for a in obj:
-        if not isinstance(a, BoolAtom):
+        if isinstance(a, BoolAtom):
+            n += 1
+        elif k is None:
             raise ValueError(
                 f"object {obj_to_str(obj)} is parametric; it has no fixed width")
-    return len(obj)
+        else:
+            n += k * width(a.inner, k)
+    return n
 
 
 def _atom_to_str(atom: Atom) -> str:

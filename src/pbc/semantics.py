@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .objects import is_star_free, width
+from .objects import bools, is_star_free, width
 from .terms import (
     COIN, COPY, DISCARD, Gen, Id, PHI, Par, PBCError, Seq, Swap, TauStar,
-    Term, exact_rational, typecheck,
+    Term, exact_rational, par, pop_term, push_term, typecheck,
 )
 
 __all__ = [
@@ -364,13 +364,122 @@ def _compose(nodes: list) -> _Node:
                  injective=all(n.injective for n in fused))
 
 
-class _Compiler:
-    """Compiles the subterms of one term, bottom up with an explicit
-    stack.  Repeated occurrences of one term object (a loop body unrolled
-    k times is one object) share a node, and so share its memo."""
+def _wiring_sel(term: Term) -> tuple:
+    """The bit selection of a star-free wiring term."""
+    return _Compiler(1, None).node(term).sel
 
-    def __init__(self, cap: int):
+
+def _dirac_kernel(x):
+    return 1, {x: 1}
+
+
+def _tau_kernel(body: _Node, k: int, sw: int, ins: tuple, outs: tuple,
+                cap: int):
+    """The kernel of a loop unrolled k times, read off the unrolling
+    equation tau^(j+1) = pop ; (body x id) ; (id x tau^j) ; push with
+    tau^0 the identity on the state.
+
+    tau^j is memoized per (j, input value).  A call walks down the levels
+    collecting the inputs each level needs from the next, then back up
+    combining them, so no recursion runs k deep.
+    """
+    a, b = sum(ins), sum(outs)
+    s_mask = (1 << sw) - 1
+    body_kernel = body.kernel
+    if body_kernel is None:
+        det = body.function()
+
+        def body_kernel(v):
+            return 1, {det(v): 1}
+    # Pop and push are the wiring tau_k_expand uses, over Boolean words.
+    multi_in = sum(1 for w in ins if w) > 1
+    multi_out = sum(1 for w in outs if w) > 1
+    in_words = tuple(bools(w) for w in ins)
+    out_words = tuple(bools(w) for w in outs)
+    # Per level n = 1..k: its memo, pop and push (None when the identity).
+    memos = [None] + [{} for _ in range(k)]
+    pops = [None] * (k + 1)
+    pushes = [None] * (k + 1)
+
+    def kernel(x):
+        hit = memos[k].get(x)
+        if hit is not None:
+            return hit
+        # Down: peel the front elements and run the body on them.
+        plan = []
+        frontier = (x,)
+        for n in range(k, 0, -1):
+            r_bits = (n - 1) * a
+            r_mask = (1 << r_bits) - 1
+            pop = pops[n]
+            if pop is None and multi_in:
+                wiring = par(Id(bools(sw)), pop_term(in_words, n - 1))
+                pop = pops[n] = _select(_wiring_sel(wiring), sw + n * a)
+            below = memos[n - 1] if n > 1 else None
+            steps = []
+            wanted = set()
+            for v in frontier:
+                y = pop(v) if pop else v
+                den, dist = body_kernel(y >> r_bits)
+                r = y & r_mask
+                items = [(o >> sw, ((o & s_mask) << r_bits) | r, m)
+                         for o, m in dist.items()]
+                steps.append((v, den, items))
+                if below is not None:
+                    wanted.update(c for _, c, _ in items if c not in below)
+            plan.append((n, steps))
+            if not wanted:
+                break
+            frontier = wanted
+        # Up: combine each body outcome with tau^(n-1) of what follows.
+        for n, steps in reversed(plan):
+            memo = memos[n]
+            child = memos[n - 1].__getitem__ if n > 1 else _dirac_kernel
+            c_bits = (n - 1) * b + sw
+            push = pushes[n]
+            if push is None and multi_out:
+                wiring = par(push_term(out_words, n - 1), Id(bools(sw)))
+                push = pushes[n] = _select(_wiring_sel(wiring), n * b + sw)
+            for v, den, items in steps:
+                if len(items) == 1:
+                    ((o, c, _),) = items
+                    den, dist = child(c)
+                    hi = o << c_bits
+                    if push:
+                        dist = {push(hi | y): m for y, m in dist.items()}
+                    elif hi:
+                        dist = {hi | y: m for y, m in dist.items()}
+                    memo[v] = (den, dist)
+                    continue
+                parts = [(o << c_bits, m, child(c)) for o, c, m in items]
+                scale = math.lcm(*{d for _, _, (d, _) in parts})
+                out: dict = {}
+                get = out.get
+                for hi, m, (d, dist) in parts:
+                    if d != scale:
+                        m *= scale // d
+                    for y, w in dist.items():
+                        y |= hi
+                        if push:
+                            y = push(y)
+                        out[y] = get(y, 0) + m * w
+                    if len(out) > cap:
+                        raise _support_error(len(out), cap)
+                memo[v] = ((1, dict.fromkeys(out, 1)) if len(out) == 1
+                           else (den * scale, out))
+        return memos[k][x]
+
+    return kernel
+
+
+class _Compiler:
+    """Compiles the subterms of one term at one size k, bottom up with an
+    explicit stack.  Repeated occurrences of one term object share a
+    node, and so share its memo."""
+
+    def __init__(self, cap: int, k: int | None):
         self.cap = cap  # largest support a kernel may have
+        self.k = k  # the size starred objects are read at, or None
         self.nodes: dict = {}  # id(term) -> (term, node)
 
     def node(self, root: Term) -> _Node:
@@ -379,12 +488,13 @@ class _Compiler:
             term, ready = todo.pop()
             if id(term) in self.nodes:
                 continue
-            if ready or not isinstance(term, (Seq, Par)):
+            if ready or not isinstance(term, (Seq, Par, TauStar)):
                 self.nodes[id(term)] = (term, self._build(term))
             else:
                 todo.append((term, True))
                 parts = (_stages(term) if isinstance(term, Seq)
-                         else (term.left, term.right))
+                         else (term.left, term.right) if isinstance(term, Par)
+                         else (term.body,))
                 todo.extend((t, False) for t in parts)
         return self.nodes[id(root)][1]
 
@@ -392,11 +502,12 @@ class _Compiler:
         return self.nodes[id(term)][1]
 
     def _build(self, term: Term) -> _Node:
+        k = self.k
         if isinstance(term, Id):
-            n = width(term.obj)
+            n = width(term.obj, k)
             return _wiring(n, tuple(range(n)))
         if isinstance(term, Swap):
-            wl, wr = width(term.left), width(term.right)
+            wl, wr = width(term.left, k), width(term.right, k)
             return _wiring(wl + wr,
                            tuple(range(wr, wr + wl)) + tuple(range(wr)))
         if isinstance(term, Gen):
@@ -406,9 +517,22 @@ class _Compiler:
         if isinstance(term, Par):
             return self._par(self._built(term.left), self._built(term.right))
         if isinstance(term, TauStar):
-            raise PBCError("parametric iteration reached the evaluator; "
-                           "instantiate the term first")
+            return self._tau(term)
         raise PBCError(f"not a term: {term!r}")
+
+    def _tau(self, term: TauStar) -> _Node:
+        k = self.k
+        if k is None:
+            raise PBCError("parametric iteration has no semantics without "
+                           "a size; pass k to denote")
+        sw = width(term.state, k)
+        ins = tuple(width(o, k) for o in term.inputs)
+        outs = tuple(width(o, k) for o in term.outputs)
+        if k == 0:
+            return _wiring(sw, tuple(range(sw)))
+        body = self._built(term.body)
+        return _Node(sw + k * sum(ins), k * sum(outs) + sw,
+                     kernel=_tau_kernel(body, k, sw, ins, outs, self.cap))
 
     def _gen(self, term: Gen) -> _Node:
         if term.kind == COIN:
@@ -521,24 +645,31 @@ class _Compiler:
         return _Node(n_in, n_out, kernel=kernel)
 
 
-def denote(term: Term) -> StochMap:
-    """Denote a star-free term as a stochastic map.
+def denote(term: Term, k: int | None = None) -> StochMap:
+    """Denote a term as a stochastic map, at size k if one is given.
 
-    Raises on parametric terms: instantiate them at a concrete size first.
+    At size k every starred object is read as its k-fold power and every
+    iteration as its k-fold unrolling, so ``denote(t, k)`` equals
+    ``denote(instantiate(k, t))``; the unrolling equation is evaluated,
+    not built as syntax.  Without a size, parametric terms raise.
     The map's input and output widths are bounded by the wire limit
     (PBC_MAX_WIRES, default 20 wires), and so is every distribution met
     on the way: at most 2^limit outcomes.
     """
     judgement = typecheck(term)
-    if not (is_star_free(judgement.domain) and is_star_free(judgement.codomain)):
-        raise PBCError(
-            f"term of parametric type {judgement} has no fixed-size "
-            "semantics; instantiate it first")
-    n_in, n_out = width(judgement.domain), width(judgement.codomain)
+    if k is None:
+        if not (is_star_free(judgement.domain)
+                and is_star_free(judgement.codomain)):
+            raise PBCError(
+                f"term of parametric type {judgement} has no fixed-size "
+                "semantics; pass a size k to instantiate it at")
+    elif k < 0:
+        raise ValueError(f"negative size {k}")
+    n_in, n_out = width(judgement.domain, k), width(judgement.codomain, k)
     limit = _check_width(max(n_in, n_out), "the map")
     # No distribution held in memory reaches 2^64 outcomes; the clamp
     # keeps a huge PBC_MAX_WIRES from building a huge int.
-    node = _Compiler(1 << min(limit, 64)).node(term)
+    node = _Compiler(1 << min(limit, 64), k).node(term)
     if node.kernel is None:
         det = node.function()
         return StochMap(n_in, n_out,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .objects import (
     B, UNIT, Object, bools, is_star_free, obj_to_str, object_normalize,
-    star, tensor,
+    power, star, tensor,
 )
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "COPY", "DISCARD", "COIN", "PHI",
     "copy_gen", "discard_gen", "coin", "phi_gen", "phi_p", "exact_rational",
     "seq", "par", "typecheck", "pretty_term", "permute_blocks",
+    "push_term", "pop_term",
 ]
 
 COPY = "copy"
@@ -312,3 +313,38 @@ def permute_blocks(blocks: list, order: list) -> Term:
     if not layers:
         return Id(full)
     return seq(*layers)
+
+
+def _interleave_order(n: int):
+    # [A1..An, A1^k..An^k] read off as [A1, A1^k, A2, A2^k, ...]
+    order = []
+    for i in range(n):
+        order.append(i)
+        order.append(n + i)
+    return order
+
+
+def push_term(blocks, k: int) -> Term:
+    """Wiring of type ``blocks . 1 (x) blocks . k -> blocks . (k+1)``.
+
+    Files one fresh element per stream into the front of its block.
+    """
+    blocks = tuple(blocks)
+    n = len(blocks)
+    source = list(blocks) + [power(b, k) for b in blocks]
+    return permute_blocks(source, _interleave_order(n))
+
+
+def pop_term(blocks, k: int) -> Term:
+    """Wiring of type ``blocks . (k+1) -> blocks . 1 (x) blocks . k``.
+
+    Peels the front element off every stream; inverse of ``push_term``.
+    """
+    blocks = tuple(blocks)
+    n = len(blocks)
+    source = []
+    for b in blocks:
+        source.append(b)
+        source.append(power(b, k))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return permute_blocks(source, order)

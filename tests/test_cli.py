@@ -1,9 +1,15 @@
 """End-to-end runs of the console entry point against the data corpus."""
 
+import random
+import warnings
 from pathlib import Path
 
 import pytest
-from pbc import coin, par, pretty_term
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circuitgen import random_circuit
+from pbc import cli, coin, par, pretty_term
 from pbc.cli import main
 from pbc.cli import run as pbc_command
 
@@ -317,14 +323,55 @@ def test_dot_ports_appear_only_on_multi_wire_ends(capsys):
 # ---------------------------------------------------------------------------
 # exit contract of the pbc command
 
-def test_internal_error_exits_two_not_one(capsys, tmp_path):
-    # Eleven fair coins still overflow the recursive normal-form spine;
-    # the command must report that as an error, not as "not equal".
-    path = tmp_path / "coins11.pbc"
-    path.write_text(f"main = {pretty_term(par(*[coin('1/2')] * 11))}\n")
-    code = pbc_command(["eq", str(path), str(path)])
+def test_internal_error_exits_two_not_one(capsys, monkeypatch):
+    # Any exception main lets through is reported as an error, never as
+    # "not equal".
+    def overflow(args):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setitem(cli._HANDLERS, "eq", overflow)
+    code = pbc_command(["eq", OTP_L, OTP_L])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("pbc: internal error: RecursionError")
     assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# wide supports: normal-form spines thousands of entries long
+
+def _coins(tmp_path, n):
+    path = tmp_path / f"coins{n}.pbc"
+    path.write_text(f"main = {pretty_term(par(*[coin('1/2')] * n))}\n")
+    return str(path)
+
+
+def test_normalize_twelve_fair_coins_prints_the_uniform_spine(capsys,
+                                                              tmp_path):
+    code = pbc_command(["normalize", _coins(tmp_path, 12)])
+    out = capsys.readouterr().out
+    size = 1 << 12
+    want = [f"1/{size - i} |{i:012b}>" for i in range(size - 1)]
+    want.append(f"|{size - 1:012b}>")
+    assert code == 0
+    assert out == "\n".join(want) + "\n"
+
+
+def test_eq_on_eleven_fair_coins_is_equal(capsys, tmp_path):
+    path = _coins(tmp_path, 11)
+    code = pbc_command(["eq", path, path])
+    assert (code, capsys.readouterr().out) == (0, "EQUAL\n")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_eq_of_a_circuit_with_itself_exits_zero(tmp_path_factory, salt):
+    # Up to the widest random pairs the benchmark compares: 2 inputs,
+    # 10 outputs, cuts of up to 12 wires.
+    term = random_circuit(random.Random(salt), 2, 10, max_gens=40,
+                          max_wires=12, max_den=8)
+    path = tmp_path_factory.mktemp("eq") / "f.pbc"
+    path.write_text(f"main = {pretty_term(term)}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 14 wires and more warn
+        assert main(["eq", str(path), str(path)]) == 0
