@@ -30,7 +30,7 @@ from statistics import linear_regression
 from .objects import Object, obj_to_str, object_normalize, star, tensor
 from .terms import (
     Id, PBCError, PBCTypeError, TauStar, Term, exact_rational, par,
-    pretty_term, seq, typecheck,
+    pretty_term, same_type, seq, typecheck,
 )
 from .semantics import denote, hom_distance
 from .iteration import TupleSpec
@@ -107,10 +107,7 @@ def distance_series(f: Term, g: Term, k_min: int, k_max: int,
                     f_label: str | None = None,
                     g_label: str | None = None) -> DecaySeries:
     """Exact hom distances of the two terms at each size k."""
-    jf = typecheck(f)
-    jg = typecheck(g)
-    if (jf.domain, jf.codomain) != (jg.domain, jg.codomain):
-        raise PBCTypeError(f"cannot compare terms of types {jf} and {jg}")
+    same_type(f, g)
     if not 0 <= k_min <= k_max:
         raise PBCError(f"bad size range {k_min}..{k_max}")
     pairs = []
@@ -247,6 +244,25 @@ def newton_bound_check(f: Term, g: Term, h: Term, spec: TupleSpec,
 _DEMO_CAP = 8  # merged-iteration widths keep exact evaluation quick
 
 
+# The decay demos: the pair and its labels at bias p, the default bias
+# (None: the demo takes no bias), a size cap, the base of the decay law
+# at p, the law's name, and whether the law is exact from size 1 on
+# rather than an upper bound.
+_DECAY_DEMOS = {
+    "all1": (lambda p: (C.all_1(p), C.all_1_rhs(p),
+                        f"all1({p})", f"all1_rhs({p})"),
+             Fraction(1, 2), None, lambda p: p, "all-ones", False),
+    "keyguess": (lambda p: (C.keyguess_lhs(), C.keyguess_rhs(),
+                            "keyguess_lhs", "keyguess_rhs"),
+                 None, _DEMO_CAP, lambda p: Fraction(1, 2), "key-guess",
+                 False),
+    "vonneumann": (lambda p: (C.vn_lhs(p), C.vn_rhs(),
+                              f"vonneumann({p})", "vonneumann_rhs"),
+                   Fraction(3, 4), None, lambda p: abs(2 * p - 1),
+                   "von Neumann", True),
+}
+
+
 def _powers(base: Fraction, k_max: int):
     # base^k with 0^0 = 1
     out = [Fraction(1)]
@@ -268,7 +284,8 @@ def lemma_demo(name: str, k_max: int = 10, p=None):
     """
     if k_max < 0:
         raise PBCError(f"negative size bound {k_max}")
-    if name in ("otp", "keyguess") and p is not None:
+    demo = _DECAY_DEMOS.get(name)
+    if p is not None and (name == "otp" or demo and demo[1] is None):
         raise PBCError(f"demo {name} takes no bias parameter")
     if p is not None:
         p = exact_rational(p)
@@ -285,40 +302,22 @@ def lemma_demo(name: str, k_max: int = 10, p=None):
             raise PBCError("one-time pad drifted under iteration")
         return EqualityReport(series, True)
 
-    if name == "all1":
-        p = p if p is not None else Fraction(1, 2)
-        series = distance_series(C.all_1(p), C.all_1_rhs(p), 0, k_max,
-                                 f"all1({p})", f"all1_rhs({p})")
-        bounds = _powers(p, k_max)
-        for k, d in series.pairs:
-            if d > bounds[k]:
-                raise PBCError(f"all-ones distance {d} at k={k} "
-                               f"exceeds {bounds[k]}")
-        return negligibility_report(series, 0, Fraction(1, 100))
-
-    if name == "keyguess":
-        hi = min(k_max, _DEMO_CAP)
-        series = distance_series(C.keyguess_lhs(), C.keyguess_rhs(),
-                                 0, hi, "keyguess_lhs", "keyguess_rhs")
-        bounds = _powers(Fraction(1, 2), hi)
-        for k, d in series.pairs:
-            if d > bounds[k]:
-                raise PBCError(f"key-guess distance {d} at k={k} "
-                               f"exceeds {bounds[k]}")
-        return negligibility_report(series, 0, Fraction(1, 100))
-
-    if name == "vonneumann":
-        p = p if p is not None else Fraction(3, 4)
-        series = distance_series(C.vn_lhs(p), C.vn_rhs(), 0, k_max,
-                                 f"vonneumann({p})", "vonneumann_rhs")
-        law = _powers(abs(2 * p - 1), k_max)
-        for k, d in series.pairs:
-            if k >= 1 and d != law[k]:
-                raise PBCError(f"von Neumann distance {d} at k={k} "
-                               f"differs from {law[k]}")
-        return negligibility_report(series, 0, Fraction(1, 100))
-
-    raise PBCError(f"unknown demo: {name!r}")
+    if demo is None:
+        raise PBCError(f"unknown demo: {name!r}")
+    pair, default_p, cap, base, law_name, exact = demo
+    p = default_p if p is None else p
+    hi = k_max if cap is None else min(k_max, cap)
+    f, g, f_label, g_label = pair(p)
+    series = distance_series(f, g, 0, hi, f_label, g_label)
+    law = _powers(base(p), hi)
+    for k, d in series.pairs:
+        if exact and k >= 1 and d != law[k]:
+            raise PBCError(f"{law_name} distance {d} at k={k} "
+                           f"differs from {law[k]}")
+        if not exact and d > law[k]:
+            raise PBCError(f"{law_name} distance {d} at k={k} "
+                           f"exceeds {law[k]}")
+    return negligibility_report(series, 0, Fraction(1, 100))
 
 
 def report_to_csv(report: DecayReport) -> str:

@@ -14,6 +14,7 @@ is positive); 2 on usage, parse, and type errors, and, through the
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -34,9 +35,7 @@ from .parser import PBCSyntaxError, parse_circuit, parse_term
 from .semantics import StochMap, denote, hom_distance, map_to_tsv
 from .terms import (
     COIN,
-    COPY,
-    DISCARD,
-    PHI,
+    GEN_NAMES,
     Gen,
     Id,
     Par,
@@ -45,6 +44,7 @@ from .terms import (
     Swap,
     TauStar,
     Term,
+    iterates,
     typecheck,
 )
 
@@ -117,19 +117,9 @@ def _require_same_type(left_path, left_j, right_path, right_j):
             f"but {right_path} is {right_j}")
 
 
-def _has_tau(term: Term) -> bool:
-    if isinstance(term, TauStar):
-        return True
-    if isinstance(term, Seq):
-        return _has_tau(term.first) or _has_tau(term.second)
-    if isinstance(term, Par):
-        return _has_tau(term.left) or _has_tau(term.right)
-    return False
-
-
 def _is_parametric(term, judgement) -> bool:
     """Needs a size before it can be run directly."""
-    return _has_tau(term) or not (
+    return iterates(term) or not (
         is_star_free(judgement.domain) and is_star_free(judgement.codomain))
 
 
@@ -182,8 +172,7 @@ def _atoms(obj) -> int:
 def _gen_label(g: Gen) -> str:
     if g.kind == COIN:
         return f"coin({g.p.numerator}/{g.p.denominator})"
-    name = {COPY: "copy", DISCARD: "del", PHI: "if"}[g.kind]
-    return f"{name}<{obj_to_str(g.at)}>"
+    return f"{GEN_NAMES[g.kind]}<{obj_to_str(g.at)}>"
 
 
 class _DotState:
@@ -359,8 +348,7 @@ def _cmd_dist(args) -> int:
         print(_frac_str(hom_distance(denote(s), denote(t)), args.decimal))
         return 0
     lo, hi = _parse_k(args.k)
-    for k in range(lo, hi + 1):
-        d = hom_distance(denote(s, k), denote(t, k))
+    for k, d in distance_series(s, t, lo, hi, args.left, args.right).pairs:
         prefix = "" if lo == hi else f"{k}\t"
         print(prefix + _frac_str(d, args.decimal))
     return 0
@@ -423,6 +411,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pbc",

@@ -1,13 +1,10 @@
 """Library of derived circuits.
 
-Gates over single Booleans, stream plumbing (zip, cycle, push, pop), the
+Gates over single Booleans, stream plumbing (zip, unzip, cycle), the
 star-lifted copy/discard/conditional, and the named constructions whose
 decay behaviour the asymptotics module measures.  Everything returns a
 plain term built from the six core formers, so each circuit typechecks,
 instantiates and evaluates like hand-written syntax.
-
-``combinator`` is the lookup used by callers that address the library by
-name.
 """
 
 from __future__ import annotations
@@ -18,14 +15,13 @@ from .objects import (
     UNIT, B, Object, bools, is_star_free, object_normalize, star, tensor,
 )
 from .terms import (
-    Id, PBCError, Swap, TauStar, Term,
+    Id, Swap, TauStar, Term,
     coin, copy_gen, discard_gen, exact_rational, par, permute_blocks, phi_gen,
     phi_p, seq,
 )
-from .iteration import TupleSpec, pop_term, push_term
+from .iteration import TupleSpec
 
 __all__ = [
-    "combinator",
     "not_gate", "and_gate", "xor_gate", "eq_bit", "lazy_flip",
     "copy_at", "discard_at", "phi_at", "phi_p_at",
     "zip_streams", "unzip_streams", "cycle", "cycle_back",
@@ -316,74 +312,3 @@ def newton_flip_instance():
     h = Swap(B, B)
     spec = TupleSpec(B, (B,), (B,))
     return f, g, h, spec
-
-
-# ---------------------------------------------------------------------------
-# Name lookup.
-
-_ZERO_ARG = {
-    "not": not_gate,
-    "and": and_gate,
-    "xor": xor_gate,
-    "eq_bit": eq_bit,
-    "eq_star": eq_star,
-    "otp_lhs": otp_lhs,
-    "otp_rhs": otp_rhs,
-    "keyguess_lhs": keyguess_lhs,
-    "keyguess_rhs": keyguess_rhs,
-    "vn_rhs": vn_rhs,
-}
-
-_OBJECT_ARG = {
-    "copy_at": copy_at,
-    "discard_at": discard_at,
-    "phi_at": phi_at,
-    "cycle": cycle,
-    "cycle_back": cycle_back,
-}
-
-_RATIONAL_ARG = {
-    "all_1": all_1,
-    "vn_lhs": vn_lhs,
-}
-
-
-def combinator(name: str, *params) -> Term:
-    """Build a library circuit by name.
-
-    Zero-argument names: not, and, xor, eq_bit, eq_star, otp_lhs, otp_rhs,
-    keyguess_lhs, keyguess_rhs, vn_rhs.  One object: copy_at, discard_at,
-    phi_at, cycle, cycle_back.  Two objects: zip, unzip.  Object and
-    rational: phi_p_at.  One rational: all_1, vn_lhs.  Objects and a
-    size: push, pop.
-    """
-    try:
-        if name in _ZERO_ARG:
-            _expect(name, params, 0)
-            return _ZERO_ARG[name]()
-        if name in _OBJECT_ARG:
-            _expect(name, params, 1)
-            return _OBJECT_ARG[name](params[0])
-        if name in _RATIONAL_ARG:
-            _expect(name, params, 1)
-            return _RATIONAL_ARG[name](exact_rational(params[0]))
-        if name in ("zip", "unzip"):
-            _expect(name, params, 2)
-            build = zip_streams if name == "zip" else unzip_streams
-            return build(params[0], params[1])
-        if name == "phi_p_at":
-            _expect(name, params, 2)
-            return phi_p_at(params[0], exact_rational(params[1]))
-        if name in ("push", "pop"):
-            _expect(name, params, 2)
-            build = push_term if name == "push" else pop_term
-            return build(tuple(params[0]), int(params[1]))
-    except (TypeError, ValueError) as exc:
-        raise PBCError(f"bad parameters for combinator {name}: {exc}") from exc
-    raise PBCError(f"unknown combinator: {name}")
-
-
-def _expect(name, params, n):
-    if len(params) != n:
-        raise PBCError(
-            f"combinator {name} takes {n} parameter(s), got {len(params)}")

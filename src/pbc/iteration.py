@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .objects import BoolAtom, Object, Star, obj_to_str, power, tensor
 from .terms import (
     Gen, Id, Par, PBCError, PBCTypeError, Seq, Swap, TauStar, Term, par,
-    pop_term, push_term, seq, typecheck,
+    pop_term, push_term, same_type, seq, typecheck,
 )
 from .semantics import denote
 
@@ -165,11 +165,7 @@ def star_equiv_bounded(s: Term, t: Term, k_max: int = K_TEST):
     every size, else a ``Counterexample`` for the first disagreement.
     Both terms must share one parametric type.
     """
-    sj = typecheck(s)
-    tj = typecheck(t)
-    if (sj.domain, sj.codomain) != (tj.domain, tj.codomain):
-        raise PBCTypeError(
-            f"cannot compare terms of types {sj} and {tj}")
+    same_type(s, t)
     for k in range(k_max + 1):
         fs = denote(s, k)
         ft = denote(t, k)

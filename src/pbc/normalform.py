@@ -19,15 +19,15 @@ from fractions import Fraction
 
 from .objects import UNIT, bools
 from .terms import (
-    Id, PBCError, PBCTypeError, Seq, Swap, Term,
-    coin, copy_gen, par, phi_gen, phi_p, seq, typecheck,
+    Id, Seq, Swap, Term,
+    coin, copy_gen, par, phi_gen, phi_p, same_type, seq,
 )
 from .semantics import StochMap, denote
 
 __all__ = [
     "Leaf", "Node", "Tree", "Case", "NormalForm", "WeightedTree",
     "normalize", "synthesize_from_map", "nf_to_term", "decide_equal",
-    "nf_pretty",
+    "nf_equal", "nf_pretty",
 ]
 
 
@@ -121,12 +121,17 @@ def _word_term(value: int, n: int) -> Term:
 
 
 def _tree_term(tree: WeightedTree, n: int) -> Term:
-    if isinstance(tree, Leaf):
-        return _word_term(tree.value, n)
-    return seq(
-        par(_word_term(tree.head, n), _tree_term(tree.rest, n)),
-        phi_p(bools(n), tree.p),
-    )
+    # Built from the end of the spine: a spine is as long as its
+    # support, too deep to recurse on.
+    spine = []
+    while isinstance(tree, Node):
+        spine.append(tree)
+        tree = tree.rest
+    out = _word_term(tree.value, n)
+    for node in reversed(spine):
+        out = seq(par(_word_term(node.head, n), out),
+                  phi_p(bools(n), node.p))
+    return out
 
 
 def nf_to_term(nf: NormalForm) -> Term:
@@ -153,14 +158,11 @@ def nf_to_term(nf: NormalForm) -> Term:
 
 def decide_equal(f: Term, g: Term) -> bool:
     """Exact semantic equality of two star-free terms of one type."""
-    fj = typecheck(f)
-    gj = typecheck(g)
-    if (fj.domain, fj.codomain) != (gj.domain, gj.codomain):
-        raise PBCTypeError(f"cannot compare terms of types {fj} and {gj}")
-    return _nf_equal(normalize(f), normalize(g))
+    same_type(f, g)
+    return nf_equal(normalize(f), normalize(g))
 
 
-def _nf_equal(a: NormalForm, b: NormalForm) -> bool:
+def nf_equal(a: NormalForm, b: NormalForm) -> bool:
     """Structural equality of two normal forms of one type, walked with
     a loop: a spine is as long as its support, too deep to recurse on."""
     todo = [(a, b)]

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .objects import B, UNIT, Object, is_star_free, power, star, tensor
 from .terms import (
-    Gen, Id, PBCError, PBCTypeError, Seq, Par, Swap, TauStar, Term,
-    coin, copy_gen, discard_gen, phi_gen, typecheck,
+    COPY, DISCARD, GEN_NAMES, PHI, Id, PBCError, PBCTypeError, Seq, Par,
+    Swap, TauStar, Term, coin, copy_gen, discard_gen, phi_gen, typecheck,
 )
 from .combinators import (
     and_gate, copy_at, discard_at, eq_bit, not_gate, phi_at, xor_gate,
@@ -54,6 +54,14 @@ _BUILTINS = {
     "and": and_gate,
     "xor": xor_gate,
     "eq_bit": eq_bit,
+}
+
+# Generators written name<obj>: the primitive at star-free words, the
+# star-lifted circuit elsewhere.
+_GENERATORS = {
+    GEN_NAMES[COPY]: (copy_gen, copy_at),
+    GEN_NAMES[DISCARD]: (discard_gen, discard_at),
+    GEN_NAMES[PHI]: (phi_gen, phi_at),
 }
 
 _SYMBOLS = ";()<>[],=^*/"
@@ -244,18 +252,11 @@ class _Parser:
             right = self.object_()
             self.expect_sym(">")
             return Swap(left, right)
-        if name == "copy":
+        if name in _GENERATORS:
             self.next()
             obj = self.angle_object()
-            return copy_gen(obj) if is_star_free(obj) else copy_at(obj)
-        if name == "del":
-            self.next()
-            obj = self.angle_object()
-            return discard_gen(obj) if is_star_free(obj) else discard_at(obj)
-        if name == "if":
-            self.next()
-            obj = self.angle_object()
-            return phi_gen(obj) if is_star_free(obj) else phi_at(obj)
+            primitive, lifted = _GENERATORS[name]
+            return primitive(obj) if is_star_free(obj) else lifted(obj)
         if name == "coin":
             self.next()
             self.expect_sym("(")

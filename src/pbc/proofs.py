@@ -37,13 +37,13 @@ from fractions import Fraction
 
 from .objects import B, bools, is_star_free, object_normalize
 from .terms import (
-    COIN, PHI, Gen, Id, Par, PBCError, PBCTypeError, Seq, TauStar, Term,
-    phi_p, typecheck,
+    COIN, PHI, Gen, Id, Par, PBCError, PBCTypeError, Seq, Term,
+    iterates, phi_p, same_type, typecheck,
 )
 from .semantics import StochMap
 from .normalform import (
     Node, NormalForm, Tree, WeightedTree,
-    decide_equal, nf_to_term, normalize, synthesize_from_map,
+    decide_equal, nf_equal, nf_to_term, normalize, synthesize_from_map,
 )
 
 __all__ = [
@@ -69,6 +69,15 @@ PHI_MIX = "PhiMix"
 
 _RULES = (REFL, TOP, SYM, TRIANGLE, WEAKEN, SEQ_LEFT, SEQ_RIGHT,
           PAR_LEFT, PAR_RIGHT, PHI_CASE, PHI_MIX)
+
+# Congruence rules: the former of both endpoints, its plural noun, the
+# factor the premise relates and the factor both endpoints share.
+_CONGRUENCE = {
+    SEQ_LEFT: (Seq, "compositions", "first", "second"),
+    SEQ_RIGHT: (Seq, "compositions", "second", "first"),
+    PAR_LEFT: (Par, "tensors", "left", "right"),
+    PAR_RIGHT: (Par, "tensors", "right", "left"),
+}
 
 
 class PBCProofError(PBCError):
@@ -108,16 +117,10 @@ class Derivation:
 
 
 def _scan_star_free(term: Term) -> None:
-    if isinstance(term, TauStar):
+    if iterates(term):
         raise PBCProofError(
             "derivations cover star-free terms only; bounds at the star "
             "level live in the asymptotics module")
-    if isinstance(term, Seq):
-        _scan_star_free(term.first)
-        _scan_star_free(term.second)
-    elif isinstance(term, Par):
-        _scan_star_free(term.left)
-        _scan_star_free(term.right)
 
 
 def _split_mix(term: Term):
@@ -231,40 +234,15 @@ def _check(node: Derivation) -> Fraction:
                 f"bound {node.bound}")
         return node.bound
 
-    if node.rule in (SEQ_LEFT, SEQ_RIGHT):
+    if node.rule in _CONGRUENCE:
+        former, noun, varies, stays = _CONGRUENCE[node.rule]
         arity(1)
         (p,) = node.premises
-        if not (isinstance(lhs, Seq) and isinstance(rhs, Seq)):
-            raise PBCProofError(f"{node.rule} endpoints must be compositions")
-        if node.rule == SEQ_LEFT:
-            varying = (lhs.first, rhs.first)
-            shared = lhs.second == rhs.second
-        else:
-            varying = (lhs.second, rhs.second)
-            shared = lhs.first == rhs.first
-        if not shared:
+        if not (isinstance(lhs, former) and isinstance(rhs, former)):
+            raise PBCProofError(f"{node.rule} endpoints must be {noun}")
+        if getattr(lhs, stays) != getattr(rhs, stays):
             raise PBCProofError(f"{node.rule} must share the other factor")
-        if p.endpoints != varying:
-            raise PBCProofError(
-                f"{node.rule} premise must relate the varying factor")
-        if node.bound != sub[0]:
-            raise PBCProofError(f"{node.rule} keeps the premise bound")
-        return node.bound
-
-    if node.rule in (PAR_LEFT, PAR_RIGHT):
-        arity(1)
-        (p,) = node.premises
-        if not (isinstance(lhs, Par) and isinstance(rhs, Par)):
-            raise PBCProofError(f"{node.rule} endpoints must be tensors")
-        if node.rule == PAR_LEFT:
-            varying = (lhs.left, rhs.left)
-            shared = lhs.right == rhs.right
-        else:
-            varying = (lhs.right, rhs.right)
-            shared = lhs.left == rhs.left
-        if not shared:
-            raise PBCProofError(f"{node.rule} must share the other factor")
-        if p.endpoints != varying:
+        if p.endpoints != (getattr(lhs, varies), getattr(rhs, varies)):
             raise PBCProofError(
                 f"{node.rule} premise must relate the varying factor")
         if node.bound != sub[0]:
@@ -383,7 +361,7 @@ def _synth_trees(F: Tree, G: Tree) -> Derivation:
 
 
 def _synth_nf(F: NormalForm, G: NormalForm) -> Derivation:
-    if F == G:
+    if nf_equal(F, G):
         return _refl(nf_to_term(F), nf_to_term(G))
     if isinstance(F, Tree):
         return _synth_trees(F, G)
@@ -408,18 +386,16 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
     zero-cost Refl bridges, so the root endpoints are ``f`` and ``g``
     themselves.
     """
-    jf = typecheck(f)
-    jg = typecheck(g)
-    if (jf.domain, jf.codomain) != (jg.domain, jg.codomain):
-        raise PBCTypeError(f"cannot relate terms of types {jf} and {jg}")
+    jf = same_type(f, g)
     if not (is_star_free(jf.domain) and is_star_free(jf.codomain)):
         raise PBCTypeError(
             f"tight derivations cover star-free terms only, got {jf}")
     _scan_star_free(f)
     _scan_star_free(g)
-    if decide_equal(f, g):
+    nf_f, nf_g = normalize(f), normalize(g)
+    if nf_equal(nf_f, nf_g):
         return _refl(f, g)
-    core = _synth_nf(normalize(f), normalize(g))
+    core = _synth_nf(nf_f, nf_g)
     inner = Derivation(TRIANGLE, (core.lhs, g), core.bound,
                        (core, _refl(core.rhs, g)))
     return Derivation(TRIANGLE, (f, g), inner.bound,

@@ -118,9 +118,6 @@ class StochMap:
             raise ValueError(
                 f"expected {1 << self.in_arity} rows, got {len(self.rows)}")
 
-    def row(self, value: int) -> Distribution:
-        return self.rows[value]
-
     def __str__(self):
         return map_to_tsv(self)
 

@@ -32,8 +32,8 @@ __all__ = [
     "PBCError", "PBCTypeError",
     "COPY", "DISCARD", "COIN", "PHI",
     "copy_gen", "discard_gen", "coin", "phi_gen", "phi_p", "exact_rational",
-    "seq", "par", "typecheck", "pretty_term", "permute_blocks",
-    "push_term", "pop_term",
+    "seq", "par", "typecheck", "same_type", "iterates", "pretty_term",
+    "permute_blocks", "push_term", "pop_term", "GEN_NAMES",
 ]
 
 COPY = "copy"
@@ -42,6 +42,9 @@ COIN = "coin"
 PHI = "phi"
 
 _GEN_KINDS = (COPY, DISCARD, COIN, PHI)
+
+# Surface names of the generators written ``name<obj>``.
+GEN_NAMES = {COPY: "copy", DISCARD: "del", PHI: "if"}
 
 
 class PBCError(Exception):
@@ -169,14 +172,6 @@ def par(*terms: Term) -> Term:
     return out
 
 
-def _dot1(objs: tuple) -> Object:
-    return tensor(*objs)
-
-
-def _dotstar(objs: tuple) -> Object:
-    return tensor(*(star(o) for o in objs))
-
-
 def typecheck(term: Term) -> TypeJudgement:
     """Compute the type of a term, raising PBCTypeError on mismatch."""
     if isinstance(term, Id):
@@ -221,26 +216,45 @@ def typecheck(term: Term) -> TypeJudgement:
         ins = tuple(object_normalize(o) for o in term.inputs)
         outs = tuple(object_normalize(o) for o in term.outputs)
         body = typecheck(term.body)
-        want_dom = tensor(state, _dot1(ins))
-        want_cod = tensor(_dot1(outs), state)
+        want_dom = tensor(state, *ins)
+        want_cod = tensor(*outs, state)
         if body.domain != want_dom or body.codomain != want_cod:
             raise PBCTypeError(
                 "iteration body must be "
                 f"{obj_to_str(want_dom)} -> {obj_to_str(want_cod)}, got "
                 f"{obj_to_str(body.domain)} -> {obj_to_str(body.codomain)}")
-        return TypeJudgement(tensor(state, _dotstar(ins)),
-                             tensor(_dotstar(outs), state))
+        return TypeJudgement(tensor(state, *map(star, ins)),
+                             tensor(*map(star, outs), state))
     raise PBCTypeError(f"not a term: {term!r}")
+
+
+def same_type(f: Term, g: Term) -> TypeJudgement:
+    """The type two terms share; PBCTypeError when they differ."""
+    jf = typecheck(f)
+    jg = typecheck(g)
+    if jf != jg:
+        raise PBCTypeError(f"cannot compare terms of types {jf} and {jg}")
+    return jf
+
+
+def iterates(term: Term) -> bool:
+    """Whether a ``TauStar`` occurs anywhere in the term."""
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TauStar):
+            return True
+        if isinstance(t, Seq):
+            todo += (t.first, t.second)
+        elif isinstance(t, Par):
+            todo += (t.left, t.right)
+    return False
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing.  Parentheses are kept exactly where reparsing needs them
 # to rebuild the same tree: ; and x both parse left-associated, x binds
 # tighter than ;.
-
-def _rat_str(p: Fraction) -> str:
-    return str(p)
-
 
 def _pretty(term: Term, level: int) -> str:
     # level 0: may print a bare Seq; level 1: may print a bare Par;
@@ -257,9 +271,8 @@ def _pretty(term: Term, level: int) -> str:
         return f"swap<{obj_to_str(term.left)},{obj_to_str(term.right)}>"
     if isinstance(term, Gen):
         if term.kind == COIN:
-            return f"coin({_rat_str(term.p)})"
-        name = {COPY: "copy", DISCARD: "del", PHI: "if"}[term.kind]
-        return f"{name}<{obj_to_str(term.at)}>"
+            return f"coin({term.p})"
+        return f"{GEN_NAMES[term.kind]}<{obj_to_str(term.at)}>"
     if isinstance(term, TauStar):
         ins = ", ".join(obj_to_str(o) for o in term.inputs)
         outs = ", ".join(obj_to_str(o) for o in term.outputs)

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from pbc import (
     B,
+    UNIT,
     Derivation,
     Id,
     PBCProofError,
@@ -28,9 +30,11 @@ from pbc import (
 from pbc.combinators import copy_at, otp_lhs, otp_rhs, xor_gate
 from pbc.proofs import (
     PAR_LEFT,
+    PAR_RIGHT,
     PHI_MIX,
     REFL,
     SEQ_LEFT,
+    SEQ_RIGHT,
     SYM,
     TOP,
     TRIANGLE,
@@ -163,6 +167,19 @@ def test_synthesis_is_tight_on_random_circuit_pairs():
         done += 1
 
 
+def test_synthesis_past_support_512_under_the_default_recursion_limit():
+    # Support 1024: each normal-form spine is too long to recurse along.
+    f = par(*[coin("1/2")] * 10)
+    g = par(coin("1/3"), *[coin("1/2")] * 9)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        d = synthesize_tight_derivation(f, g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d.bound == Fraction(1, 6) == exact_distance(f, g)
+
+
 # ---------------------------------------------------------------------------
 # Soundness under random decoration.
 
@@ -263,17 +280,39 @@ def test_mismatched_endpoint_types_are_rejected():
 
 
 def test_congruence_must_share_a_factor():
+    # Each congruence rule accepts a node that varies one factor, then
+    # rejects each way to break its schema, in the order it checks them.
     f, g = coin("1/2"), coin("3/4")
     inner = synthesize_tight_derivation(f, g)
-    good = Derivation(
-        SEQ_LEFT, (Seq(f, Id(B)), Seq(g, Id(B))), inner.bound, (inner,))
-    assert check_derivation(good) == inner.bound
-    unshared = Derivation(
-        SEQ_LEFT,
-        (Seq(f, Id(B)), Seq(g, seq(Id(B), Id(B)))),
-        inner.bound, (inner,))
-    with pytest.raises(PBCProofError):
-        check_derivation(unshared)
+    flipped = Derivation(SYM, (g, f), inner.bound, (inner,))
+    rules = (
+        (SEQ_LEFT, "compositions", lambda v, s: Seq(v, s), Id(B)),
+        (SEQ_RIGHT, "compositions", lambda v, s: Seq(s, v), Id(UNIT)),
+        (PAR_LEFT, "tensors", lambda v, s: Par(v, s), Id(B)),
+        (PAR_RIGHT, "tensors", lambda v, s: Par(s, v), Id(B)),
+    )
+    endpoints = {rule: (build(f, s), build(g, s))
+                 for rule, _, build, s in rules}
+    for rule, noun, build, shared in rules:
+        good = endpoints[rule]
+        assert check_derivation(
+            Derivation(rule, good, inner.bound, (inner,))) == inner.bound
+        other_former = endpoints[PAR_LEFT if noun == "compositions"
+                                 else SEQ_LEFT]
+        unshared = (build(f, shared), build(g, seq(shared, shared)))
+        for endpoints_, bound, premises, message in (
+                (good, inner.bound, (), "takes 1 premises, got 0"),
+                (other_former, inner.bound, (inner,),
+                 f"endpoints must be {noun}"),
+                (unshared, inner.bound, (inner,),
+                 "must share the other factor"),
+                (good, inner.bound, (flipped,),
+                 "premise must relate the varying factor"),
+                (good, 2 * inner.bound, (inner,),
+                 "keeps the premise bound")):
+            with pytest.raises(PBCProofError, match=f"^{rule} {message}$"):
+                check_derivation(
+                    Derivation(rule, endpoints_, bound, premises))
 
 
 def test_star_typed_endpoints_are_rejected():

@@ -9,12 +9,16 @@ from circuitgen import random_circuit
 from pbc import (
     B,
     Gen,
+    Id,
     PBCSyntaxError,
+    PBCTypeError,
     UNIT,
     axiom_corpus,
     bools,
     coin,
+    decide_equal,
     denote,
+    distance_series,
     is_star_free,
     obj_to_str,
     object_normalize,
@@ -23,11 +27,17 @@ from pbc import (
     parse_term,
     power,
     pretty_term,
+    seq,
     star,
+    star_equiv_bounded,
+    synthesize_tight_derivation,
     tensor,
     typecheck,
 )
-from pbc.combinators import copy_at, otp_lhs, vn_lhs, xor_gate
+from pbc.combinators import (
+    copy_at, discard_at, otp_lhs, phi_at, vn_lhs, xor_gate,
+)
+from pbc.terms import iterates
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +117,38 @@ def test_star_sugar_elaborates_at_parse_time():
     assert parse_term("copy<B^*>") == copy_at(star(B))
     assert parse_term("copy<B>") == Gen("copy", B)
     assert is_star_free(typecheck(parse_term("del<(B^2)^*>")).domain) is False
+    for name, kind, lifted in (("copy", "copy", copy_at),
+                               ("del", "discard", discard_at),
+                               ("if", "phi", phi_at)):
+        assert parse_term(f"{name}<B x B>") == Gen(kind, bools(2))
+        starred = parse_term(f"{name}<B x B^*>")
+        assert starred == lifted(tensor(B, star(B)))
+        assert iterates(starred)
 
 
 def test_axiom_corpus_round_trips():
     for name, lhs, rhs in axiom_corpus():
         assert parse_term(pretty_term(lhs)) == lhs, name
         assert parse_term(pretty_term(rhs)) == rhs, name
+
+
+def test_iterates_walks_a_long_chain_without_recursion():
+    chain = [Id(tensor(star(B), star(B)))] * 5000
+    assert not iterates(seq(*chain))
+    assert iterates(seq(copy_at(star(B)), *chain))
+
+
+@pytest.mark.parametrize("compare", [
+    decide_equal,
+    star_equiv_bounded,
+    lambda f, g: distance_series(f, g, 0, 1),
+    synthesize_tight_derivation,
+], ids=["decide_equal", "star_equiv_bounded", "distance_series",
+        "synthesize_tight_derivation"])
+def test_comparing_terms_of_two_types_is_one_error(compare):
+    with pytest.raises(PBCTypeError, match="^cannot compare terms of types "
+                                           "I -> B and B -> B$"):
+        compare(coin(1), Id(B))
 
 
 # ---------------------------------------------------------------------------
