@@ -123,7 +123,7 @@ from .asymptotics import (
 )
 from .parser import PBCSyntaxError, parse_circuit, parse_object, parse_term
 from .axioms import axiom_corpus
-from .cli import emit_dot
+from .dot import emit_dot
 from . import combinators
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: the ``pbc`` command.
 
 Subcommands parse circuit files, evaluate and compare denotations, and
 print exact tables.  Output is deterministic: identical inputs give
@@ -7,8 +7,8 @@ byte-identical bytes, so every command is safe to pin in golden tests.
 Exit status: 0 on success (typechecks, equal, verdict consistent with
 negligible decay); 1 on a definite negative answer, which includes an
 inconclusive series verdict (``series`` only exits 0 when the verdict
-is positive); 2 on usage, parse, and type errors, and, through the
-``run`` entry point of the ``pbc`` command, on any internal error.
+is positive); 2 on usage, parse, and type errors, and on any internal
+error, so a crash never reads as a negative answer.
 """
 
 from __future__ import annotations
@@ -28,31 +28,15 @@ from .asymptotics import (
     negligibility_report,
     report_to_csv,
 )
+from .dot import emit_dot
 from .iteration import K_TEST, EqualUpTo, star_equiv_bounded
 from .normalform import decide_equal, nf_pretty, normalize
-from .objects import is_star_free, object_normalize, obj_to_str
-from .parser import PBCSyntaxError, parse_circuit, parse_term
-from .semantics import StochMap, denote, hom_distance, map_to_tsv
-from .terms import (
-    COIN,
-    GEN_NAMES,
-    Gen,
-    Id,
-    Par,
-    PBCError,
-    Seq,
-    Swap,
-    TauStar,
-    Term,
-    iterates,
-    typecheck,
-)
+from .objects import is_star_free
+from .parser import parse_circuit
+from .semantics import StochMap, bit_string, denote, hom_distance, map_to_tsv
+from .terms import PBCError, iterates, typecheck
 
-__all__ = ["main", "run", "emit_dot"]
-
-
-class _CliError(Exception):
-    """Usage-level problem; reported on stderr with exit status 2."""
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -65,18 +49,18 @@ def _parse_k(text: str) -> tuple[int, int]:
     """Inclusive size range from ``K`` or ``LO..HI``."""
     m = _K_RE.match(text)
     if not m:
-        raise _CliError(f"bad --k value {text!r}: expected K or LO..HI")
+        raise PBCError(f"bad --k value {text!r}: expected K or LO..HI")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) is not None else lo
     if hi < lo:
-        raise _CliError(f"bad --k range {text!r}: upper end below lower")
+        raise PBCError(f"bad --k range {text!r}: upper end below lower")
     return lo, hi
 
 
 def _parse_single_k(text: str, flag_home: str) -> int:
     lo, hi = _parse_k(text)
     if lo != hi:
-        raise _CliError(f"{flag_home} takes a single --k, not a range")
+        raise PBCError(f"{flag_home} takes a single --k, not a range")
     return lo
 
 
@@ -84,43 +68,34 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _CliError(f"bad rational {text!r}: expected N or N/D") from None
+        raise PBCError(f"bad rational {text!r}: expected N or N/D") from None
 
 
-def _load_term(path: str) -> Term:
-    """Parse a file as a circuit (``let``/``main``) or as a bare term."""
+def _load(path: str):
+    """Parse and typecheck a circuit file; errors name the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
     except OSError as err:
-        raise _CliError(str(err)) from None
+        raise PBCError(str(err)) from None
     try:
-        if re.search(r"\b(let|main)\b", source):
-            return parse_circuit(source)
-        return parse_term(source)
-    except PBCSyntaxError as err:
-        raise _CliError(f"{path}: {err}") from None
-
-
-def _load_typed(path: str):
-    term = _load_term(path)
-    try:
+        term = parse_circuit(source)
         return term, typecheck(term)
     except PBCError as err:
-        raise _CliError(f"{path}: {err}") from None
+        raise PBCError(f"{path}: {err}") from None
 
 
-def _require_same_type(left_path, left_j, right_path, right_j):
-    if (left_j.domain, left_j.codomain) != (right_j.domain, right_j.codomain):
-        raise _CliError(
-            f"type mismatch: {left_path} is {left_j} "
-            f"but {right_path} is {right_j}")
-
-
-def _is_parametric(term, judgement) -> bool:
-    """Needs a size before it can be run directly."""
-    return iterates(term) or not (
-        is_star_free(judgement.domain) and is_star_free(judgement.codomain))
+def _load_pair(args):
+    """The two files a comparison reads, which must share a type, and
+    whether either needs a size before it can be run directly."""
+    s, js = _load(args.left)
+    t, jt = _load(args.right)
+    if js != jt:
+        raise PBCError(
+            f"type mismatch: {args.left} is {js} but {args.right} is {jt}")
+    parametric = iterates(s) or iterates(t) or not (
+        is_star_free(js.domain) and is_star_free(js.codomain))
+    return s, t, parametric
 
 
 def _dec(x: Fraction) -> str:
@@ -163,162 +138,30 @@ def _csv_with_decimal(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dot export.
-
-def _atoms(obj) -> int:
-    return len(object_normalize(obj))
-
-
-def _gen_label(g: Gen) -> str:
-    if g.kind == COIN:
-        return f"coin({g.p.numerator}/{g.p.denominator})"
-    return f"{GEN_NAMES[g.kind]}<{obj_to_str(g.at)}>"
-
-
-class _DotState:
-    """Accumulates node and edge lines in traversal order."""
-
-    def __init__(self):
-        self.nodes: list[str] = []
-        self.edges: list[str] = []
-        self.n_nodes = 0
-        self.n_clusters = 0
-        self.indent = 1
-
-    def fresh_node(self) -> str:
-        name = f"n{self.n_nodes}"
-        self.n_nodes += 1
-        return name
-
-    def fresh_cluster(self) -> str:
-        name = f"cluster{self.n_clusters}"
-        self.n_clusters += 1
-        return name
-
-    def put(self, text: str):
-        self.nodes.append("  " * self.indent + text)
-
-    def edge(self, sources, target: str, port: int, target_arity: int):
-        """One wire into ``target``; a thick (stream) wire may carry
-        several producers, giving one edge per producer."""
-        for node, out_port, out_arity in sources:
-            attrs = []
-            if out_arity > 1:
-                attrs.append(f'taillabel="{out_port}"')
-            if target_arity > 1:
-                attrs.append(f'headlabel="{port}"')
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            self.edges.append(f"  {node} -> {target}{suffix};")
-
-
-def _dot_emit(st: _DotState, term: Term, ins: list) -> list:
-    """Wire a subterm.
-
-    ``ins`` holds one entry per domain atom; each entry is a tuple of
-    (node, out_port, out_arity) producers.  Star wires entering an
-    iteration fan out to every port of the block they stand for, so an
-    entry can carry more than one producer on the way back out.
-    """
-    if isinstance(term, Id):
-        return ins
-    if isinstance(term, Swap):
-        w = _atoms(term.left)
-        return ins[w:] + ins[:w]
-    if isinstance(term, Gen):
-        node = st.fresh_node()
-        st.put(f'{node} [label="{_gen_label(term)}"];')
-        for port, src in enumerate(ins):
-            st.edge(src, node, port, len(ins))
-        out_n = _atoms(typecheck(term).codomain)
-        return [((node, port, out_n),) for port in range(out_n)]
-    if isinstance(term, Seq):
-        return _dot_emit(st, term.second, _dot_emit(st, term.first, ins))
-    if isinstance(term, Par):
-        w = _atoms(typecheck(term.left).domain)
-        left_out = _dot_emit(st, term.left, ins[:w])
-        right_out = _dot_emit(st, term.right, ins[w:])
-        return left_out + right_out
-    if isinstance(term, TauStar):
-        name = st.fresh_cluster()
-        in_words = ", ".join(obj_to_str(b) for b in term.inputs)
-        out_words = ", ".join(obj_to_str(b) for b in term.outputs)
-        label = (f"iter[{obj_to_str(term.state)}; "
-                 f"({in_words}); ({out_words})] ^*")
-        st.put(f"subgraph {name} {{")
-        st.indent += 1
-        st.put(f'label="{label}";')
-        sw = _atoms(term.state)
-        body_ins = list(ins[:sw])
-        for entry, block in zip(ins[sw:], term.inputs):
-            body_ins.extend([entry] * _atoms(block))
-        body_outs = _dot_emit(st, term.body, body_ins)
-        st.indent -= 1
-        st.put("}")
-        outs = []
-        pos = 0
-        for block in term.outputs:
-            c = _atoms(block)
-            outs.append(tuple(p for entry in body_outs[pos:pos + c]
-                              for p in entry))
-            pos += c
-        outs.extend(body_outs[pos:])
-        return outs
-    raise PBCError(f"not a term: {term!r}")
-
-
-def emit_dot(t: Term) -> str:
-    """Deterministic Graphviz text: one box per generator, read left to
-    right; iterations appear as clusters labelled with the star marker.
-    Wires into and out of an iteration's starred streams are drawn once
-    per block port, standing in for the whole stream."""
-    judgement = typecheck(t)
-    st = _DotState()
-    ins = []
-    for i in range(_atoms(judgement.domain)):
-        st.put(f"i{i} [shape=point];")
-        ins.append(((f"i{i}", 0, 1),))
-    outs = _dot_emit(st, t, ins)
-    for i, entry in enumerate(outs):
-        st.put(f"o{i} [shape=point];")
-        st.edge(entry, f"o{i}", 0, 1)
-    lines = [
-        "digraph circuit {",
-        "  rankdir=LR;",
-        '  node [shape=box, fontname="monospace"];',
-    ]
-    lines.extend(st.nodes)
-    lines.extend(st.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Subcommands.
 
 def _cmd_check(args) -> int:
-    _, judgement = _load_typed(args.file)
+    _, judgement = _load(args.file)
     print(judgement)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    term, _ = _load_typed(args.file)
+    term, _ = _load(args.file)
     k = None if args.k is None else _parse_single_k(args.k, "eval")
     sys.stdout.write(_tsv(denote(term, k), args.decimal))
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    term, _ = _load_typed(args.file)
+    term, _ = _load(args.file)
     print(nf_pretty(normalize(term)))
     return 0
 
 
 def _cmd_eq(args) -> int:
-    s, js = _load_typed(args.left)
-    t, jt = _load_typed(args.right)
-    _require_same_type(args.left, js, args.right, jt)
-    if not (_is_parametric(s, js) or _is_parametric(t, jt)):
+    s, t, parametric = _load_pair(args)
+    if not parametric:
         if decide_equal(s, t):
             print("EQUAL")
             return 0
@@ -330,20 +173,16 @@ def _cmd_eq(args) -> int:
     if isinstance(verdict, EqualUpTo):
         print(f"EQUAL (every size k = 0..{verdict.k_max})")
         return 0
-    bits = (format(verdict.input_value, f"0{verdict.in_arity}b")
-            if verdict.in_arity else "-")
+    bits = bit_string(verdict.input_value, verdict.in_arity)
     print(f"NOT EQUAL at k={verdict.k}, input {bits}")
     return 1
 
 
 def _cmd_dist(args) -> int:
-    s, js = _load_typed(args.left)
-    t, jt = _load_typed(args.right)
-    _require_same_type(args.left, js, args.right, jt)
-    parametric = _is_parametric(s, js) or _is_parametric(t, jt)
+    s, t, parametric = _load_pair(args)
     if args.k is None:
         if parametric:
-            raise _CliError(
+            raise PBCError(
                 "parametric terms need a size: pass --k K or --k LO..HI")
         print(_frac_str(hom_distance(denote(s), denote(t)), args.decimal))
         return 0
@@ -355,9 +194,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    s, js = _load_typed(args.left)
-    t, jt = _load_typed(args.right)
-    _require_same_type(args.left, js, args.right, jt)
+    s, t, _ = _load_pair(args)
     lo, hi = _parse_k(args.k)
     series = distance_series(
         s, t, lo, hi,
@@ -378,7 +215,7 @@ def _cmd_demo(args) -> int:
     elif ".." in args.k:
         lo, k_max = _parse_k(args.k)
         if lo != 0:
-            raise _CliError("demo series start at 0; use --k 0..H or --k H")
+            raise PBCError("demo series start at 0; use --k 0..H or --k H")
     else:
         k_max = _parse_single_k(args.k, "demo")
     report = lemma_demo(args.name, k_max=k_max, p=p)
@@ -394,7 +231,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    term, _ = _load_typed(args.file)
+    term, _ = _load(args.file)
     sys.stdout.write(emit_dot(term))
     return 0
 
@@ -472,32 +309,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Entry point of the ``pbc`` command and of ``python -m pbc.cli``.
+
+    Runs one subcommand on ``argv`` (default: the process arguments)
+    and returns its exit status.  A package error is reported as one
+    ``pbc: <message>`` line on stderr, any other exception, such as a
+    RecursionError, as one ``pbc: internal error`` line; both exit 2, so
+    a crash never reads as exit 1, a definite negative.  Argument errors
+    raise SystemExit(2) from argparse.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.cmd](args)
-    except _CliError as err:
-        print(f"pbc: {err}", file=sys.stderr)
-        return 2
     except PBCError as err:
         print(f"pbc: {err}", file=sys.stderr)
-        return 2
-
-
-def run(argv=None) -> int:
-    """Entry point of the ``pbc`` command.
-
-    Runs ``main`` and maps any exception it lets through, such as a
-    RecursionError, to one ``pbc: internal error`` line and exit status
-    2, so that a crash never reads as exit 1, a definite negative.
-    In-process callers of ``main`` still see the exception itself.
-    """
-    try:
-        return main(argv)
     except Exception as err:
         print(f"pbc: internal error: {type(err).__name__}: {err}",
               file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())

@@ -22,7 +22,7 @@ from .terms import (
     Id, Seq, Swap, Term,
     coin, copy_gen, par, phi_gen, phi_p, same_type, seq,
 )
-from .semantics import StochMap, denote
+from .semantics import StochMap, bit_string, denote
 
 __all__ = [
     "Leaf", "Node", "Tree", "Case", "NormalForm", "WeightedTree",
@@ -186,12 +186,6 @@ def nf_equal(a: NormalForm, b: NormalForm) -> bool:
 # ---------------------------------------------------------------------------
 # Plain-text rendering for golden tests.
 
-def _bits_str(value: int, n: int) -> str:
-    if n == 0:
-        return "-"
-    return format(value, f"0{n}b")
-
-
 def _render(nf: NormalForm, indent: str, out) -> None:
     if isinstance(nf, Case):
         out.append(f"{indent}last=1:")
@@ -201,9 +195,10 @@ def _render(nf: NormalForm, indent: str, out) -> None:
         return
     tree = nf.tree
     while isinstance(tree, Node):
-        out.append(f"{indent}{tree.p} |{_bits_str(tree.head, nf.out_arity)}>")
+        out.append(
+            f"{indent}{tree.p} |{bit_string(tree.head, nf.out_arity)}>")
         tree = tree.rest
-    out.append(f"{indent}|{_bits_str(tree.value, nf.out_arity)}>")
+    out.append(f"{indent}|{bit_string(tree.value, nf.out_arity)}>")
 
 
 def nf_pretty(nf: NormalForm) -> str:

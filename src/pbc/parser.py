@@ -15,11 +15,13 @@ inside circuit files, earlier ``let`` bindings.
 
 A circuit file is a sequence of ``let name = term`` bindings and
 exactly one ``main = term``; every binding is typechecked where it is
-introduced so errors carry the statement's position.
+introduced so errors carry the statement's position.  A file that
+starts with neither ``let`` nor ``main`` is one bare term.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +66,17 @@ _GENERATORS = {
     GEN_NAMES[PHI]: (phi_gen, phi_at),
 }
 
-_SYMBOLS = ";()<>[],=^*/"
+# One alternative per token kind, tried in order.  Identifiers follow
+# Python's Unicode rule; a character no alternative takes is stray.
+_TOKEN = re.compile(r"""
+    (?P<newline> \n )
+  | (?P<space> [ \t\r]+ )
+  | (?P<comment> --[^\n]* )
+  | (?P<ident> [^\W\d]\w* )
+  | (?P<int> \d+ )
+  | (?P<sym> [;()<>\[\],=^*/] )
+  | (?P<stray> . )
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,55 +90,28 @@ class _Tok:
 def _tokenize(source: str) -> list:
     toks = []
     line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line_start = end = 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        col = m.start() - line_start + 1
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "-" and i + 1 < n and source[i + 1] == "-":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Tok("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise PBCSyntaxError(f"stray character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "stray":
+            raise PBCSyntaxError(f"stray character {m.group()!r}", line, col)
+        elif kind in ("ident", "int", "sym"):
+            toks.append(_Tok(kind, m.group(), line, col))
+        # End of input after a trailing comment is placed at the comment.
+        end = m.start() if kind == "comment" else m.end()
+    toks.append(_Tok("eof", "", line, end - line_start + 1))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks: list, bindings: dict | None = None):
-        self.toks = toks
+    def __init__(self, source: str):
+        self.toks = _tokenize(source)
         self.pos = 0
-        self.bindings = bindings if bindings is not None else {}
+        self.bindings: dict = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -297,35 +282,38 @@ class _Parser:
         self.expect_sym(")")
         return tuple(objs)
 
-    def end(self) -> None:
+    def end(self, out):
+        """``out``, once every token has been read."""
         if self.peek().kind != "eof":
             self.fail("unexpected trailing input")
+        return out
 
 
 def parse_term(source: str) -> Term:
     """Parse one term; bare identifiers resolve to the builtin gates."""
-    p = _Parser(_tokenize(source))
-    out = p.term()
-    p.end()
-    return out
+    p = _Parser(source)
+    return p.end(p.term())
 
 
 def parse_object(source: str) -> Object:
     """Parse one object word."""
-    p = _Parser(_tokenize(source))
-    out = p.object_()
-    p.end()
-    return out
+    p = _Parser(source)
+    return p.end(p.object_())
 
 
 def parse_circuit(source: str) -> Term:
     """Parse a circuit file and return its ``main`` term.
 
-    Bindings see builtins and earlier bindings only.  Every statement
-    is typechecked on the spot, so a type error names the line of the
-    offending definition.
+    A file whose first token is ``let`` or ``main`` is a sequence of
+    ``let`` bindings and exactly one ``main``.  Bindings see builtins
+    and earlier bindings only.  Every statement is typechecked on the
+    spot, so a type error names the line of the offending definition.
+    Any other file is one bare term, parsed exactly as ``parse_term``
+    parses it (and not typechecked).
     """
-    p = _Parser(_tokenize(source))
+    p = _Parser(source)
+    if not (p.at_word("let") or p.at_word("main")):
+        return p.end(p.term())
     main: Term | None = None
     while p.peek().kind != "eof":
         t = p.peek()

@@ -28,7 +28,7 @@ __all__ = [
     "dirac", "bernoulli", "distribution",
     "compose_maps", "tensor_maps", "identity_map", "apply_map",
     "tv_distance", "tv_distance_overlap", "hom_distance",
-    "denote", "map_to_tsv", "WireLimitError",
+    "denote", "map_to_tsv", "bit_string", "WireLimitError",
     "HARD_WIRE_LIMIT", "SOFT_WIRE_LIMIT",
 ]
 
@@ -689,7 +689,7 @@ def denote(term: Term, k: int | None = None) -> StochMap:
 # ---------------------------------------------------------------------------
 # Serialization.
 
-def _bits(value: int, n: int) -> str:
+def bit_string(value: int, n: int) -> str:
     """Fixed-width bitstring; the empty word prints as a dash."""
     return format(value, f"0{n}b") if n else "-"
 
@@ -702,6 +702,7 @@ def map_to_tsv(f: StochMap) -> str:
         for o in sorted(row):
             p = row[o]
             lines.append(
-                f"{_bits(i, f.in_arity)}\t{_bits(o, f.out_arity)}\t"
+                f"{bit_string(i, f.in_arity)}\t"
+                f"{bit_string(o, f.out_arity)}\t"
                 f"{p.numerator}/{p.denominator}")
     return "\n".join(lines) + "\n"

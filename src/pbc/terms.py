@@ -172,11 +172,68 @@ def par(*terms: Term) -> Term:
     return out
 
 
+# Stack markers: the subterms above the marker on the stack are judged.
+# Objects are normalized words, so ``+`` is their tensor.
+_SEQ_DONE = object()
+_PAR_DONE = object()
+_LOOP_DONE = object()  # below it: the iteration's normalized objects
+
+
 def typecheck(term: Term) -> TypeJudgement:
-    """Compute the type of a term, raising PBCTypeError on mismatch."""
-    if isinstance(term, Id):
-        o = object_normalize(term.obj)
-        return TypeJudgement(o, o)
+    """Compute the type of a term, raising PBCTypeError on mismatch.
+
+    One post-order loop over an explicit stack, so a chain of any length
+    checks without recursion; subterms are checked left to right.
+    """
+    judged: list[tuple] = []  # (domain, codomain) of the judged subterms
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is Id:
+            o = object_normalize(t.obj)
+            judged.append((o, o))
+        elif cls is Seq:
+            todo += (_SEQ_DONE, t.second, t.first)
+        elif cls is Par:
+            todo += (_PAR_DONE, t.right, t.left)
+        elif cls is TauStar:
+            todo += ((object_normalize(t.state),
+                      tuple(object_normalize(o) for o in t.inputs),
+                      tuple(object_normalize(o) for o in t.outputs)),
+                     _LOOP_DONE, t.body)
+        elif t is _SEQ_DONE:
+            mid, cod = judged.pop()
+            dom, first_cod = judged[-1]
+            if first_cod != mid:
+                raise PBCTypeError(
+                    "sequential mismatch: expected "
+                    f"{obj_to_str(first_cod)} on the left of the second "
+                    f"factor, got {obj_to_str(mid)}")
+            judged[-1] = (dom, cod)
+        elif t is _PAR_DONE:
+            right_dom, right_cod = judged.pop()
+            left_dom, left_cod = judged[-1]
+            judged[-1] = (left_dom + right_dom, left_cod + right_cod)
+        elif t is _LOOP_DONE:
+            state, ins, outs = todo.pop()
+            body_dom, body_cod = judged[-1]
+            want_dom = tensor(state, *ins)
+            want_cod = tensor(*outs, state)
+            if body_dom != want_dom or body_cod != want_cod:
+                raise PBCTypeError(
+                    "iteration body must be "
+                    f"{obj_to_str(want_dom)} -> {obj_to_str(want_cod)}, got "
+                    f"{obj_to_str(body_dom)} -> {obj_to_str(body_cod)}")
+            judged[-1] = (tensor(state, *map(star, ins)),
+                          tensor(*map(star, outs), state))
+        else:
+            judged.append(_leaf_type(t))
+    return TypeJudgement(*judged[0])
+
+
+def _leaf_type(term: Term) -> tuple:
+    """(domain, codomain) of a generator or a swap."""
     if isinstance(term, Gen):
         at = object_normalize(term.at)
         if term.kind != COIN and not is_star_free(at):
@@ -184,47 +241,19 @@ def typecheck(term: Term) -> TypeJudgement:
                 f"{term.kind} is primitive at star-free words only, not at "
                 f"{obj_to_str(at)}; use the derived star-lifted circuit")
         if term.kind == COPY:
-            return TypeJudgement(at, tensor(at, at))
+            return at, at + at
         if term.kind == DISCARD:
-            return TypeJudgement(at, UNIT)
+            return at, UNIT
         if term.kind == COIN:
             if not 0 <= term.p <= 1:
                 raise PBCTypeError(f"coin bias {term.p} outside [0, 1]")
-            return TypeJudgement(UNIT, B)
+            return UNIT, B
         if term.kind == PHI:
-            return TypeJudgement(tensor(at, B, at), at)
+            return at + B + at, at
     if isinstance(term, Swap):
         l = object_normalize(term.left)
         r = object_normalize(term.right)
-        return TypeJudgement(tensor(l, r), tensor(r, l))
-    if isinstance(term, Seq):
-        first = typecheck(term.first)
-        second = typecheck(term.second)
-        if first.codomain != second.domain:
-            raise PBCTypeError(
-                "sequential mismatch: expected "
-                f"{obj_to_str(first.codomain)} on the left of the second "
-                f"factor, got {obj_to_str(second.domain)}")
-        return TypeJudgement(first.domain, second.codomain)
-    if isinstance(term, Par):
-        left = typecheck(term.left)
-        right = typecheck(term.right)
-        return TypeJudgement(tensor(left.domain, right.domain),
-                             tensor(left.codomain, right.codomain))
-    if isinstance(term, TauStar):
-        state = object_normalize(term.state)
-        ins = tuple(object_normalize(o) for o in term.inputs)
-        outs = tuple(object_normalize(o) for o in term.outputs)
-        body = typecheck(term.body)
-        want_dom = tensor(state, *ins)
-        want_cod = tensor(*outs, state)
-        if body.domain != want_dom or body.codomain != want_cod:
-            raise PBCTypeError(
-                "iteration body must be "
-                f"{obj_to_str(want_dom)} -> {obj_to_str(want_cod)}, got "
-                f"{obj_to_str(body.domain)} -> {obj_to_str(body.codomain)}")
-        return TypeJudgement(tensor(state, *map(star, ins)),
-                             tensor(*map(star, outs), state))
+        return l + r, r + l
     raise PBCTypeError(f"not a term: {term!r}")
 
 

@@ -1,6 +1,9 @@
 """End-to-end runs of the console entry point against the data corpus."""
 
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,9 +14,10 @@ from hypothesis import strategies as st
 from circuitgen import random_circuit
 from pbc import cli, coin, par, pretty_term
 from pbc.cli import main
-from pbc.cli import run as pbc_command
+from pbc.cli import main as pbc_command
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 OTP_L = str(DATA / "otp_lhs.pbc")
 OTP_R = str(DATA / "otp_rhs.pbc")
@@ -41,6 +45,23 @@ def test_check_locates_type_errors(capsys):
     assert code == 2
     assert "line 4, column 1" in err
     assert "sequential mismatch" in err
+
+
+def test_non_ascii_digits_are_a_syntax_error(capsys, tmp_path):
+    src = tmp_path / "sup.pbc"
+    src.write_text("main = id<B^\u00b2>\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"pbc: {src}: line 1, column 13: ")
+    assert "internal error" not in err
+
+
+def test_a_three_thousand_stage_pipeline_checks_and_compares(capsys,
+                                                             tmp_path):
+    src = tmp_path / "long.pbc"
+    src.write_text("main = " + " ; ".join(["id<B>"] * 3000) + "\n")
+    assert run(capsys, "check", str(src)) == (0, "B -> B\n", "")
+    assert run(capsys, "eq", str(src), str(src)) == (0, "EQUAL\n", "")
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -304,6 +325,41 @@ def test_dot_identity_golden(capsys, tmp_path):
     )
 
 
+def test_dot_all1_golden(capsys):
+    code, out, _ = run(capsys, "dot", ALL1_L)
+    assert code == 0
+    assert out == (
+        "digraph circuit {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=box, fontname=\"monospace\"];\n"
+        "  n0 [label=\"coin(1/1)\"];\n"
+        "  subgraph cluster0 {\n"
+        "    label=\"iter[B; (); (B)] ^*\";\n"
+        "    n1 [label=\"coin(1/2)\"];\n"
+        "    n2 [label=\"copy<B>\"];\n"
+        "    n3 [label=\"coin(0/1)\"];\n"
+        "    n4 [label=\"if<B>\"];\n"
+        "  }\n"
+        "  o0 [shape=point];\n"
+        "  o1 [shape=point];\n"
+        "  n1 -> n2;\n"
+        "  n0 -> n4 [headlabel=\"0\"];\n"
+        "  n2 -> n4 [taillabel=\"1\", headlabel=\"1\"];\n"
+        "  n3 -> n4 [headlabel=\"2\"];\n"
+        "  n2 -> o0 [taillabel=\"0\"];\n"
+        "  n4 -> o1;\n"
+        "}\n"
+    )
+
+
+def test_dot_streams_over_the_empty_word_carry_no_wire(capsys, tmp_path):
+    src = tmp_path / "unit_blocks.pbc"
+    src.write_text("main = iter[B; (I, B); (B, I)]( swap<B, B> )\n")
+    code, out, _ = run(capsys, "dot", str(src))
+    assert code == 0
+    assert out.endswith("  i1 -> o0;\n  i0 -> o1;\n}\n")
+
+
 def test_dot_iteration_gets_a_cluster(capsys):
     code, out, _ = run(capsys, "dot", ALL1_L)
     assert code == 0
@@ -335,6 +391,23 @@ def test_internal_error_exits_two_not_one(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("pbc: internal error: RecursionError")
     assert "Traceback" not in captured.err
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = _python("-W", "error", "-m", "pbc.cli", "check", OTP_L)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "B -> B^2\n",
+                                                           "")
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    proc = _python("-c", "import sys, pbc; print('pbc.cli' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 # ---------------------------------------------------------------------------

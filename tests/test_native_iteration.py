@@ -35,7 +35,7 @@ from pbc import (
     tensor,
 )
 from pbc import combinators as C
-from pbc.cli import run as pbc_command
+from pbc.cli import main as pbc_command
 from test_forward import _demo_pairs
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from pbc import (
     B,
     Gen,
     Id,
+    Par,
     PBCSyntaxError,
     PBCTypeError,
     UNIT,
@@ -25,6 +27,7 @@ from pbc import (
     parse_circuit,
     parse_object,
     parse_term,
+    par,
     power,
     pretty_term,
     seq,
@@ -138,6 +141,45 @@ def test_iterates_walks_a_long_chain_without_recursion():
     assert iterates(seq(copy_at(star(B)), *chain))
 
 
+def test_typecheck_walks_long_chains_without_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        long_seq = typecheck(seq(*[Id(B)] * 5000))
+        long_par = typecheck(par(*[coin(1)] * 5000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(long_seq) == "B -> B"
+    assert str(long_par) == "I -> B^5000"
+
+
+def test_typecheck_reports_the_leftmost_error():
+    bad_seq = seq(coin(1), coin(1))
+    bad_loop = parse_term("iter[B; (B); ()]( id<B> )")
+    bad_coin = coin(2)
+    cases = [
+        (bad_seq, "^sequential mismatch: expected B on the left of the "
+                  "second factor, got I$"),
+        (bad_loop, "^iteration body must be B\\^2 -> B, got B -> B$"),
+        (bad_coin, "^coin bias 2 outside \\[0, 1\\]$"),
+        (Gen("copy", star(B)), "^copy is primitive at star-free words only, "
+                               "not at B\\^\\*; use the derived "
+                               "star-lifted circuit$"),
+        (Par(Id(B), "id"), "^not a term: 'id'$"),
+        # Left to right: the first subterm's error wins.
+        (Par(bad_loop, bad_seq), "^iteration body"),
+        (seq(Id(B), Par(bad_coin, bad_seq)), "^coin bias"),
+        (seq(bad_seq, bad_loop), "^sequential mismatch: expected B on the "
+                                 "left of the second factor, got I$"),
+        (seq(Id(B), bad_seq, bad_loop), "^sequential mismatch: expected B "
+                                        "on the left of the second factor, "
+                                        "got I$"),
+    ]
+    for term, message in cases:
+        with pytest.raises(PBCTypeError, match=message):
+            typecheck(term)
+
+
 @pytest.mark.parametrize("compare", [
     decide_equal,
     star_equiv_bounded,
@@ -161,6 +203,13 @@ def test_error_carries_line_and_column():
     assert err.value.col == 12
 
 
+def test_non_ascii_digits_are_a_syntax_error():
+    # A superscript two is a digit to str.isdigit but not a decimal one.
+    with pytest.raises(PBCSyntaxError) as err:
+        parse_circuit("main = id<B^\u00b2>")
+    assert (err.value.line, err.value.col) == (1, 13)
+
+
 def test_unknown_identifier_rejected():
     with pytest.raises(PBCSyntaxError, match="zzz"):
         parse_term("zzz")
@@ -182,6 +231,13 @@ def test_circuit_type_error_names_the_statement():
         parse_circuit(src)
     assert err.value.line == 2
     assert "bad" in str(err.value)
+
+
+def test_a_file_without_let_or_main_is_one_bare_term():
+    src = ("-- let me explain: main is built from two gates\n"
+           "coin(1/2) x id<B> ; xor\n")
+    assert parse_circuit(src) == parse_term(src)
+    assert str(typecheck(parse_circuit(src))) == "B -> B"
 
 
 def test_missing_main_rejected():
