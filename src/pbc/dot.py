@@ -74,13 +74,27 @@ def emit_dot(t: Term) -> str:
                 edge(src, node, port, n_in)
             outs = [((node, port, n_out),) for port in range(n_out)]
             return outs, ins[n_in:]
+        # A chain nests down its left spine, too deep to recurse on:
+        # walk the spine with a loop, leftmost factor first.
         if isinstance(term, Seq):
-            mid, rest = walk(term.first, ins, depth)
-            return walk(term.second, mid, depth)[0], rest
+            stages = []
+            while isinstance(term, Seq):
+                stages.append(term.second)
+                term = term.first
+            outs, rest = walk(term, ins, depth)
+            for stage in reversed(stages):
+                outs = walk(stage, outs, depth)[0]
+            return outs, rest
         if isinstance(term, Par):
-            left, rest = walk(term.left, ins, depth)
-            right, rest = walk(term.right, rest, depth)
-            return left + right, rest
+            factors = []
+            while isinstance(term, Par):
+                factors.append(term.right)
+                term = term.left
+            outs, rest = walk(term, ins, depth)
+            for factor in reversed(factors):
+                more, rest = walk(factor, rest, depth)
+                outs += more
+            return outs, rest
         if isinstance(term, TauStar):
             in_words = ", ".join(obj_to_str(b) for b in term.inputs)
             out_words = ", ".join(obj_to_str(b) for b in term.outputs)

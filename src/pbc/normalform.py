@@ -6,10 +6,11 @@ output words.  The tree lists its support in ascending order, each node
 carrying the probability of its head relative to the mass that is left,
 so ``Node(p, x, rest)`` denotes ``p * |x> + (1-p) * rest``.
 
-Structural equality of normal forms coincides with semantic equality of
-the underlying maps, which is what ``decide_equal`` relies on.
-Normalization itself goes through evaluation: synthesize the form from
-the denotation.
+Normalization goes through evaluation: the form is synthesized from the
+denotation, and two maps have equal forms exactly when they are equal.
+Normal forms are canonical, so ``decide_equal`` compares the two maps
+themselves; forms are built only to be shown (``pbc normalize``) and
+as the terms inside certificates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .semantics import StochMap, bit_string, denote
 __all__ = [
     "Leaf", "Node", "Tree", "Case", "NormalForm", "WeightedTree",
     "normalize", "synthesize_from_map", "nf_to_term", "decide_equal",
-    "nf_equal", "nf_pretty",
+    "nf_pretty", "split_last_bit", "case_term",
 ]
 
 
@@ -93,6 +94,13 @@ def _build_spine(items) -> WeightedTree:
     return tree
 
 
+def split_last_bit(f: StochMap) -> tuple[StochMap, StochMap]:
+    """The rows of f whose last input bit is 1, and those where it is 0."""
+    n = f.in_arity - 1
+    return (StochMap(n, f.out_arity, f.rows[1::2]),
+            StochMap(n, f.out_arity, f.rows[0::2]))
+
+
 def synthesize_from_map(f: StochMap) -> NormalForm:
     """Build the canonical form of a stochastic map.
 
@@ -102,8 +110,7 @@ def synthesize_from_map(f: StochMap) -> NormalForm:
     if f.in_arity == 0:
         items = sorted(f.rows[0].items())
         return Tree(_build_spine(items), f.out_arity)
-    on1 = StochMap(f.in_arity - 1, f.out_arity, f.rows[1::2])
-    on0 = StochMap(f.in_arity - 1, f.out_arity, f.rows[0::2])
+    on1, on0 = split_last_bit(f)
     return Case(synthesize_from_map(on1), synthesize_from_map(on0))
 
 
@@ -134,53 +141,33 @@ def _tree_term(tree: WeightedTree, n: int) -> Term:
     return out
 
 
-def nf_to_term(nf: NormalForm) -> Term:
-    """Reconstruct a term in the literal normal-form shape.
+def case_term(in_arity: int, out_arity: int, on1: Term, on0: Term) -> Term:
+    """The case shape over two branch terms, split on the last input bit.
 
-    The case shape groups as prewiring ; (branches ; phi) so that a
-    congruence step can address the branch-and-choice core as one
-    subterm.
+    It groups as prewiring ; (branches ; phi) so that a congruence step
+    can address the branch-and-choice core as one subterm.
     """
-    if isinstance(nf, Tree):
-        return _tree_term(nf.tree, nf.out_arity)
-    lead = bools(nf.in_arity - 1)
+    lead = bools(in_arity - 1)
     prewiring = seq(
         par(copy_gen(lead), Id(bools(1))),
         par(Id(lead), Swap(lead, bools(1))),
     )
-    core = seq(
-        par(nf_to_term(nf.on_last_1), Id(bools(1)),
-            nf_to_term(nf.on_last_0)),
-        phi_gen(bools(nf.out_arity)),
-    )
+    core = seq(par(on1, Id(bools(1)), on0), phi_gen(bools(out_arity)))
     return Seq(prewiring, core)
+
+
+def nf_to_term(nf: NormalForm) -> Term:
+    """Reconstruct a term in the literal normal-form shape."""
+    if isinstance(nf, Tree):
+        return _tree_term(nf.tree, nf.out_arity)
+    return case_term(nf.in_arity, nf.out_arity,
+                     nf_to_term(nf.on_last_1), nf_to_term(nf.on_last_0))
 
 
 def decide_equal(f: Term, g: Term) -> bool:
     """Exact semantic equality of two star-free terms of one type."""
     same_type(f, g)
-    return nf_equal(normalize(f), normalize(g))
-
-
-def nf_equal(a: NormalForm, b: NormalForm) -> bool:
-    """Structural equality of two normal forms of one type, walked with
-    a loop: a spine is as long as its support, too deep to recurse on."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if isinstance(a, Case):
-            todo.append((a.on_last_1, b.on_last_1))
-            todo.append((a.on_last_0, b.on_last_0))
-            continue
-        s, t = a.tree, b.tree
-        while isinstance(s, Node) and isinstance(t, Node):
-            if (s.p, s.head) != (t.p, t.head):
-                return False
-            s, t = s.rest, t.rest
-        if not (isinstance(s, Leaf) and isinstance(t, Leaf)
-                and s.value == t.value):
-            return False
-    return True
+    return denote(f).rows == denote(g).rows
 
 
 # ---------------------------------------------------------------------------

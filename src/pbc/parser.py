@@ -6,6 +6,7 @@ and ``(obj)``.  Terms are ``id<obj>``, ``swap<obj,obj>``, ``copy<obj>``,
 ``t x t`` and ``iter[state; (in,...); (out,...)](body)``, with ``x``
 binding tighter than ``;`` and both associating to the left.  Rationals
 are ``num/den`` or a bare integer.  ``--`` starts a line comment.
+Parentheses nest at most 200 levels deep.
 
 ``copy``, ``del`` and ``if`` at star-containing objects are sugar: the
 parser elaborates them into the iteration circuits that lift the
@@ -79,6 +80,11 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
+# Parentheses nest the parser's recursion: past this depth a source is
+# refused before the recursion runs out.
+_MAX_NESTING = 200
+
+
 @dataclass(frozen=True, slots=True)
 class _Tok:
     kind: str  # ident | int | sym | eof
@@ -111,6 +117,7 @@ class _Parser:
     def __init__(self, source: str):
         self.toks = _tokenize(source)
         self.pos = 0
+        self.depth = 0
         self.bindings: dict = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -140,6 +147,19 @@ class _Parser:
             self.fail(f"expected {text!r}")
         return self.next()
 
+    def nested(self, inner):
+        """``( inner )``, one level deeper."""
+        t = self.expect_sym("(")
+        if self.depth == _MAX_NESTING:
+            raise PBCSyntaxError(
+                f"parentheses nested deeper than {_MAX_NESTING} levels",
+                t.line, t.col)
+        self.depth += 1
+        out = inner()
+        self.depth -= 1
+        self.expect_sym(")")
+        return out
+
     # -- objects -----------------------------------------------------------
 
     def object_(self) -> Object:
@@ -158,9 +178,7 @@ class _Parser:
             self.next()
             obj = B
         elif self.at_sym("("):
-            self.next()
-            obj = self.object_()
-            self.expect_sym(")")
+            obj = self.nested(self.object_)
         else:
             self.fail("expected an object")
         while self.at_sym("^"):
@@ -219,10 +237,7 @@ class _Parser:
     def term_primary(self) -> Term:
         t = self.peek()
         if t.kind == "sym" and t.text == "(":
-            self.next()
-            out = self.term()
-            self.expect_sym(")")
-            return out
+            return self.nested(self.term)
         if t.kind != "ident":
             self.fail("expected a term")
         name = t.text
@@ -257,10 +272,7 @@ class _Parser:
             self.expect_sym(";")
             outputs = self.object_list()
             self.expect_sym("]")
-            self.expect_sym("(")
-            body = self.term()
-            self.expect_sym(")")
-            return TauStar(state, inputs, outputs, body)
+            return TauStar(state, inputs, outputs, self.nested(self.term))
         if name in _KEYWORDS:
             self.fail(f"{name!r} cannot start a term here")
         self.next()

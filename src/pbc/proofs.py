@@ -20,14 +20,17 @@ The rules:
 * ``PhiMix(p)``: replace both arms of a probabilistic choice
   ``(c x d) ; phi_p``, the bounds mixing as ``p*delta + (1-p)*gamma``
 
-The synthesizer works on normal forms.  On input splits it recurses
-into both branches and levels the bounds with ``Weaken`` before
-``PhiCase``, which matches the exact distance (the distance of a case
-split is the maximum over the branches).  On weighted trees it aligns
-the two distributions along their shared mass: with overlap ``m`` both
-sides rewrite as a ``phi_(1-m)`` mixture of a common part against the
-disjoint remainders, and one ``PhiMix`` step yields ``1 - m``, which is
-exactly the total-variation distance.
+The synthesizer runs over the two exact maps, split the way their
+normal forms are, and its endpoints are the normal-form terms.  Equal
+maps close with ``Refl``.  Otherwise it splits both rows on the last
+input bit, recurses into both halves and levels the bounds with
+``Weaken`` before ``PhiCase``, which matches the exact distance (the
+distance of a case split is the maximum over the branches); each case
+term is built once, around its premises' endpoints.  At input arity
+zero it aligns the two distributions along their shared mass: with
+overlap ``m`` both sides rewrite as a ``phi_(1-m)`` mixture of a common
+part against the disjoint remainders, and one ``PhiMix`` step yields
+``1 - m``, which is exactly the total-variation distance.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ from .terms import (
     COIN, PHI, Gen, Id, Par, PBCError, PBCTypeError, Seq, Term,
     iterates, phi_p, same_type, typecheck,
 )
-from .semantics import StochMap
+from .semantics import StochMap, denote
 from .normalform import (
-    Node, NormalForm, Tree, WeightedTree,
-    nf_equal, nf_to_term, normalize, synthesize_from_map,
+    case_term, nf_to_term, split_last_bit, synthesize_from_map,
 )
 
 __all__ = [
@@ -192,7 +194,7 @@ def _check(node: Derivation) -> Fraction:
         if node.bound != 0:
             raise PBCProofError(f"Refl has bound 0, got {node.bound}")
         # The endpoint types were compared above.
-        if not nf_equal(normalize(lhs), normalize(rhs)):
+        if denote(lhs).rows != denote(rhs).rows:
             raise PBCProofError(
                 "Refl endpoints are not semantically equal")
         return node.bound
@@ -313,27 +315,14 @@ def _refl(a: Term, b: Term) -> Derivation:
     return Derivation(REFL, (a, b), Fraction(0))
 
 
-def _dist_of_tree(tree: WeightedTree) -> dict:
-    out: dict = {}
-    scale = Fraction(1)
-    while isinstance(tree, Node):
-        out[tree.head] = scale * tree.p
-        scale *= 1 - tree.p
-        tree = tree.rest
-    out[tree.value] = out.get(tree.value, Fraction(0)) + scale
-    return out
-
-
 def _dist_term(dist: dict, out_arity: int) -> Term:
     nf = synthesize_from_map(StochMap(0, out_arity, (dist,)))
     return nf_to_term(nf)
 
 
-def _synth_trees(F: Tree, G: Tree) -> Derivation:
-    tf = nf_to_term(F)
-    tg = nf_to_term(G)
-    v = _dist_of_tree(F.tree)
-    w = _dist_of_tree(G.tree)
+def _synth_dists(v: dict, w: dict, out_arity: int) -> Derivation:
+    tf = _dist_term(v, out_arity)
+    tg = _dist_term(w, out_arity)
     shared = {x: min(q, w[x]) for x, q in v.items() if x in w}
     m = sum(shared.values(), Fraction(0))
     if m == 0:
@@ -345,10 +334,10 @@ def _synth_trees(F: Tree, G: Tree) -> Derivation:
               for x, q in v.items() if q > shared.get(x, 0)}
     w_rest = {x: (q - shared.get(x, 0)) / (1 - m)
               for x, q in w.items() if q > shared.get(x, 0)}
-    tc = _dist_term(common, F.out_arity)
-    tvr = _dist_term(v_rest, F.out_arity)
-    twr = _dist_term(w_rest, F.out_arity)
-    choice = phi_p(bools(F.out_arity), 1 - m)
+    tc = _dist_term(common, out_arity)
+    tvr = _dist_term(v_rest, out_arity)
+    twr = _dist_term(w_rest, out_arity)
+    choice = phi_p(bools(out_arity), 1 - m)
     mix_f = Seq(Par(tvr, tc), choice)
     mix_g = Seq(Par(twr, tc), choice)
     mix = Derivation(
@@ -361,20 +350,23 @@ def _synth_trees(F: Tree, G: Tree) -> Derivation:
                       (_refl(tf, mix_f), inner))
 
 
-def _synth_nf(F: NormalForm, G: NormalForm) -> Derivation:
-    if nf_equal(F, G):
-        return _refl(nf_to_term(F), nf_to_term(G))
-    if isinstance(F, Tree):
-        return _synth_trees(F, G)
-    d1 = _synth_nf(F.on_last_1, G.on_last_1)
-    d0 = _synth_nf(F.on_last_0, G.on_last_0)
+def _synth_maps(f: StochMap, g: StochMap) -> Derivation:
+    # The endpoints are the normal-form terms of f and g.
+    if f.rows == g.rows:
+        t = nf_to_term(synthesize_from_map(f))
+        return _refl(t, t)
+    if f.in_arity == 0:
+        return _synth_dists(f.rows[0], g.rows[0], f.out_arity)
+    (f1, f0), (g1, g0) = split_last_bit(f), split_last_bit(g)
+    d1 = _synth_maps(f1, g1)
+    d0 = _synth_maps(f0, g0)
     delta = max(d1.bound, d0.bound)
     if d1.bound < delta:
         d1 = Derivation(WEAKEN, d1.endpoints, delta, (d1,))
     if d0.bound < delta:
         d0 = Derivation(WEAKEN, d0.endpoints, delta, (d0,))
-    tf = nf_to_term(F)
-    tg = nf_to_term(G)
+    tf = case_term(f.in_arity, f.out_arity, d1.lhs, d0.lhs)
+    tg = case_term(g.in_arity, g.out_arity, d1.rhs, d0.rhs)
     case = Derivation(PHI_CASE, (tf.second, tg.second), delta, (d1, d0))
     return Derivation(SEQ_RIGHT, (tf, tg), delta, (case,))
 
@@ -383,7 +375,7 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
     """A checkable derivation whose bound is the exact hom distance.
 
     Both terms must be star-free and of one type.  The construction
-    runs over the normal forms and glues back to the given terms with
+    runs over the two maps and glues back to the given terms with
     zero-cost Refl bridges, so the root endpoints are ``f`` and ``g``
     themselves.
     """
@@ -393,10 +385,10 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
             f"tight derivations cover star-free terms only, got {jf}")
     _scan_star_free(f)
     _scan_star_free(g)
-    nf_f, nf_g = normalize(f), normalize(g)
-    if nf_equal(nf_f, nf_g):
+    mf, mg = denote(f), denote(g)
+    if mf.rows == mg.rows:
         return _refl(f, g)
-    core = _synth_nf(nf_f, nf_g)
+    core = _synth_maps(mf, mg)
     inner = Derivation(TRIANGLE, (core.lhs, g), core.bound,
                        (core, _refl(core.rhs, g)))
     return Derivation(TRIANGLE, (f, g), inner.bound,

@@ -285,15 +285,28 @@ def iterates(term: Term) -> bool:
 # to rebuild the same tree: ; and x both parse left-associated, x binds
 # tighter than ;.
 
+# Chain formers: separator, the loosest level that prints the chain
+# bare, and the fields of its left and right factors.
+_CHAINS = {
+    Seq: (" ; ", 0, "first", "second"),
+    Par: (" x ", 1, "left", "right"),
+}
+
+
 def _pretty(term: Term, level: int) -> str:
     # level 0: may print a bare Seq; level 1: may print a bare Par;
     # level 2: primaries only.
-    if isinstance(term, Seq):
-        s = f"{_pretty(term.first, 0)} ; {_pretty(term.second, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(term, Par):
-        s = f"{_pretty(term.left, 1)} x {_pretty(term.right, 2)}"
-        return f"({s})" if level > 1 else s
+    if type(term) in _CHAINS:
+        # A chain nests down its left spine, too deep to recurse on.
+        former = type(term)
+        sep, bare, left, right = _CHAINS[former]
+        parts = []
+        while isinstance(term, former):
+            parts.append(_pretty(getattr(term, right), bare + 1))
+            term = getattr(term, left)
+        parts.append(_pretty(term, bare))
+        s = sep.join(reversed(parts))
+        return f"({s})" if level > bare else s
     if isinstance(term, Id):
         return f"id<{obj_to_str(term.obj)}>"
     if isinstance(term, Swap):

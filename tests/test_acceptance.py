@@ -95,6 +95,7 @@ def test_criterion_01_axiom_corpus(capsys):
         for name, lhs, rhs in corpus:
             assert denote(lhs) == denote(rhs), name
             assert decide_equal(lhs, rhs), name
+            assert normalize(lhs) == normalize(rhs), name
 
     _gate(capsys, 1, "axiom corpus", 5, body)
 

@@ -64,6 +64,20 @@ def test_a_three_thousand_stage_pipeline_checks_and_compares(capsys,
     assert run(capsys, "eq", str(src), str(src)) == (0, "EQUAL\n", "")
 
 
+@pytest.mark.parametrize("body, column", [
+    ("(" * 2000 + "id<B>" + ")" * 2000, 208),
+    ("id<" + "(" * 2000 + "B" + ")" * 2000 + ">", 211),
+], ids=["term", "object"])
+def test_deep_parentheses_are_a_syntax_error(capsys, tmp_path, body, column):
+    # The 201st opening parenthesis is refused.
+    src = tmp_path / "deep.pbc"
+    src.write_text(f"main = {body}\n")
+    code, out, err = run(capsys, "check", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"pbc: {src}: line 1, column {column}: ")
+    assert "internal error" not in err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check", "/nonexistent.pbc")
     assert code == 2
@@ -358,6 +372,18 @@ def test_dot_streams_over_the_empty_word_carry_no_wire(capsys, tmp_path):
     code, out, _ = run(capsys, "dot", str(src))
     assert code == 0
     assert out.endswith("  i1 -> o0;\n  i0 -> o1;\n}\n")
+
+
+@pytest.mark.parametrize("body, n_boxes", [
+    (" ; ".join(["id<B>"] * 3000), 0),
+    (" x ".join(["id<B>"] * 3000) + " ; del<B^3000>", 1),
+], ids=["seq", "par"])
+def test_dot_walks_long_chains(capsys, tmp_path, body, n_boxes):
+    src = tmp_path / "long.pbc"
+    src.write_text(f"main = {body}\n")
+    code, out, err = run(capsys, "dot", str(src))
+    assert (code, err) == (0, "")
+    assert out.count("[label=") == n_boxes
 
 
 def test_dot_iteration_gets_a_cluster(capsys):

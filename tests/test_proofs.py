@@ -15,10 +15,12 @@ from pbc import (
     bools,
     check_derivation,
     coin,
+    decide_equal,
     denote,
     hom_distance,
     nf_to_term,
     par,
+    phi_gen,
     phi_p,
     seq,
     serialize_derivation,
@@ -31,6 +33,7 @@ from pbc.combinators import copy_at, otp_lhs, otp_rhs, xor_gate
 from pbc.proofs import (
     PAR_LEFT,
     PAR_RIGHT,
+    PHI_CASE,
     PHI_MIX,
     REFL,
     SEQ_LEFT,
@@ -178,6 +181,44 @@ def test_synthesis_past_support_512_under_the_default_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert d.bound == Fraction(1, 6) == exact_distance(f, g)
+
+
+def test_a_case_node_is_built_around_its_premises_endpoints():
+    rng = random.Random(11)
+    cases = 0
+    for _ in range(20):
+        f = random_circuit(rng, 2, 2)
+        g = random_circuit(rng, 2, 2)
+        todo = [synthesize_tight_derivation(f, g)]
+        while todo:
+            node = todo.pop()
+            todo += node.premises
+            if node.rule != PHI_CASE:
+                continue
+            cases += 1
+            p1, p0 = node.premises
+            for side, (c, d) in enumerate(((p1.lhs, p0.lhs),
+                                           (p1.rhs, p0.rhs))):
+                # (c x id<B> x d) ; if
+                branches = node.endpoints[side].first
+                assert branches.left.left is c
+                assert branches.right is d
+    assert cases
+
+
+def test_equality_builds_no_normal_form(monkeypatch):
+    import pbc.normalform
+
+    def refuse(f):
+        raise AssertionError("a normal form was built")
+
+    monkeypatch.setattr(pbc.normalform, "synthesize_from_map", refuse)
+    assert decide_equal(otp_lhs(), otp_rhs())
+    assert not decide_equal(coin(1), coin(0))
+    assert check_derivation(
+        Derivation(REFL, (otp_lhs(), otp_rhs()), 0)) == 0
+    with pytest.raises(PBCProofError, match="not semantically equal"):
+        check_derivation(Derivation(REFL, (coin(1), coin(0)), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +382,25 @@ def test_serialization_golden():
         WEAKEN, (coin(1), coin(1)), Fraction(1, 4), (inner,))
     assert serialize_derivation(outer) == ("Weaken 1/4\n"
                                            "  Refl 0/1")
+    # One branch equal, one a mixture: Weaken, PhiCase and PhiMix.
+    f = seq(par(coin("1/2"), Id(B), coin("1/3")), phi_gen(B))
+    g = seq(par(coin("1/2"), Id(B), coin("1/4")), phi_gen(B))
+    assert serialize_derivation(synthesize_tight_derivation(f, g)) == (
+        "Triangle 1/12\n"
+        "  Refl 0/1\n"
+        "  Triangle 1/12\n"
+        "    SeqRight 1/12\n"
+        "      PhiCase 1/12\n"
+        "        Weaken 1/12\n"
+        "          Refl 0/1\n"
+        "        Triangle 1/12\n"
+        "          Refl 0/1\n"
+        "          Triangle 1/12\n"
+        "            PhiMix(1/12) 1/12\n"
+        "              Top 1/1\n"
+        "              Refl 0/1\n"
+        "            Refl 0/1\n"
+        "    Refl 0/1")
 
 
 def test_serialization_labels_the_mix_weight():

@@ -153,6 +153,31 @@ def test_typecheck_walks_long_chains_without_recursion():
     assert str(long_par) == "I -> B^5000"
 
 
+def test_pretty_term_prints_long_chains_without_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for term in (seq(*[Id(B)] * 3000), par(*[coin(1)] * 3000)):
+            text = pretty_term(term)
+            # Texts, not terms: == on a 3000-deep term recurses.
+            assert pretty_term(parse_term(text)) == text
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == " x ".join(["coin(1)"] * 3000)
+
+
+def test_parentheses_nest_two_hundred_levels_deep():
+    assert parse_term("(" * 200 + "id<B>" + ")" * 200) == Id(B)
+    assert parse_object("(" * 200 + "B" + ")" * 200) == B
+    # The 201st opening parenthesis is refused.
+    with pytest.raises(PBCSyntaxError, match="^line 1, column 201: "):
+        parse_term("(" * 201 + "id<B>" + ")" * 201)
+    loop = "iter[B; (); ()]("
+    with pytest.raises(PBCSyntaxError,
+                       match=f"^line 1, column {201 * len(loop)}: "):
+        parse_term(loop * 201 + "id<B>" + ")" * 201)
+
+
 def test_typecheck_reports_the_leftmost_error():
     bad_seq = seq(coin(1), coin(1))
     bad_loop = parse_term("iter[B; (B); ()]( id<B> )")
