@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
 
-from .objects import Object, obj_to_str, object_normalize, star, tensor
+from .objects import star, tensor
 from .terms import (
-    Id, PBCError, PBCTypeError, TauStar, Term, exact_rational, par,
-    pretty_term, same_type, seq, typecheck,
+    Id, PBCError, TauStar, Term, exact_rational, par, pretty_term,
+    same_type, seq, typecheck,
 )
 from .semantics import denote, hom_distance
 from .iteration import TupleSpec
@@ -57,7 +57,7 @@ class DecaySeries:
     g_label: str
 
     def __post_init__(self):
-        pairs = tuple((int(k), Fraction(d)) for k, d in self.pairs)
+        pairs = tuple((int(k), exact_rational(d)) for k, d in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         ks = [k for k, _ in pairs]
         if ks != sorted(set(ks)):
@@ -141,7 +141,7 @@ def negligibility_report(series: DecaySeries, a: int,
     """
     if a < 0:
         raise PBCError(f"scaling exponent must be >= 0, got {a}")
-    epsilon = Fraction(epsilon)
+    epsilon = exact_rational(epsilon)
     if epsilon <= 0:
         raise PBCError(f"threshold must be positive, got {epsilon}")
     if not series.pairs:
@@ -195,36 +195,19 @@ def newton_bound_check(f: Term, g: Term, h: Term, spec: TupleSpec,
     conclusion exceeds k times the premise would refute the transport
     bound, so it raises instead of reporting.
     """
-    state = object_normalize(spec.state)
-    in_one = tensor(*(object_normalize(o) for o in spec.inputs))
-    out_one = tensor(*(object_normalize(o) for o in spec.outputs))
-    jf = typecheck(f)
-    if jf.domain != state:
-        raise PBCTypeError(
-            f"the state map must start at {obj_to_str(state)}, "
-            f"got {jf}")
-    mid = jf.codomain
-    jg = typecheck(g)
-    if (jg.domain, jg.codomain) != (tensor(mid, in_one),
-                                    tensor(out_one, mid)):
-        raise PBCTypeError(f"loop body g has type {jg}, unfit for the "
-                           f"stream signature and state {obj_to_str(mid)}")
-    jh = typecheck(h)
-    if (jh.domain, jh.codomain) != (tensor(state, in_one),
-                                    tensor(out_one, state)):
-        raise PBCTypeError(f"loop body h has type {jh}, unfit for the "
-                           f"stream signature and state {obj_to_str(state)}")
+    in_one = tensor(*spec.inputs)
+    out_one = tensor(*spec.outputs)
+    in_streams = tensor(*(star(o) for o in spec.inputs))
+    out_streams = tensor(*(star(o) for o in spec.outputs))
+    lhs = seq(par(f, Id(in_streams)),
+              TauStar(typecheck(f).codomain, spec.inputs, spec.outputs, g))
+    rhs = seq(TauStar(spec.state, spec.inputs, spec.outputs, h),
+              par(Id(out_streams), f))
+    same_type(lhs, rhs)
 
     premise_lhs = seq(par(f, Id(in_one)), g)
     premise_rhs = seq(h, par(Id(out_one), f))
     gap = hom_distance(denote(premise_lhs), denote(premise_rhs))
-
-    in_streams = tensor(*(star(o) for o in spec.inputs))
-    out_streams = tensor(*(star(o) for o in spec.outputs))
-    lhs = seq(par(f, Id(in_streams)),
-              TauStar(mid, spec.inputs, spec.outputs, g))
-    rhs = seq(TauStar(state, spec.inputs, spec.outputs, h),
-              par(Id(out_streams), f))
 
     rows = []
     for k in range(0, k_max + 1):

@@ -31,10 +31,9 @@ from .asymptotics import (
 from .dot import emit_dot
 from .iteration import K_TEST, EqualUpTo, star_equiv_bounded
 from .normalform import decide_equal, nf_pretty, normalize
-from .objects import is_star_free
 from .parser import parse_circuit
 from .semantics import StochMap, bit_string, denote, hom_distance, map_to_tsv
-from .terms import PBCError, iterates, typecheck
+from .terms import PBCError, typecheck
 
 __all__ = ["main"]
 
@@ -93,9 +92,7 @@ def _load_pair(args):
     if js != jt:
         raise PBCError(
             f"type mismatch: {args.left} is {js} but {args.right} is {jt}")
-    parametric = iterates(s) or iterates(t) or not (
-        is_star_free(js.domain) and is_star_free(js.codomain))
-    return s, t, parametric
+    return s, t, js.parametric or jt.parametric
 
 
 def _dec(x: Fraction) -> str:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .objects import BoolAtom, Object, Star, obj_to_str, power, tensor
+from .objects import BoolAtom, Object, Star, power, tensor
 from .terms import (
-    Gen, Id, Par, PBCError, PBCTypeError, Seq, Swap, TauStar, Term, par,
-    pop_term, push_term, same_type, seq, typecheck,
+    Gen, Id, Par, PBCError, Seq, Swap, TauStar, Term, par, pop_term,
+    push_term, same_type, seq, typecheck,
 )
 from .semantics import denote
 
@@ -70,13 +70,7 @@ def tau_k_expand(k: int, spec: TupleSpec, body: Term) -> Term:
     """
     if k < 0:
         raise ValueError(f"cannot unroll {k} times")
-    expected_dom = tensor(spec.state, spec.in_word(1))
-    expected_cod = tensor(spec.out_word(1), spec.state)
-    judgement = typecheck(body)
-    if (judgement.domain, judgement.codomain) != (expected_dom, expected_cod):
-        raise PBCTypeError(
-            f"loop body has type {judgement}, spec wants "
-            f"{obj_to_str(expected_dom)} -> {obj_to_str(expected_cod)}")
+    typecheck(TauStar(spec.state, spec.inputs, spec.outputs, body))
     result: Term = Id(spec.state)
     for j in range(k):
         # grow from tau^j to tau^(j+1)

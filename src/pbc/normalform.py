@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .objects import UNIT, bools
 from .terms import (
-    Id, Seq, Swap, Term,
-    coin, copy_gen, par, phi_gen, phi_p, same_type, seq,
+    Id, Seq, Swap, Term, coin, copy_gen, par, phi_case, phi_mix, same_type,
+    seq,
 )
 from .semantics import StochMap, bit_string, denote
 
@@ -136,8 +136,7 @@ def _tree_term(tree: WeightedTree, n: int) -> Term:
         tree = tree.rest
     out = _word_term(tree.value, n)
     for node in reversed(spine):
-        out = seq(par(_word_term(node.head, n), out),
-                  phi_p(bools(n), node.p))
+        out = phi_mix(_word_term(node.head, n), out, bools(n), node.p)
     return out
 
 
@@ -152,8 +151,7 @@ def case_term(in_arity: int, out_arity: int, on1: Term, on0: Term) -> Term:
         par(copy_gen(lead), Id(bools(1))),
         par(Id(lead), Swap(lead, bools(1))),
     )
-    core = seq(par(on1, Id(bools(1)), on0), phi_gen(bools(out_arity)))
-    return Seq(prewiring, core)
+    return Seq(prewiring, phi_case(on1, on0, bools(out_arity)))
 
 
 def nf_to_term(nf: NormalForm) -> Term:

@@ -6,7 +6,7 @@ and ``(obj)``.  Terms are ``id<obj>``, ``swap<obj,obj>``, ``copy<obj>``,
 ``t x t`` and ``iter[state; (in,...); (out,...)](body)``, with ``x``
 binding tighter than ``;`` and both associating to the left.  Rationals
 are ``num/den`` or a bare integer.  ``--`` starts a line comment.
-Parentheses nest at most 200 levels deep.
+Parentheses, and stars in an object, nest at most 200 levels deep.
 
 ``copy``, ``del`` and ``if`` at star-containing objects are sugar: the
 parser elaborates them into the iteration circuits that lift the
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .objects import B, UNIT, Object, is_star_free, power, star, tensor
+from .objects import B, UNIT, Object, Star, is_star_free, power, star, tensor
 from .terms import (
     COPY, DISCARD, GEN_NAMES, PHI, Id, PBCError, PBCTypeError, Seq, Par,
     Swap, TauStar, Term, coin, copy_gen, discard_gen, phi_gen, typecheck,
@@ -80,9 +80,20 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-# Parentheses nest the parser's recursion: past this depth a source is
-# refused before the recursion runs out.
+# Parentheses nest the parser's recursion, and stars the recursion of
+# every walk over an object: past this depth a source is refused before
+# the recursion runs out.
 _MAX_NESTING = 200
+
+
+def _star_depth(obj: Object) -> int:
+    """How deep stars nest in an object: 0 for a star-free word."""
+    depth = 0
+    while True:
+        obj = [a for s in obj if isinstance(s, Star) for a in s.inner]
+        if not obj:
+            return depth
+        depth += 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,8 +199,12 @@ class _Parser:
                 self.next()
                 obj = power(obj, int(t.text))
             elif self.at_sym("*"):
-                self.next()
+                t = self.next()
                 obj = star(obj)
+                if _star_depth(obj) > _MAX_NESTING:
+                    raise PBCSyntaxError(
+                        f"stars nested deeper than {_MAX_NESTING} levels",
+                        t.line, t.col)
             else:
                 self.fail("expected a power or '*' after '^'")
         return obj

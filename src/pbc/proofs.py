@@ -20,6 +20,13 @@ The rules:
 * ``PhiMix(p)``: replace both arms of a probabilistic choice
   ``(c x d) ; phi_p``, the bounds mixing as ``p*delta + (1-p)*gamma``
 
+The checker does not take a ``PhiCase`` or ``PhiMix`` conclusion apart:
+it rebuilds both endpoints from the premises' endpoints with the
+builders the synthesizer uses (``terms.phi_case`` and
+``terms.phi_mix``), at the word of the left endpoint's codomain, and
+compares.  Endpoints that loop or have starred wires are refused, as
+``typecheck`` reports them.
+
 The synthesizer runs over the two exact maps, split the way their
 normal forms are, and its endpoints are the normal-form terms.  Equal
 maps close with ``Refl``.  Otherwise it splits both rows on the last
@@ -38,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .objects import B, bools, is_star_free, object_normalize
+from .objects import bools
 from .terms import (
-    COIN, PHI, Gen, Id, Par, PBCError, PBCTypeError, Seq, Term,
-    iterates, phi_p, same_type, typecheck,
+    Par, PBCError, PBCTypeError, Seq, Term, exact_rational, phi_case,
+    phi_mix, same_type, typecheck,
 )
 from .semantics import StochMap, denote
 from .normalform import (
@@ -104,10 +111,10 @@ class Derivation:
         if self.rule not in _RULES:
             raise ValueError(f"unknown rule: {self.rule!r}")
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        object.__setattr__(self, "bound", exact_rational(self.bound))
         object.__setattr__(self, "premises", tuple(self.premises))
         if self.param is not None:
-            object.__setattr__(self, "param", Fraction(self.param))
+            object.__setattr__(self, "param", exact_rational(self.param))
 
     @property
     def lhs(self) -> Term:
@@ -118,65 +125,19 @@ class Derivation:
         return self.endpoints[1]
 
 
-def _scan_star_free(term: Term) -> None:
-    if iterates(term):
-        raise PBCProofError(
-            "derivations cover star-free terms only; bounds at the star "
-            "level live in the asymptotics module")
-
-
-def _split_mix(term: Term):
-    """Decompose ``(c x d) ; phi_p`` into (c, d, at, p), or None."""
-    if not (isinstance(term, Seq) and isinstance(term.first, Par)):
-        return None
-    c, d = term.first.left, term.first.right
-    probe = term.second
-    if not (isinstance(probe, Seq) and isinstance(probe.second, Gen)
-            and probe.second.kind == PHI):
-        return None
-    at = object_normalize(probe.second.at)
-    inner = probe.first
-    if not (isinstance(inner, Par) and isinstance(inner.left, Par)):
-        return None
-    wire_l, cn = inner.left.left, inner.left.right
-    wire_r = inner.right
-    if not (isinstance(wire_l, Id) and isinstance(wire_r, Id)
-            and isinstance(cn, Gen) and cn.kind == COIN):
-        return None
-    if (object_normalize(wire_l.obj) != at
-            or object_normalize(wire_r.obj) != at):
-        return None
-    return c, d, at, cn.p
-
-
-def _split_case(term: Term):
-    """Decompose ``(c x id<B> x d) ; if`` into (c, d, at), or None."""
-    if not (isinstance(term, Seq) and isinstance(term.second, Gen)
-            and term.second.kind == PHI):
-        return None
-    outer = term.first
-    if not (isinstance(outer, Par) and isinstance(outer.left, Par)):
-        return None
-    c, mid, d = outer.left.left, outer.left.right, outer.right
-    if not (isinstance(mid, Id) and object_normalize(mid.obj) == B):
-        return None
-    return c, d, object_normalize(term.second.at)
-
-
 def _check(node: Derivation) -> Fraction:
     if not isinstance(node, Derivation):
         raise PBCProofError(f"not a derivation: {node!r}")
     lhs, rhs = node.endpoints
     jl = typecheck(lhs)
     jr = typecheck(rhs)
-    if (jl.domain, jl.codomain) != (jr.domain, jr.codomain):
+    if jl != jr:
         raise PBCProofError(
             f"endpoint types differ: {jl} versus {jr}")
-    if not (is_star_free(jl.domain) and is_star_free(jl.codomain)):
+    if jl.parametric or jr.iterates:
         raise PBCProofError(
-            f"star-typed endpoints are out of scope: {jl}")
-    _scan_star_free(lhs)
-    _scan_star_free(rhs)
+            "derivations cover star-free terms without loops; bounds at "
+            "the star level live in the asymptotics module")
     if node.bound < 0:
         raise PBCProofError(f"negative bound {node.bound}")
     if node.rule != PHI_MIX and node.param is not None:
@@ -254,17 +215,13 @@ def _check(node: Derivation) -> Fraction:
 
     if node.rule == PHI_CASE:
         arity(2)
-        sl = _split_case(lhs)
-        sr = _split_case(rhs)
-        if sl is None or sr is None:
+        c, d = node.premises
+        at = jl.codomain  # the conditional's word
+        if node.endpoints != (phi_case(c.lhs, d.lhs, at),
+                              phi_case(c.rhs, d.rhs, at)):
             raise PBCProofError(
-                "PhiCase endpoints must look like (c x id<B> x d) ; if")
-        if sl[2] != sr[2]:
-            raise PBCProofError("PhiCase conditionals sit at different words")
-        p1, p0 = node.premises
-        if p1.endpoints != (sl[0], sr[0]) or p0.endpoints != (sl[1], sr[1]):
-            raise PBCProofError(
-                "PhiCase premises must relate the two branches in order")
+                "PhiCase endpoints must be (c x id<B> x d) ; if over the "
+                "premises' endpoints")
         if not (sub[0] == sub[1] == node.bound):
             raise PBCProofError(
                 "PhiCase shares one bound between both premises")
@@ -272,22 +229,16 @@ def _check(node: Derivation) -> Fraction:
 
     if node.rule == PHI_MIX:
         arity(2)
-        ml = _split_mix(lhs)
-        mr = _split_mix(rhs)
-        if ml is None or mr is None:
+        p = node.param
+        if p is None:
+            raise PBCProofError("PhiMix needs its choice weight as param")
+        c, d = node.premises
+        at = jl.codomain  # the choice's word
+        if node.endpoints != (phi_mix(c.lhs, d.lhs, at, p),
+                              phi_mix(c.rhs, d.rhs, at, p)):
             raise PBCProofError(
-                "PhiMix endpoints must look like (c x d) ; phi_p")
-        if ml[2] != mr[2] or ml[3] != mr[3]:
-            raise PBCProofError("PhiMix sides must share the word and bias")
-        p = ml[3]
-        if node.param != p:
-            raise PBCProofError(
-                f"PhiMix parameter {node.param} does not match the "
-                f"bias {p} in the endpoints")
-        p1, p2 = node.premises
-        if p1.endpoints != (ml[0], mr[0]) or p2.endpoints != (ml[1], mr[1]):
-            raise PBCProofError(
-                "PhiMix premises must relate the two arms in order")
+                "PhiMix endpoints must be (c x d) ; phi_p over the "
+                "premises' endpoints, with p the parameter")
         want = p * sub[0] + (1 - p) * sub[1]
         if node.bound != want:
             raise PBCProofError(
@@ -337,9 +288,8 @@ def _synth_dists(v: dict, w: dict, out_arity: int) -> Derivation:
     tc = _dist_term(common, out_arity)
     tvr = _dist_term(v_rest, out_arity)
     twr = _dist_term(w_rest, out_arity)
-    choice = phi_p(bools(out_arity), 1 - m)
-    mix_f = Seq(Par(tvr, tc), choice)
-    mix_g = Seq(Par(twr, tc), choice)
+    mix_f = phi_mix(tvr, tc, bools(out_arity), 1 - m)
+    mix_g = phi_mix(twr, tc, bools(out_arity), 1 - m)
     mix = Derivation(
         PHI_MIX, (mix_f, mix_g), 1 - m,
         (Derivation(TOP, (tvr, twr), Fraction(1)), _refl(tc, tc)),
@@ -380,11 +330,10 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
     themselves.
     """
     jf = same_type(f, g)
-    if not (is_star_free(jf.domain) and is_star_free(jf.codomain)):
+    if jf.parametric:
         raise PBCTypeError(
-            f"tight derivations cover star-free terms only, got {jf}")
-    _scan_star_free(f)
-    _scan_star_free(g)
+            "tight derivations cover star-free terms without loops, got "
+            f"a parametric pair of type {jf}")
     mf, mg = denote(f), denote(g)
     if mf.rows == mg.rows:
         return _refl(f, g)

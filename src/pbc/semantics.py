@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .objects import bools, is_star_free, width
+from .objects import bools, width
 from .terms import (
     COIN, COPY, DISCARD, Gen, Id, PHI, Par, PBCError, Seq, Swap, TauStar,
     Term, exact_rational, par, pop_term, push_term, typecheck,
@@ -326,16 +326,19 @@ def _push(den: int, dist: dict, kernel, cap: int):
     return den * scale, out
 
 
-def _stages(term: Seq) -> list:
-    """The non-Seq subterms of a Seq tree, left to right."""
+def _factors(term: Seq | Par) -> list:
+    """The factors of a Seq or a Par tree: its subterms of another
+    former, left to right."""
+    former = type(term)
     out, todo = [], [term]
     while todo:
         t = todo.pop()
-        if isinstance(t, Seq):
-            todo.append(t.second)
-            todo.append(t.first)
-        else:
+        if type(t) is not former:
             out.append(t)
+        elif former is Seq:
+            todo += (t.second, t.first)
+        else:
+            todo += (t.right, t.left)
     return out
 
 
@@ -489,9 +492,8 @@ class _Compiler:
                 self.nodes[id(term)] = (term, self._build(term))
             else:
                 todo.append((term, True))
-                parts = (_stages(term) if isinstance(term, Seq)
-                         else (term.left, term.right) if isinstance(term, Par)
-                         else (term.body,))
+                parts = ((term.body,) if isinstance(term, TauStar)
+                         else _factors(term))
                 todo.extend((t, False) for t in parts)
         return self.nodes[id(root)][1]
 
@@ -510,18 +512,22 @@ class _Compiler:
         if isinstance(term, Gen):
             return self._gen(term)
         if isinstance(term, Seq):
-            return self._seq([self._built(t) for t in _stages(term)])
+            return self._seq([self._built(t) for t in _factors(term)])
         if isinstance(term, Par):
-            return self._par(self._built(term.left), self._built(term.right))
+            # Pairwise into a balanced tree: a chain of n factors nests
+            # log n deep, so its kernels stay shallow.
+            nodes = [self._built(t) for t in _factors(term)]
+            while len(nodes) > 1:
+                pairs = [self._par(f, g)
+                         for f, g in zip(nodes[::2], nodes[1::2])]
+                nodes = pairs + nodes[2 * len(pairs):]
+            return nodes[0]
         if isinstance(term, TauStar):
             return self._tau(term)
         raise PBCError(f"not a term: {term!r}")
 
     def _tau(self, term: TauStar) -> _Node:
         k = self.k
-        if k is None:
-            raise PBCError("parametric iteration has no semantics without "
-                           "a size; pass k to denote")
         sw = width(term.state, k)
         ins = tuple(width(o, k) for o in term.inputs)
         outs = tuple(width(o, k) for o in term.outputs)
@@ -655,8 +661,7 @@ def denote(term: Term, k: int | None = None) -> StochMap:
     """
     judgement = typecheck(term)
     if k is None:
-        if not (is_star_free(judgement.domain)
-                and is_star_free(judgement.codomain)):
+        if judgement.parametric:
             raise PBCError(
                 f"term of parametric type {judgement} has no fixed-size "
                 "semantics; pass a size k to instantiate it at")

@@ -19,20 +19,21 @@ enforces this, which keeps pretty printing and parsing mutually inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .objects import (
-    B, UNIT, Object, bools, is_star_free, obj_to_str, object_normalize,
-    power, star, tensor,
+    B, UNIT, Object, is_star_free, obj_to_str, object_normalize, power,
+    star, tensor,
 )
 
 __all__ = [
     "Term", "Id", "Gen", "Swap", "Seq", "Par", "TauStar", "TypeJudgement",
     "PBCError", "PBCTypeError",
     "COPY", "DISCARD", "COIN", "PHI",
-    "copy_gen", "discard_gen", "coin", "phi_gen", "phi_p", "exact_rational",
-    "seq", "par", "typecheck", "same_type", "iterates", "pretty_term",
+    "copy_gen", "discard_gen", "coin", "phi_gen", "phi_p", "phi_case",
+    "phi_mix", "exact_rational",
+    "seq", "par", "typecheck", "same_type", "pretty_term",
     "permute_blocks", "push_term", "pop_term", "GEN_NAMES",
 ]
 
@@ -121,8 +122,23 @@ Term = Id | Gen | Swap | Seq | Par | TauStar
 
 @dataclass(frozen=True, slots=True)
 class TypeJudgement:
+    """The type ``domain -> codomain`` of a term.
+
+    ``iterates`` records whether the term contains a ``TauStar`` loop.
+    It is not part of the type: judgements compare and hash by domain
+    and codomain only.
+    """
+
     domain: Object
     codomain: Object
+    iterates: bool = field(default=False, compare=False)
+
+    @property
+    def parametric(self) -> bool:
+        """Whether the term needs a size to run: it loops, or a wire of
+        its type is starred."""
+        return self.iterates or not (is_star_free(self.domain)
+                                     and is_star_free(self.codomain))
 
     def __str__(self):
         return f"{obj_to_str(self.domain)} -> {obj_to_str(self.codomain)}"
@@ -150,6 +166,18 @@ def phi_p(obj: Object, p) -> Term:
     """Probabilistic choice: a coin of bias p plugged into the conditional."""
     obj = object_normalize(obj)
     return Seq(par(Id(obj), coin(p), Id(obj)), phi_gen(obj))
+
+
+def phi_case(c: Term, d: Term, at: Object) -> Term:
+    """The conditional over two branches: ``(c x id<B> x d) ; if<at>``
+    runs ``c`` when the middle Boolean is 1, ``d`` when it is 0."""
+    return Seq(par(c, Id(B), d), phi_gen(at))
+
+
+def phi_mix(c: Term, d: Term, at: Object, p) -> Term:
+    """The choice between two arms: ``(c x d) ; phi_p(at, p)`` runs ``c``
+    with probability p and ``d`` otherwise."""
+    return Seq(Par(c, d), phi_p(at, p))
 
 
 def seq(*terms: Term) -> Term:
@@ -187,6 +215,7 @@ def typecheck(term: Term) -> TypeJudgement:
     """
     judged: list[tuple] = []  # (domain, codomain) of the judged subterms
     todo: list = [term]
+    loops = False
     while todo:
         t = todo.pop()
         cls = t.__class__
@@ -198,6 +227,7 @@ def typecheck(term: Term) -> TypeJudgement:
         elif cls is Par:
             todo += (_PAR_DONE, t.right, t.left)
         elif cls is TauStar:
+            loops = True
             todo += ((object_normalize(t.state),
                       tuple(object_normalize(o) for o in t.inputs),
                       tuple(object_normalize(o) for o in t.outputs)),
@@ -229,7 +259,7 @@ def typecheck(term: Term) -> TypeJudgement:
                           tensor(*map(star, outs), state))
         else:
             judged.append(_leaf_type(t))
-    return TypeJudgement(*judged[0])
+    return TypeJudgement(*judged[0], loops)
 
 
 def _leaf_type(term: Term) -> tuple:
@@ -258,26 +288,13 @@ def _leaf_type(term: Term) -> tuple:
 
 
 def same_type(f: Term, g: Term) -> TypeJudgement:
-    """The type two terms share; PBCTypeError when they differ."""
+    """The type two terms share; PBCTypeError when they differ.  The
+    judgement iterates when either term does."""
     jf = typecheck(f)
     jg = typecheck(g)
     if jf != jg:
         raise PBCTypeError(f"cannot compare terms of types {jf} and {jg}")
-    return jf
-
-
-def iterates(term: Term) -> bool:
-    """Whether a ``TauStar`` occurs anywhere in the term."""
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, TauStar):
-            return True
-        if isinstance(t, Seq):
-            todo += (t.first, t.second)
-        elif isinstance(t, Par):
-            todo += (t.left, t.right)
-    return False
+    return jg if jg.iterates else jf
 
 
 # ---------------------------------------------------------------------------

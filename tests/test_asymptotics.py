@@ -9,6 +9,9 @@ from pbc import (
     DecaySeries,
     EqualityReport,
     PBCError,
+    PBCTypeError,
+    TupleSpec,
+    bools,
     coin,
     distance_series,
     lemma_demo,
@@ -40,6 +43,13 @@ def test_series_requires_increasing_sizes():
 def test_series_requires_probability_range():
     with pytest.raises(PBCError):
         DecaySeries(((0, Fraction(3, 2)),), "f", "g")
+
+
+def test_series_distances_are_exact():
+    with pytest.raises(TypeError):
+        DecaySeries(((0, 0.5),), "f", "g")
+    series = DecaySeries(((0, 1), (1, "1/2"), (2, Fraction(1, 4))), "f", "g")
+    assert series.pairs == ((0, 1), (1, Fraction(1, 2)), (2, Fraction(1, 4)))
 
 
 def test_distance_series_on_the_extractor_pair():
@@ -102,6 +112,14 @@ def test_fitted_rate_matches_the_halving_slope():
     import math
     report = negligibility_report(halving(8), 0, Fraction(1, 100))
     assert report.fitted_rate == pytest.approx(-math.log(2))
+
+
+def test_threshold_is_exact():
+    with pytest.raises(TypeError):
+        negligibility_report(halving(4), 0, 0.01)
+    for epsilon in ("1/100", Fraction(1, 100)):
+        report = negligibility_report(halving(4), 0, epsilon)
+        assert report.threshold_witness == (Fraction(1, 100), 0)
 
 
 def test_fitted_rate_absent_below_three_points():
@@ -195,3 +213,14 @@ def test_csv_spells_out_missing_fields():
     text = report_to_csv(negligibility_report(series, 0, Fraction(1, 2)))
     assert "fitted_rate=none" in text
     assert "witness_N=0" in text
+
+
+def test_an_instance_unfit_for_its_signature_is_a_type_error():
+    # f: B -> I, g: B -> B and h: B^2 -> B^2 at state B; the state,
+    # then f, g and h in turn take the wrong type.
+    f, g, h, spec = newton_discard_instance()
+    wide = TupleSpec(bools(2), spec.inputs, spec.outputs)
+    for args in ((f, g, h, wide), (h, g, h, spec), (f, h, h, spec),
+                 (f, g, g, spec)):
+        with pytest.raises(PBCTypeError):
+            newton_bound_check(*args, k_max=2)

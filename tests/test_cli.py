@@ -64,6 +64,42 @@ def test_a_three_thousand_stage_pipeline_checks_and_compares(capsys,
     assert run(capsys, "eq", str(src), str(src)) == (0, "EQUAL\n", "")
 
 
+@pytest.mark.parametrize("factor", [
+    "(coin(1/2) ; del<B>)", "(coin(1) ; del<B>)",
+], ids=["stochastic", "deterministic"])
+def test_a_three_thousand_factor_tensor_evaluates_and_compares(
+        capsys, tmp_path, factor):
+    src = tmp_path / "wide.pbc"
+    src.write_text("main = " + " x ".join([factor] * 3000) + "\n")
+    assert run(capsys, "eval", str(src)) == (
+        0, "in\tout\tprob\n-\t-\t1/1\n", "")
+    assert run(capsys, "eq", str(src), str(src)) == (0, "EQUAL\n", "")
+
+
+def test_stars_nest_two_hundred_levels_deep(capsys, tmp_path):
+    src = tmp_path / "stars.pbc"
+    src.write_text("main = id<B" + "^*" * 200 + ">\n")
+    word = "B^*"
+    for _ in range(199):
+        word = f"({word})^*"
+    assert run(capsys, "check", str(src)) == (0, f"{word} -> {word}\n", "")
+
+
+@pytest.mark.parametrize("obj, column", [
+    ("B" + "^*" * 201, 413),
+    ("B" + "^*" * 2000, 413),
+    ("(B" + "^*" * 150 + ")" + "^*" * 51, 415),
+], ids=["201", "2000", "parenthesized"])
+def test_deep_stars_are_a_syntax_error(capsys, tmp_path, obj, column):
+    # The star that nests 201 deep is refused.
+    src = tmp_path / "deep.pbc"
+    src.write_text(f"main = id<{obj}>\n")
+    code, out, err = run(capsys, "check", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"pbc: {src}: line 1, column {column}: ")
+    assert "internal error" not in err
+
+
 @pytest.mark.parametrize("body, column", [
     ("(" * 2000 + "id<B>" + ")" * 2000, 208),
     ("id<" + "(" * 2000 + "B" + ")" * 2000 + ">", 211),
@@ -253,6 +289,21 @@ def test_series_csv_golden(capsys):
     assert (code, out) == (0, SERIES_CSV)
 
 
+def test_series_decimal_golden(capsys):
+    code, out, _ = run(capsys, "series", ALL1_L, ALL1_R,
+                       "--k", "1..5", "--a", "1", "--decimal")
+    assert (code, out) == (0, (
+        "k,d_num,d_den,scaled_num,scaled_den,d_dec,scaled_dec\n"
+        "1,1,2,1,2,0.5,0.5\n"
+        "2,1,4,1,2,0.25,0.5\n"
+        "3,1,8,3,8,0.125,0.375\n"
+        "4,1,16,1,4,0.0625,0.25\n"
+        "5,1,32,5,32,0.03125,0.15625\n"
+        "verdict=ConsistentWithNegligible\n"
+        "witness_N=2\n"
+        "fitted_rate=-0.6931471805599453\n"))
+
+
 def test_series_is_byte_deterministic(capsys):
     argv = ("series", ALL1_L, ALL1_R, "--k", "0..6", "--a", "2")
     first = run(capsys, *argv)
@@ -318,6 +369,14 @@ def test_demo_accepts_a_single_size(capsys):
     code, out, _ = run(capsys, "demo", "otp", "--k", "4")
     assert code == 0
     assert "4,0,1" in out
+
+
+def test_demo_range_starts_at_zero(capsys):
+    assert (run(capsys, "demo", "all1", "--k", "0..3")
+            == run(capsys, "demo", "all1", "--k", "3"))
+    code, out, err = run(capsys, "demo", "all1", "--k", "1..3")
+    assert (code, out) == (2, "")
+    assert "start at 0" in err
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,13 @@ def test_expand_streams_a_two_input_gate():
             assert f.rows[(a << 2) | b] == {a & b: 1}
 
 
+def test_expand_refuses_a_body_unfit_for_the_spec():
+    spec = TupleSpec(UNIT, (B, B), (B,))
+    with pytest.raises(PBCTypeError, match=r"^iteration body must be "
+                                           r"B\^2 -> B, got B -> I$"):
+        tau_k_expand(2, spec, discard_gen(B))
+
+
 def test_push_pop_are_mutually_inverse():
     for blocks in [(B,), (B, bools(2)), (bools(2), B, B)]:
         for k in range(K + 1):

@@ -9,6 +9,7 @@ from pbc import (
     Derivation,
     Id,
     PBCProofError,
+    PBCTypeError,
     Par,
     Seq,
     StochMap,
@@ -29,7 +30,9 @@ from pbc import (
     synthesize_tight_derivation,
     typecheck,
 )
-from pbc.combinators import copy_at, otp_lhs, otp_rhs, xor_gate
+from pbc.combinators import (
+    copy_at, otp_lhs, otp_rhs, vn_lhs, vn_rhs, xor_gate,
+)
 from pbc.proofs import (
     PAR_LEFT,
     PAR_RIGHT,
@@ -356,10 +359,92 @@ def test_congruence_must_share_a_factor():
                     Derivation(rule, endpoints_, bound, premises))
 
 
+def _first(d, rule):
+    """The first node of a rule in a derivation, depth first."""
+    todo = [d]
+    while todo:
+        node = todo.pop()
+        if node.rule == rule:
+            return node
+        todo += reversed(node.premises)
+    raise AssertionError(f"no {rule} node")
+
+
+def _mutants():
+    """Derivations that each break one rule schema, by name."""
+    # The certificate pinned in test_serialization_golden: a PhiCase
+    # over a Weaken and a chain holding one PhiMix.
+    f = seq(par(coin("1/2"), Id(B), coin("1/3")), phi_gen(B))
+    g = seq(par(coin("1/2"), Id(B), coin("1/4")), phi_gen(B))
+    cert = synthesize_tight_derivation(f, g)
+    case = _first(cert, PHI_CASE)
+    on1, on0 = case.premises
+    mix = _first(cert, PHI_MIX)
+    arm, common = mix.premises
+    p = mix.param
+    a, b = coin("1/4"), coin("3/4")
+    ab = synthesize_tight_derivation(a, b)
+    return {
+        "refl bound 1/2": Derivation(REFL, (a, a), Fraction(1, 2)),
+        "sym premise not flipped": Derivation(SYM, (a, b), ab.bound, (ab,)),
+        "sym changed bound": Derivation(SYM, (b, a), 2 * ab.bound, (ab,)),
+        "weaken changed endpoints": Derivation(WEAKEN, (b, a), 1, (ab,)),
+        "case swapped premises": Derivation(
+            PHI_CASE, case.endpoints, case.bound, (on0, on1)),
+        "case premise on the wrong branch": Derivation(
+            PHI_CASE, case.endpoints, case.bound, (on0, on0)),
+        "case unequal premise bounds": Derivation(
+            PHI_CASE, case.endpoints, case.bound, (on1.premises[0], on0)),
+        "case conditional at another word": Derivation(
+            PHI_CASE,
+            tuple(seq(par(Par(c, coin(0)), Id(B), Par(d, coin(0))),
+                      phi_gen(bools(2)))
+                  for c, d in ((on1.lhs, on0.lhs), (on1.rhs, on0.rhs))),
+            case.bound, case.premises),
+        "case endpoints not a case": Derivation(
+            PHI_CASE, _first(cert, SEQ_RIGHT).endpoints, case.bound,
+            case.premises),
+        "mix without param": Derivation(
+            PHI_MIX, mix.endpoints, mix.bound, mix.premises),
+        "mix swapped arms": Derivation(
+            PHI_MIX, mix.endpoints, 1 - p, (common, arm), param=p),
+        "mix bound not the weighted sum": Derivation(
+            PHI_MIX, mix.endpoints, 1, mix.premises, param=p),
+        "mix sides with different biases": Derivation(
+            PHI_MIX,
+            (mix.lhs, Seq(mix.rhs.first, phi_p(B, p / 2))),
+            mix.bound, mix.premises, param=p),
+        "endpoints loop at a star-free type": Derivation(
+            TOP, (vn_lhs(Fraction(3, 4)), vn_rhs()), 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_mutants()))
+def test_a_broken_rule_schema_is_rejected(name):
+    with pytest.raises(PBCProofError):
+        check_derivation(_mutants()[name])
+
+
+def test_synthesis_refuses_a_looping_pair():
+    with pytest.raises(PBCTypeError):
+        synthesize_tight_derivation(vn_lhs(Fraction(3, 4)), vn_rhs())
+
+
 def test_star_typed_endpoints_are_rejected():
     t = copy_at(star(B))
     with pytest.raises(PBCProofError):
         check_derivation(Derivation(REFL, (t, t), 0))
+
+
+def test_bounds_and_weights_are_exact():
+    ends = (coin(0), coin(1))
+    with pytest.raises(TypeError):
+        Derivation(TOP, ends, 0.1)
+    with pytest.raises(TypeError):
+        Derivation(PHI_MIX, ends, 1, param=0.5)
+    for bound in (1, Fraction(1), "1/1"):
+        assert Derivation(TOP, ends, bound).bound == 1
+    assert Derivation(PHI_MIX, ends, 1, param="1/10").param == Fraction(1, 10)
 
 
 def test_negative_bound_is_rejected():

@@ -14,6 +14,7 @@ from pbc import (
     Par,
     PBCSyntaxError,
     PBCTypeError,
+    TypeJudgement,
     UNIT,
     axiom_corpus,
     bools,
@@ -40,7 +41,7 @@ from pbc import (
 from pbc.combinators import (
     copy_at, discard_at, otp_lhs, phi_at, vn_lhs, xor_gate,
 )
-from pbc.terms import iterates
+from pbc.terms import same_type
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def test_star_sugar_elaborates_at_parse_time():
         assert parse_term(f"{name}<B x B>") == Gen(kind, bools(2))
         starred = parse_term(f"{name}<B x B^*>")
         assert starred == lifted(tensor(B, star(B)))
-        assert iterates(starred)
+        assert typecheck(starred).iterates
 
 
 def test_axiom_corpus_round_trips():
@@ -137,8 +138,21 @@ def test_axiom_corpus_round_trips():
 
 def test_iterates_walks_a_long_chain_without_recursion():
     chain = [Id(tensor(star(B), star(B)))] * 5000
-    assert not iterates(seq(*chain))
-    assert iterates(seq(copy_at(star(B)), *chain))
+    assert not typecheck(seq(*chain)).iterates
+    assert typecheck(seq(copy_at(star(B)), *chain)).iterates
+
+
+def test_the_loop_flag_is_not_part_of_the_type():
+    looping = vn_lhs(Fraction(3, 4))
+    plain = par(coin(1), coin(0))
+    jl, jp = typecheck(looping), typecheck(plain)
+    assert jl.iterates and jl.parametric
+    assert not jp.iterates and not jp.parametric
+    assert jl == jp == TypeJudgement(UNIT, bools(2))
+    assert hash(jl) == hash(jp) == hash(TypeJudgement(UNIT, bools(2)))
+    assert typecheck(Id(star(B))).parametric
+    assert same_type(plain, looping).iterates
+    assert same_type(looping, plain).iterates
 
 
 def test_typecheck_walks_long_chains_without_recursion():
