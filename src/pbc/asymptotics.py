@@ -1,7 +1,8 @@
 """Exact distance series over the iteration size, and decay reports.
 
 Two parametric circuits are compared by evaluating both at each size k
-in a range and measuring the exact hom distance of the results.  A
+in a range and measuring the exact hom distance of the results; one
+compilation of both (``semantics.Series``) serves the whole range.  A
 ``DecaySeries`` is the raw list of (k, d_k); ``negligibility_report``
 scales it by k^a, classifies the trend, and looks for a threshold
 witness.  Everything is computed in rationals; the one floating-point
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
 
-from .objects import star, tensor
+from .objects import object_normalize, obj_to_str, star, tensor
 from .terms import (
-    Id, PBCError, TauStar, Term, exact_rational, par, pretty_term,
-    same_type, seq, typecheck,
+    Id, PBCError, PBCTypeError, TauStar, Term, exact_rational, par,
+    pretty_term, same_type, seq, typecheck,
 )
-from .semantics import denote, hom_distance
+from .semantics import Series, denote
 from .iteration import TupleSpec
 from . import combinators as C
 
@@ -106,15 +107,14 @@ class NewtonReport:
 def distance_series(f: Term, g: Term, k_min: int, k_max: int,
                     f_label: str | None = None,
                     g_label: str | None = None) -> DecaySeries:
-    """Exact hom distances of the two terms at each size k."""
-    same_type(f, g)
+    """Exact hom distances of the two terms at each size k, from one
+    compilation of both for the whole range."""
+    series = Series(same_type(f, g))
     if not 0 <= k_min <= k_max:
         raise PBCError(f"bad size range {k_min}..{k_max}")
-    pairs = []
-    for k in range(k_min, k_max + 1):
-        d = hom_distance(denote(f, k), denote(g, k))
-        pairs.append((k, d))
-    return DecaySeries(tuple(pairs),
+    pairs = tuple((k, series.distance(f, g, k))
+                  for k in range(k_min, k_max + 1))
+    return DecaySeries(pairs,
                        f_label if f_label is not None else pretty_term(f),
                        g_label if g_label is not None else pretty_term(g))
 
@@ -195,23 +195,29 @@ def newton_bound_check(f: Term, g: Term, h: Term, spec: TupleSpec,
     conclusion exceeds k times the premise would refute the transport
     bound, so it raises instead of reporting.
     """
+    jf = typecheck(f)
+    if jf.domain != object_normalize(spec.state):
+        raise PBCTypeError(
+            f"the state map f must start at the state "
+            f"{obj_to_str(spec.state)} of h, got f : {jf}")
     in_one = tensor(*spec.inputs)
     out_one = tensor(*spec.outputs)
     in_streams = tensor(*(star(o) for o in spec.inputs))
     out_streams = tensor(*(star(o) for o in spec.outputs))
     lhs = seq(par(f, Id(in_streams)),
-              TauStar(typecheck(f).codomain, spec.inputs, spec.outputs, g))
+              TauStar(jf.codomain, spec.inputs, spec.outputs, g))
     rhs = seq(TauStar(spec.state, spec.inputs, spec.outputs, h),
               par(Id(out_streams), f))
-    same_type(lhs, rhs)
+    iterated = Series(same_type(lhs, rhs))
 
     premise_lhs = seq(par(f, Id(in_one)), g)
     premise_rhs = seq(h, par(Id(out_one), f))
-    gap = hom_distance(denote(premise_lhs), denote(premise_rhs))
+    gap = Series(same_type(premise_lhs, premise_rhs)).distance(
+        premise_lhs, premise_rhs)
 
     rows = []
     for k in range(0, k_max + 1):
-        c = hom_distance(denote(lhs, k), denote(rhs, k))
+        c = iterated.distance(lhs, rhs, k)
         ceiling = k * gap
         if c > ceiling:
             raise PBCError(
@@ -235,10 +241,10 @@ _DECAY_DEMOS = {
     "all1": (lambda p: (C.all_1(p), C.all_1_rhs(p),
                         f"all1({p})", f"all1_rhs({p})"),
              Fraction(1, 2), None, lambda p: p, "all-ones", False),
+    # 2^k rows of 2^k outcomes: each size costs about four times the last.
     "keyguess": (lambda p: (C.keyguess_lhs(), C.keyguess_rhs(),
                             "keyguess_lhs", "keyguess_rhs"),
-                 None, _DEMO_CAP, lambda p: Fraction(1, 2), "key-guess",
-                 False),
+                 None, 10, lambda p: Fraction(1, 2), "key-guess", False),
     "vonneumann": (lambda p: (C.vn_lhs(p), C.vn_rhs(),
                               f"vonneumann({p})", "vonneumann_rhs"),
                    Fraction(3, 4), None, lambda p: abs(2 * p - 1),
@@ -257,10 +263,10 @@ def _powers(base: Fraction, k_max: int):
 def lemma_demo(name: str, k_max: int = 10, p=None):
     """Rebuild a named example pair and verify its decay law.
 
-    Names: ``otp`` (exact equality at every size), ``all1`` (bound
-    p^k), ``keyguess`` (bound (1/2)^k, sizes capped at 8), and
-    ``vonneumann`` (exact law |2p-1|^k from size 1 on).  ``p`` applies
-    to ``all1`` (default 1/2) and ``vonneumann`` (default 3/4).
+    Names: ``otp`` (exact equality at every size, sizes capped at 8),
+    ``all1`` (bound p^k), ``keyguess`` (bound (1/2)^k, sizes capped at
+    10), and ``vonneumann`` (exact law |2p-1|^k from size 1 on).  ``p``
+    applies to ``all1`` (default 1/2) and ``vonneumann`` (default 3/4).
 
     The returned report leaves the series unscaled (exponent 0); rerun
     ``negligibility_report`` on its series for other exponents.

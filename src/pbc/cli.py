@@ -32,7 +32,7 @@ from .dot import emit_dot
 from .iteration import K_TEST, EqualUpTo, star_equiv_bounded
 from .normalform import decide_equal, nf_pretty, normalize
 from .parser import parse_circuit
-from .semantics import StochMap, bit_string, denote, hom_distance, map_to_tsv
+from .semantics import Series, StochMap, bit_string, denote, map_to_tsv
 from .terms import PBCError, typecheck
 
 __all__ = ["main"]
@@ -86,13 +86,13 @@ def _load(path: str):
 
 def _load_pair(args):
     """The two files a comparison reads, which must share a type, and
-    whether either needs a size before it can be run directly."""
+    the judgement of that type, which iterates when either term does."""
     s, js = _load(args.left)
     t, jt = _load(args.right)
     if js != jt:
         raise PBCError(
             f"type mismatch: {args.left} is {js} but {args.right} is {jt}")
-    return s, t, js.parametric or jt.parametric
+    return s, t, jt if jt.iterates else js
 
 
 def _dec(x: Fraction) -> str:
@@ -157,8 +157,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_eq(args) -> int:
-    s, t, parametric = _load_pair(args)
-    if not parametric:
+    s, t, judgement = _load_pair(args)
+    if not judgement.parametric:
         if decide_equal(s, t):
             print("EQUAL")
             return 0
@@ -176,12 +176,12 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    s, t, parametric = _load_pair(args)
+    s, t, judgement = _load_pair(args)
     if args.k is None:
-        if parametric:
+        if judgement.parametric:
             raise PBCError(
                 "parametric terms need a size: pass --k K or --k LO..HI")
-        print(_frac_str(hom_distance(denote(s), denote(t)), args.decimal))
+        print(_frac_str(Series(judgement).distance(s, t), args.decimal))
         return 0
     lo, hi = _parse_k(args.k)
     for k, d in distance_series(s, t, lo, hi, args.left, args.right).pairs:

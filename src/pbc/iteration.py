@@ -15,8 +15,8 @@ filing are wiring permutations; ``push_term`` and ``pop_term`` (defined in
 
 ``instantiate`` is the definition.  The evaluator reads the same
 unrolling equation, with the same pop and push wiring, directly
-(``denote(term, k)``) without building the unrolled term, so comparing
-at a size never instantiates.
+(``denote(term, k)``, ``semantics.Series``) without building the
+unrolled term, so comparing at a size never instantiates.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .terms import (
     Gen, Id, Par, PBCError, Seq, Swap, TauStar, Term, par, pop_term,
     push_term, same_type, seq, typecheck,
 )
-from .semantics import denote
+from .semantics import Series
 
 __all__ = [
     "TupleSpec", "dot_power", "push_term", "pop_term", "tau_k_expand",
@@ -159,13 +159,9 @@ def star_equiv_bounded(s: Term, t: Term, k_max: int = K_TEST):
     every size, else a ``Counterexample`` for the first disagreement.
     Both terms must share one parametric type.
     """
-    same_type(s, t)
+    series = Series(same_type(s, t))
     for k in range(k_max + 1):
-        fs = denote(s, k)
-        ft = denote(t, k)
-        if fs.rows == ft.rows:
-            continue
-        for i, (a, b) in enumerate(zip(fs.rows, ft.rows)):
-            if a != b:
-                return Counterexample(k, i, fs.in_arity, dict(a), dict(b))
+        differs = series.difference(s, t, k)
+        if differs is not None:
+            return Counterexample(k, *differs)
     return EqualUpTo(k_max)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .objects import bools, width
+from .objects import bools, is_star_free, width
 from .terms import (
     COIN, COPY, DISCARD, Gen, Id, PHI, Par, PBCError, Seq, Swap, TauStar,
-    Term, exact_rational, par, pop_term, push_term, typecheck,
+    Term, TypeJudgement, exact_rational, par, pop_term, push_term, typecheck,
 )
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "dirac", "bernoulli", "distribution",
     "compose_maps", "tensor_maps", "identity_map", "apply_map",
     "tv_distance", "tv_distance_overlap", "hom_distance",
-    "denote", "map_to_tsv", "bit_string", "WireLimitError",
+    "Series", "denote", "map_to_tsv", "bit_string", "WireLimitError",
     "HARD_WIRE_LIMIT", "SOFT_WIRE_LIMIT",
 ]
 
@@ -56,18 +56,21 @@ def _wire_limit() -> int:
         raise PBCError(f"PBC_MAX_WIRES must be an integer, got {raw!r}")
 
 
-def _check_width(n: int, what: str) -> int:
-    """Enforce the wire limit on an n-wire map; returns the limit."""
+def _check_width(n: int, what: str, warn: bool = True) -> bool:
+    """Enforce the wire limit on an n-wire map.  Whether n reaches the
+    soft limit, where it warns unless ``warn`` is false."""
     limit = _wire_limit()
     if n > limit:
         raise WireLimitError(
             f"{what} needs {n} wires, above the limit of {limit} "
             "(set PBC_MAX_WIRES to raise it)")
-    if n >= SOFT_WIRE_LIMIT:
+    if n < SOFT_WIRE_LIMIT:
+        return False
+    if warn:
         warnings.warn(
             f"{what} uses {n} wires; expect slow exact arithmetic",
             stacklevel=3)
-    return limit
+    return True
 
 
 def distribution(items) -> Distribution:
@@ -188,17 +191,37 @@ def apply_map(f: StochMap, arg) -> Distribution:
 # ---------------------------------------------------------------------------
 # Distances.
 
-def tv_distance(v: Distribution, w: Distribution) -> Fraction:
-    """Total variation distance, as half the pointwise difference mass.
+def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
+    """Total variation distance of two integer rows: numerators over the
+    denominators ``da`` and ``db``.
 
-    Both distributions are scaled to one common integer denominator, so
-    the sum runs over ints and a single Fraction is built at the end.
+    Both rows are scaled to the least common denominator s, so the sum
+    runs over ints and a single Fraction is built at the end.
     """
+    if da == db and a == b:
+        return ZERO
+    s = math.lcm(da, db)
+    ma, mb = s // da, s // db
+    get = b.get
+    total = (sum([abs(n * ma - get(y, 0) * mb) for y, n in a.items()])
+             + mb * sum([m for y, m in b.items() if y not in a]))
+    return Fraction(total, 2 * s)
+
+
+def _same_row(da: int, a: dict, db: int, b: dict) -> bool:
+    """Whether two integer rows are one distribution, by cross-multiplying."""
+    if da == db:
+        return a == b
+    return a.keys() == b.keys() and all(
+        n * db == b[y] * da for y, n in a.items())
+
+
+def tv_distance(v: Distribution, w: Distribution) -> Fraction:
+    """Total variation distance, as half the pointwise difference mass."""
     scale = math.lcm(*{p.denominator for d in (v, w) for p in d.values()})
     a = {k: p.numerator * (scale // p.denominator) for k, p in v.items()}
     b = {k: p.numerator * (scale // p.denominator) for k, p in w.items()}
-    total = sum(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys())
-    return Fraction(total, 2 * scale)
+    return _tv(scale, a, scale, b)
 
 
 def tv_distance_overlap(v: Distribution, w: Distribution) -> Fraction:
@@ -223,7 +246,7 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # ---------------------------------------------------------------------------
 # Denotation: a forward evaluator, one input row at a time.
 #
-# A term is compiled once per ``denote`` call into ``_Node``s.  A node is
+# A term is compiled into ``_Node``s, at one size at a time.  A node is
 # deterministic (``det`` maps a packed input to its packed output) or
 # stochastic (``kernel`` maps it to ``(den, {output: numerator})``, int
 # numerators summing to the int ``den``).  Coin-free, if-free wiring also
@@ -231,7 +254,7 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # selection, applied as a few shift/mask groups.  Stochastic Seq and Par
 # nodes memoize their kernels per input value; a kernel of support one is
 # always ``(1, {value: 1})``, and numerators become reduced Fractions only
-# in the finished rows.
+# in finished maps.
 
 class _Node:
     """One compiled subterm of type ``n_in`` wires -> ``n_out`` wires.
@@ -366,176 +389,226 @@ def _compose(nodes: list) -> _Node:
 
 def _wiring_sel(term: Term) -> tuple:
     """The bit selection of a star-free wiring term."""
-    return _Compiler(1, None).node(term).sel
+    return _Compiler(1).node(term).sel
 
 
 def _dirac_kernel(x):
     return 1, {x: 1}
 
 
-def _tau_kernel(body: _Node, k: int, sw: int, ins: tuple, outs: tuple,
-                cap: int):
-    """The kernel of a loop unrolled k times, read off the unrolling
-    equation tau^(j+1) = pop ; (body x id) ; (id x tau^j) ; push with
-    tau^0 the identity on the state.
+def _row_kernel(node: _Node):
+    """The node's kernel; a deterministic node gives rows of support one."""
+    if node.kernel is not None:
+        return node.kernel
+    det = node.function()
+    return lambda x: (1, {det(x): 1})
 
-    tau^j is memoized per (j, input value).  A call walks down the levels
-    collecting the inputs each level needs from the next, then back up
-    combining them, so no recursion runs k deep.
+
+class _Loop:
+    """The levels of one loop, read off the unrolling equation
+    tau^(n+1) = pop ; (body x id) ; (id x tau^n) ; push with tau^0 the
+    identity on the state.
+
+    Level n holds tau^n memoized per input value, and the pop and push
+    selections (None when the identity) that peel and file its front
+    elements.  No level depends on the size the loop runs at, so a loop
+    kept from one size to the next only adds the levels it lacks.  A
+    call walks down the levels collecting the inputs each level needs
+    from the next, then back up combining them, so no recursion runs k
+    deep.
     """
-    a, b = sum(ins), sum(outs)
-    s_mask = (1 << sw) - 1
-    body_kernel = body.kernel
-    if body_kernel is None:
-        det = body.function()
 
-        def body_kernel(v):
-            return 1, {det(v): 1}
-    # Pop and push are the wiring tau_k_expand uses, over Boolean words.
-    multi_in = sum(1 for w in ins if w) > 1
-    multi_out = sum(1 for w in outs if w) > 1
-    in_words = tuple(bools(w) for w in ins)
-    out_words = tuple(bools(w) for w in outs)
-    # Per level n = 1..k: its memo, pop and push (None when the identity).
-    memos = [None] + [{} for _ in range(k)]
-    pops = [None] * (k + 1)
-    pushes = [None] * (k + 1)
+    __slots__ = ("body_kernel", "sw", "a", "b", "in_words", "out_words",
+                 "cap", "memos", "pops", "pushes")
 
-    def kernel(x):
-        hit = memos[k].get(x)
-        if hit is not None:
-            return hit
-        # Down: peel the front elements and run the body on them.
-        plan = []
-        frontier = (x,)
-        for n in range(k, 0, -1):
-            r_bits = (n - 1) * a
-            r_mask = (1 << r_bits) - 1
-            pop = pops[n]
-            if pop is None and multi_in:
-                wiring = par(Id(bools(sw)), pop_term(in_words, n - 1))
-                pop = pops[n] = _select(_wiring_sel(wiring), sw + n * a)
-            below = memos[n - 1] if n > 1 else None
-            steps = []
-            wanted = set()
-            for v in frontier:
-                y = pop(v) if pop else v
-                den, dist = body_kernel(y >> r_bits)
-                r = y & r_mask
-                items = [(o >> sw, ((o & s_mask) << r_bits) | r, m)
-                         for o, m in dist.items()]
-                steps.append((v, den, items))
-                if below is not None:
-                    wanted.update(c for _, c, _ in items if c not in below)
-            plan.append((n, steps))
-            if not wanted:
-                break
-            frontier = wanted
-        # Up: combine each body outcome with tau^(n-1) of what follows.
-        for n, steps in reversed(plan):
-            memo = memos[n]
-            child = memos[n - 1].__getitem__ if n > 1 else _dirac_kernel
-            c_bits = (n - 1) * b + sw
-            push = pushes[n]
-            if push is None and multi_out:
-                wiring = par(push_term(out_words, n - 1), Id(bools(sw)))
-                push = pushes[n] = _select(_wiring_sel(wiring), n * b + sw)
-            for v, den, items in steps:
-                if len(items) == 1:
-                    ((o, c, _),) = items
-                    den, dist = child(c)
-                    hi = o << c_bits
-                    if push:
-                        dist = {push(hi | y): m for y, m in dist.items()}
-                    elif hi:
-                        dist = {hi | y: m for y, m in dist.items()}
-                    memo[v] = (den, dist)
-                    continue
-                parts = [(o << c_bits, m, child(c)) for o, c, m in items]
-                scale = math.lcm(*{d for _, _, (d, _) in parts})
-                out: dict = {}
-                get = out.get
-                for hi, m, (d, dist) in parts:
-                    if d != scale:
-                        m *= scale // d
-                    for y, w in dist.items():
-                        y |= hi
+    def __init__(self, body_kernel, sw: int, ins: tuple, outs: tuple,
+                 cap: int):
+        self.body_kernel = body_kernel
+        self.sw, self.a, self.b = sw, sum(ins), sum(outs)
+        # Pop and push are the wiring tau_k_expand uses, over Boolean
+        # words; with at most one nonempty stream they are the identity.
+        self.in_words = (tuple(bools(w) for w in ins)
+                         if sum(1 for w in ins if w) > 1 else None)
+        self.out_words = (tuple(bools(w) for w in outs)
+                          if sum(1 for w in outs if w) > 1 else None)
+        self.cap = cap
+        self.memos = [None]
+        self.pops = [None]
+        self.pushes = [None]
+
+    def _add_level(self) -> None:
+        n, sw = len(self.memos), self.sw
+        self.memos.append({})
+        pop = push = None
+        if self.in_words:
+            wiring = par(Id(bools(sw)), pop_term(self.in_words, n - 1))
+            pop = _select(_wiring_sel(wiring), sw + n * self.a)
+        if self.out_words:
+            wiring = par(push_term(self.out_words, n - 1), Id(bools(sw)))
+            push = _select(_wiring_sel(wiring), n * self.b + sw)
+        self.pops.append(pop)
+        self.pushes.append(push)
+
+    def kernel(self, k: int):
+        """The kernel of tau^k, for k >= 1."""
+        while len(self.memos) <= k:
+            self._add_level()
+        body_kernel, sw, a, b, cap = (self.body_kernel, self.sw, self.a,
+                                      self.b, self.cap)
+        memos, pops, pushes = self.memos, self.pops, self.pushes
+        top = memos[k]
+        s_mask = (1 << sw) - 1
+
+        def kernel(x):
+            hit = top.get(x)
+            if hit is not None:
+                return hit
+            # Down: peel the front elements and run the body on them.
+            plan = []
+            frontier = (x,)
+            for n in range(k, 0, -1):
+                r_bits = (n - 1) * a
+                r_mask = (1 << r_bits) - 1
+                pop = pops[n]
+                below = memos[n - 1] if n > 1 else None
+                steps = []
+                wanted = set()
+                for v in frontier:
+                    y = pop(v) if pop else v
+                    den, dist = body_kernel(y >> r_bits)
+                    r = y & r_mask
+                    items = [(o >> sw, ((o & s_mask) << r_bits) | r, m)
+                             for o, m in dist.items()]
+                    steps.append((v, den, items))
+                    if below is not None:
+                        wanted.update(c for _, c, _ in items if c not in below)
+                plan.append((n, steps))
+                if not wanted:
+                    break
+                frontier = wanted
+            # Up: combine each body outcome with tau^(n-1) of what follows.
+            for n, steps in reversed(plan):
+                memo = memos[n]
+                child = memos[n - 1].__getitem__ if n > 1 else _dirac_kernel
+                c_bits = (n - 1) * b + sw
+                push = pushes[n]
+                for v, den, items in steps:
+                    if len(items) == 1:
+                        ((o, c, _),) = items
+                        den, dist = child(c)
+                        hi = o << c_bits
                         if push:
-                            y = push(y)
-                        out[y] = get(y, 0) + m * w
-                    if len(out) > cap:
-                        raise _support_error(len(out), cap)
-                memo[v] = ((1, dict.fromkeys(out, 1)) if len(out) == 1
-                           else (den * scale, out))
-        return memos[k][x]
+                            dist = {push(hi | y): m for y, m in dist.items()}
+                        elif hi:
+                            dist = {hi | y: m for y, m in dist.items()}
+                        memo[v] = (den, dist)
+                        continue
+                    parts = [(o << c_bits, m, child(c)) for o, c, m in items]
+                    scale = math.lcm(*{d for _, _, (d, _) in parts})
+                    out: dict = {}
+                    get = out.get
+                    for hi, m, (d, dist) in parts:
+                        if d != scale:
+                            m *= scale // d
+                        for y, w in dist.items():
+                            y |= hi
+                            if push:
+                                y = push(y)
+                            out[y] = get(y, 0) + m * w
+                        if len(out) > cap:
+                            raise _support_error(len(out), cap)
+                    memo[v] = ((1, dict.fromkeys(out, 1)) if len(out) == 1
+                               else (den * scale, out))
+            return top[x]
 
-    return kernel
+        return kernel
 
 
 class _Compiler:
-    """Compiles the subterms of one term at one size k, bottom up with an
-    explicit stack.  Repeated occurrences of one term object share a
-    node, and so share its memo."""
+    """Compiles subterms bottom up with an explicit stack, at one size at
+    a time.  Repeated occurrences of one term object share a node, and so
+    share its memo.
 
-    def __init__(self, cap: int, k: int | None):
+    A node is size-free when its subterm has only star-free objects and
+    no loop.  It is the same at every size, so moving to another size
+    keeps it, memo and all, and a loop whose body is size-free keeps its
+    ``_Loop``.  Every other node is rebuilt at each size: a loop over a
+    body that loops too gets fresh levels, even when its type is
+    star-free, because the inner loop's value depends on the size.
+    """
+
+    def __init__(self, cap: int):
         self.cap = cap  # largest support a kernel may have
-        self.k = k  # the size starred objects are read at, or None
-        self.nodes: dict = {}  # id(term) -> (term, node)
+        self.k = None  # the size starred objects are read at, or None
+        self.nodes: dict = {}  # id(term) -> (term, node, size-free)
+        self.loops: dict = {}  # id(term) -> (term, _Loop), size-free bodies
+
+    def at(self, k: int | None) -> None:
+        """Move to size k, dropping the nodes that depend on the size."""
+        if k != self.k:
+            self.k = k
+            self.nodes = {key: e for key, e in self.nodes.items() if e[2]}
 
     def node(self, root: Term) -> _Node:
-        todo = [(root, False)]
+        todo = [(root, None)]
         while todo:
-            term, ready = todo.pop()
+            term, parts = todo.pop()
             if id(term) in self.nodes:
                 continue
-            if ready or not isinstance(term, (Seq, Par, TauStar)):
-                self.nodes[id(term)] = (term, self._build(term))
-            else:
-                todo.append((term, True))
+            if parts is None and isinstance(term, (Seq, Par, TauStar)):
                 parts = ((term.body,) if isinstance(term, TauStar)
                          else _factors(term))
-                todo.extend((t, False) for t in parts)
+                todo.append((term, parts))
+                todo.extend((t, None) for t in parts)
+            else:
+                self.nodes[id(term)] = (term, *self._build(term, parts))
         return self.nodes[id(root)][1]
 
-    def _built(self, term: Term) -> _Node:
-        return self.nodes[id(term)][1]
-
-    def _build(self, term: Term) -> _Node:
+    def _build(self, term: Term, parts) -> tuple:
+        """The node of a term whose parts are built, and whether it is
+        size-free."""
         k = self.k
         if isinstance(term, Id):
             n = width(term.obj, k)
-            return _wiring(n, tuple(range(n)))
+            return _wiring(n, tuple(range(n))), is_star_free(term.obj)
         if isinstance(term, Swap):
             wl, wr = width(term.left, k), width(term.right, k)
-            return _wiring(wl + wr,
-                           tuple(range(wr, wr + wl)) + tuple(range(wr)))
+            return (_wiring(wl + wr,
+                            tuple(range(wr, wr + wl)) + tuple(range(wr))),
+                    is_star_free(term.left) and is_star_free(term.right))
         if isinstance(term, Gen):
-            return self._gen(term)
-        if isinstance(term, Seq):
-            return self._seq([self._built(t) for t in _factors(term)])
-        if isinstance(term, Par):
-            # Pairwise into a balanced tree: a chain of n factors nests
-            # log n deep, so its kernels stay shallow.
-            nodes = [self._built(t) for t in _factors(term)]
-            while len(nodes) > 1:
-                pairs = [self._par(f, g)
-                         for f, g in zip(nodes[::2], nodes[1::2])]
-                nodes = pairs + nodes[2 * len(pairs):]
-            return nodes[0]
+            return self._gen(term), True
         if isinstance(term, TauStar):
-            return self._tau(term)
-        raise PBCError(f"not a term: {term!r}")
+            return self._tau(term), False
+        if not isinstance(term, (Seq, Par)):
+            raise PBCError(f"not a term: {term!r}")
+        built = [self.nodes[id(t)] for t in parts]
+        free = all(f for _, _, f in built)
+        nodes = [n for _, n, _ in built]
+        if isinstance(term, Seq):
+            return self._seq(nodes), free
+        # Pairwise into a balanced tree: a chain of n factors nests log n
+        # deep, so its kernels stay shallow.
+        while len(nodes) > 1:
+            pairs = [self._par(f, g) for f, g in zip(nodes[::2], nodes[1::2])]
+            nodes = pairs + nodes[2 * len(pairs):]
+        return nodes[0], free
 
     def _tau(self, term: TauStar) -> _Node:
         k = self.k
         sw = width(term.state, k)
-        ins = tuple(width(o, k) for o in term.inputs)
-        outs = tuple(width(o, k) for o in term.outputs)
         if k == 0:
             return _wiring(sw, tuple(range(sw)))
-        body = self._built(term.body)
+        ins = tuple(width(o, k) for o in term.inputs)
+        outs = tuple(width(o, k) for o in term.outputs)
+        _, body, free = self.nodes[id(term.body)]
+        kept = self.loops.get(id(term)) if free else None
+        if kept is None:
+            kept = (term, _Loop(_row_kernel(body), sw, ins, outs, self.cap))
+            if free:
+                self.loops[id(term)] = kept
         return _Node(sw + k * sum(ins), k * sum(outs) + sw,
-                     kernel=_tau_kernel(body, k, sw, ins, outs, self.cap))
+                     kernel=kept[1].kernel(k))
 
     def _gen(self, term: Gen) -> _Node:
         if term.kind == COIN:
@@ -648,47 +721,111 @@ class _Compiler:
         return _Node(n_in, n_out, kernel=kernel)
 
 
+def _fractions(den: int, row: dict) -> dict:
+    return {y: Fraction(n, den) for y, n in row.items()}
+
+
+class Series:
+    """Terms of one type, compiled once for a run of sizes.
+
+    Each size reuses what the sizes before it compiled and no size
+    changes: size-free nodes with their memos, and the levels of loops
+    over size-free bodies.  Over increasing sizes k = 0, 1, ..., K a
+    series costs about as much as its largest size.  Comparisons read
+    the compiled roots one input row at a time as ``(den, {output:
+    numerator})``; they build no map and no Fraction per entry.
+
+    The size k is None for terms of a fixed size, which parametric
+    terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
+    bounds the type's width at every size, and every distribution met
+    on the way to at most 2^limit outcomes.  A type of 14 wires or more
+    warns once, at the first size that reaches it.
+    """
+
+    def __init__(self, judgement: TypeJudgement):
+        self.judgement = judgement
+        # No distribution held in memory reaches 2^64 outcomes; the clamp
+        # keeps a huge PBC_MAX_WIRES from building a huge int.
+        self._compiler = _Compiler(1 << min(_wire_limit(), 64))
+        self._warned = False
+
+    def _at(self, k: int | None) -> int:
+        """Move to size k; the input width there."""
+        if k is None and self.judgement.parametric:
+            raise PBCError(
+                f"term of parametric type {self.judgement} has no "
+                "fixed-size semantics; pass a size k to instantiate it at")
+        if k is not None and k < 0:
+            raise ValueError(f"negative size {k}")
+        n_in = width(self.judgement.domain, k)
+        n = max(n_in, width(self.judgement.codomain, k))
+        if _check_width(n, "the map", warn=not self._warned):
+            self._warned = True
+        self._compiler.at(k)
+        return n_in
+
+    def map(self, term: Term, k: int | None = None) -> StochMap:
+        """The stochastic map of a term of this type at size k."""
+        n_in = self._at(k)
+        node = self._compiler.node(term)
+        n_out = node.n_out
+        if node.kernel is None:
+            det = node.function()
+            return StochMap(n_in, n_out,
+                            tuple({det(x): ONE} for x in range(1 << n_in)))
+        weights: dict = {}  # den -> {numerator: Fraction}, shared by all rows
+        rows = []
+        for x in range(1 << n_in):
+            den, dist = node.kernel(x)
+            known = weights.setdefault(den, {})
+            row = {}
+            for y, n in dist.items():
+                p = known.get(n)
+                if p is None:
+                    p = known[n] = Fraction(n, den)
+                row[y] = p
+            rows.append(row)
+        return StochMap(n_in, n_out, tuple(rows))
+
+    def _kernels(self, f: Term, g: Term, k: int | None):
+        n_in = self._at(k)
+        return (n_in, _row_kernel(self._compiler.node(f)),
+                _row_kernel(self._compiler.node(g)))
+
+    def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
+        """The hom distance of two terms at size k: the largest total
+        variation distance over the input rows."""
+        n_in, fk, gk = self._kernels(f, g, k)
+        best = ZERO
+        for x in range(1 << n_in):
+            d = _tv(*fk(x), *gk(x))
+            if d > best:
+                best = d
+        return best
+
+    def difference(self, f: Term, g: Term, k: int | None = None):
+        """The first input where two terms part ways at size k, as
+        ``(input, input width, row of f, row of g)`` with Fraction
+        weights; None when they denote the same map."""
+        n_in, fk, gk = self._kernels(f, g, k)
+        for x in range(1 << n_in):
+            da, a = fk(x)
+            db, b = gk(x)
+            if not _same_row(da, a, db, b):
+                return x, n_in, _fractions(da, a), _fractions(db, b)
+        return None
+
+
 def denote(term: Term, k: int | None = None) -> StochMap:
     """Denote a term as a stochastic map, at size k if one is given.
 
     At size k every starred object is read as its k-fold power and every
     iteration as its k-fold unrolling, so ``denote(t, k)`` equals
     ``denote(instantiate(k, t))``; the unrolling equation is evaluated,
-    not built as syntax.  Without a size, parametric terms raise.
-    The map's input and output widths are bounded by the wire limit
-    (PBC_MAX_WIRES, default 20 wires), and so is every distribution met
-    on the way: at most 2^limit outcomes.
+    not built as syntax.  This is the one-size case of ``Series``, whose
+    limits it keeps: without a size, parametric terms raise.
     """
-    judgement = typecheck(term)
-    if k is None:
-        if judgement.parametric:
-            raise PBCError(
-                f"term of parametric type {judgement} has no fixed-size "
-                "semantics; pass a size k to instantiate it at")
-    elif k < 0:
-        raise ValueError(f"negative size {k}")
-    n_in, n_out = width(judgement.domain, k), width(judgement.codomain, k)
-    limit = _check_width(max(n_in, n_out), "the map")
-    # No distribution held in memory reaches 2^64 outcomes; the clamp
-    # keeps a huge PBC_MAX_WIRES from building a huge int.
-    node = _Compiler(1 << min(limit, 64), k).node(term)
-    if node.kernel is None:
-        det = node.function()
-        return StochMap(n_in, n_out,
-                        tuple({det(x): ONE} for x in range(1 << n_in)))
-    weights: dict = {}  # den -> {numerator: Fraction}, shared by all rows
-    rows = []
-    for x in range(1 << n_in):
-        den, dist = node.kernel(x)
-        known = weights.setdefault(den, {})
-        row = {}
-        for y, n in dist.items():
-            p = known.get(n)
-            if p is None:
-                p = known[n] = Fraction(n, den)
-            row[y] = p
-        rows.append(row)
-    return StochMap(n_in, n_out, tuple(rows))
+    return Series(typecheck(term)).map(term, k)
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,14 @@ def test_extractor_demo_follows_the_closed_form():
 
 
 def test_keyguess_demo_halves_each_step():
-    report = lemma_demo("keyguess", k_max=8)
+    # By default the demo runs every size up to its cap of 10.
+    report = lemma_demo("keyguess")
     pairs = dict(report.series.pairs)
-    for k in range(1, 9):
+    assert list(pairs) == list(range(11))
+    for k in range(1, 11):
         assert pairs[k] == Fraction(1, 2) ** k
     assert report.verdict == CONSISTENT
+    assert dict(lemma_demo("keyguess", k_max=12).series.pairs) == pairs
 
 
 def test_demo_rejects_bad_parameters():
@@ -224,3 +227,11 @@ def test_an_instance_unfit_for_its_signature_is_a_type_error():
                  (f, g, g, spec)):
         with pytest.raises(PBCTypeError):
             newton_bound_check(*args, k_max=2)
+
+
+def test_a_state_map_off_the_state_is_blamed_on_f():
+    # h : B^2 -> B^2 passed as f does not start at the state B: the error
+    # names f and its type, not the loop of g that f would feed.
+    f, g, h, spec = newton_discard_instance()
+    with pytest.raises(PBCTypeError, match=r"state map f .* f : B\^2 -> B\^2"):
+        newton_bound_check(h, g, h, spec, 2)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from circuitgen import random_circuit
 from pbc import cli, coin, par, pretty_term
+from pbc import combinators as C
 from pbc.cli import main
 from pbc.cli import main as pbc_command
 
@@ -357,6 +358,32 @@ def test_demo_vonneumann_golden(capsys):
         "witness_N=3\n"
         "fitted_rate=-1.6094379124341003\n"
     )
+
+
+def _soft_warnings(capsys, *argv):
+    """Exit code and stdout of a command, and its soft-limit warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, *argv)
+    return code, out, len(caught)
+
+
+@pytest.mark.parametrize("name, k", [("all1", "14"), ("vonneumann", "80")])
+def test_demo_golden_at_the_benchmark_sizes(capsys, name, k):
+    golden = (DATA / "golden" / f"demo_{name}_k{k}.txt").read_text()
+    # all1 reaches 14 output wires at k = 13: one warning for the series.
+    assert _soft_warnings(capsys, "demo", name, "--k", k) == (
+        0, golden, 1 if name == "all1" else 0)
+
+
+def test_eq_on_the_pad_over_streams_golden(capsys, tmp_path):
+    paths = []
+    for name, term in (("lhs", C.otp_star_lhs()), ("rhs", C.otp_star_rhs())):
+        path = tmp_path / f"otp_star_{name}.pbc"
+        path.write_text(f"main = {pretty_term(term)}\n")
+        paths.append(str(path))
+    assert _soft_warnings(capsys, "eq", *paths, "--k", "8") == (
+        0, "EQUAL (every size k = 0..8)\n", 1)
 
 
 def test_demo_unknown_name(capsys):

@@ -26,12 +26,14 @@ from pbc import (
     coin,
     denote,
     dirac,
+    distance_series,
     hom_distance,
     instantiate,
     par,
     pretty_term,
     seq,
     star,
+    star_equiv_bounded,
     tensor,
 )
 from pbc import combinators as C
@@ -148,15 +150,25 @@ def test_soft_limit_warns_once_at_a_size():
 
 
 def test_evaluating_at_a_size_leaves_no_reference_cycles():
-    # Memos die with the call instead of waiting for the cyclic collector.
+    # Memos and kept loop levels die with the call instead of waiting
+    # for the cyclic collector, for one size and for a series alike.
     terms = [(C.vn_lhs(Fraction(3, 4)), 50), (C.keyguess_lhs(), 5),
              (C.otp_star_lhs(), 5), (C.phi_at(star(B)), 4),
              (C.cycle_back(B), 4), (C.all_1(Fraction(1, 2)), 10)]
+    pairs = [(C.vn_lhs(Fraction(3, 4)), C.vn_rhs(), 50),
+             (C.keyguess_lhs(), C.keyguess_rhs(), 5),
+             (C.otp_star_lhs(), C.otp_star_rhs(), 5),
+             (C.copy_at(star(star(B))), C.copy_at(star(star(B))), 2)]
     gc.collect()
     gc.disable()
     try:
         for t, k in terms:
             denote(t, k)
             assert gc.collect() == 0, pretty_term(t)
+        for f, g, k in pairs:
+            distance_series(f, g, 0, k)
+            assert gc.collect() == 0, pretty_term(f)
+            star_equiv_bounded(f, g, k)
+            assert gc.collect() == 0, pretty_term(f)
     finally:
         gc.enable()

@@ -1,0 +1,153 @@
+"""One compilation per series against one ``denote`` per size.
+
+``semantics.Series`` compiles two terms once for a run of sizes, keeps
+the size-free nodes and the levels of loops over size-free bodies, and
+compares the roots one integer row at a time.  Its distances and
+equality verdicts must be those of ``hom_distance`` and row equality on
+fresh ``denote`` maps at every size.
+"""
+
+import random
+import warnings
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circuitgen import random_circuit
+from pbc import (
+    B,
+    Id,
+    TauStar,
+    bools,
+    coin,
+    denote,
+    distance_series,
+    hom_distance,
+    par,
+    seq,
+    star,
+    star_equiv_bounded,
+    tensor,
+)
+from pbc import combinators as C
+from pbc import semantics
+from pbc.semantics import Series
+from pbc.terms import same_type
+from test_forward import _demo_pairs
+
+
+def assert_series_agrees(f, g, sizes):
+    """The series evaluator, moved through ``sizes`` in order, against
+    per-size maps: the distance, and the first differing row if any."""
+    series = Series(same_type(f, g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 14 wires and more warn
+        for k in sizes:
+            fk, gk = denote(f, k), denote(g, k)
+            assert series.distance(f, g, k) == hom_distance(fk, gk), k
+            first = next(((x, a, b) for x, (a, b)
+                          in enumerate(zip(fk.rows, gk.rows)) if a != b),
+                         None)
+            got = series.difference(f, g, k)
+            if first is None:
+                assert got is None, k
+            else:
+                x, a, b = first
+                assert got == (x, fk.in_arity, a, b), k
+            # The same question asked of one term twice: no difference.
+            assert series.difference(f, f, k) is None
+
+
+def test_every_demo_pair_at_every_gated_size():
+    # otp, all1, keyguess, vonneumann, and both Newton instances with
+    # their premises, up to the acceptance gate's sizes.
+    for name, lhs, rhs, k_max in _demo_pairs():
+        assert_series_agrees(lhs, rhs, range(k_max + 1))
+
+
+def test_nested_and_plumbing_loops():
+    quarter = Fraction(1, 4)
+    copy2 = C.copy_at(star(star(B)))
+    twice = seq(copy2, par(Id(star(star(B))), Id(star(star(B)))))
+    assert_series_agrees(copy2, twice, range(4))
+    assert_series_agrees(C.phi_at(star(B)), C.phi_at(star(B)), range(5))
+    assert_series_agrees(C.cycle_back(B), Id(tensor(B, star(B))), range(5))
+    assert_series_agrees(C.all_1(quarter), C.all_1_rhs(quarter), range(8))
+
+
+def test_sizes_out_of_order_and_repeated():
+    # Kept levels do not depend on the size, so any order agrees.
+    f, g = C.keyguess_lhs(), C.keyguess_rhs()
+    assert_series_agrees(f, g, [3, 1, 4, 4, 0, 2, 5])
+
+
+def test_a_loop_hiding_a_sized_loop_is_rebuilt_at_each_size():
+    # The outer body has the star-free type I -> B, but holds two coin
+    # streams fed into eq_star, so its value is (1/2)^k at size k.
+    # Sharing it across sizes by its type would keep the size-1 value.
+    coins = TauStar((), (), (B,), coin(Fraction(1, 2)))
+    body = seq(par(coins, coins), C.eq_star())
+    hidden = TauStar((), (), (B,), body)
+    fair = TauStar((), (), (B,), coin(Fraction(1, 2)))
+    assert_series_agrees(hidden, fair, range(5))
+    # k bits, each 1 with probability (1/2)^k, against k zeros.
+    zeros = TauStar((), (), (B,), coin(0))
+    for k, d in distance_series(hidden, zeros, 0, 4).pairs:
+        assert d == 1 - (1 - Fraction(1, 2**k)) ** k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.lists(st.integers(0, 2), max_size=2),
+       st.lists(st.integers(0, 2), max_size=2), st.integers(0, 10**6))
+def test_random_loops(sw, ins, outs, salt):
+    rng = random.Random(salt)
+    spec = (bools(sw), tuple(bools(w) for w in ins),
+            tuple(bools(w) for w in outs))
+
+    def loop():
+        body = random_circuit(rng, sw + sum(ins), sum(outs) + sw,
+                              max_gens=rng.randint(0, 8), max_wires=6,
+                              max_den=4)
+        return TauStar(*spec, body)
+    f, g = loop(), loop()
+    assert_series_agrees(f, g, range(4))
+    assert_series_agrees(f, f, range(4))
+
+
+def test_a_von_neumann_series_runs_each_level_once(monkeypatch):
+    # Size k + 1 adds one level on top of the kept ones, so the body runs
+    # at most once per (level, state): four two-bit states over 400
+    # levels, where evaluating every size afresh runs it 400^2 / 2 times.
+    calls = []
+
+    class CountingLoop(semantics._Loop):
+        __slots__ = ()
+
+        def __init__(self, body_kernel, *rest):
+            def counted(v):
+                calls.append(v)
+                return body_kernel(v)
+            super().__init__(counted, *rest)
+
+    monkeypatch.setattr(semantics, "_Loop", CountingLoop)
+    series = distance_series(C.vn_lhs(Fraction(3, 4)), C.vn_rhs(), 0, 400)
+    assert series.pairs[-1] == (400, Fraction(1, 2**400))
+    assert 400 <= len(calls) <= 4 * 400
+
+
+def test_the_soft_limit_warns_once_per_question():
+    half = Fraction(1, 2)
+    questions = [
+        lambda: distance_series(C.all_1(half), C.all_1_rhs(half), 0, 16),
+        lambda: star_equiv_bounded(C.otp_star_lhs(), C.otp_star_rhs(), 8),
+    ]
+    for ask in questions:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ask()
+        assert len(caught) == 1
+        # all1 has k + 1 output wires, the pad 2k: both reach 14 at k = 13
+        # and k = 7, the first size the warning names.
+        assert str(caught[0].message) == (
+            "the map uses 14 wires; expect slow exact arithmetic")
