@@ -48,9 +48,11 @@ def emit_dot(t: Term) -> str:
             suffix = f" [{', '.join(attrs)}]" if attrs else ""
             edges.append(f"  {node} -> {target}{suffix};")
 
-    def walk(term: Term, ins: list, depth: int) -> tuple[list, list]:
+    def walk(term: Term, ins: list, depth: int):
         """Wire a subterm to the front of ``ins``; returns its outputs and
-        the inputs it left unconsumed.
+        the inputs it left unconsumed.  A generator: it yields the
+        arguments of each sub-walk and is sent back its result, so that
+        ``wire`` runs every walk on one stack.
 
         Each entry of ``ins`` stands for one atom and holds a tuple of
         (node, out_port, out_arity) producers.  Star wires entering an
@@ -74,25 +76,25 @@ def emit_dot(t: Term) -> str:
                 edge(src, node, port, n_in)
             outs = [((node, port, n_out),) for port in range(n_out)]
             return outs, ins[n_in:]
-        # A chain nests down its left spine, too deep to recurse on:
-        # walk the spine with a loop, leftmost factor first.
+        # A chain nests down its left spine: walk the spine with a loop,
+        # leftmost factor first, so the stack of walks stays short.
         if isinstance(term, Seq):
             stages = []
             while isinstance(term, Seq):
                 stages.append(term.second)
                 term = term.first
-            outs, rest = walk(term, ins, depth)
+            outs, rest = yield term, ins, depth
             for stage in reversed(stages):
-                outs = walk(stage, outs, depth)[0]
+                outs = (yield stage, outs, depth)[0]
             return outs, rest
         if isinstance(term, Par):
             factors = []
             while isinstance(term, Par):
                 factors.append(term.right)
                 term = term.left
-            outs, rest = walk(term, ins, depth)
+            outs, rest = yield term, ins, depth
             for factor in reversed(factors):
-                more, rest = walk(factor, rest, depth)
+                more, rest = yield factor, rest, depth
                 outs += more
             return outs, rest
         if isinstance(term, TauStar):
@@ -108,7 +110,7 @@ def emit_dot(t: Term) -> str:
                 if width := _atoms(block):
                     body_ins += rest[:1] * width
                     rest = rest[1:]
-            body_outs, _ = walk(term.body, body_ins, depth + 1)
+            body_outs, _ = yield term.body, body_ins, depth + 1
             put("}", depth)
             outs = []
             for block in term.outputs:
@@ -119,11 +121,25 @@ def emit_dot(t: Term) -> str:
             return outs + body_outs, rest
         raise PBCError(f"not a term: {term!r}")
 
+    def wire(term: Term, ins: list) -> list:
+        """The outputs of the whole term: every walk, without recursion."""
+        stack, result = [walk(term, ins, 1)], None
+        while stack:
+            try:
+                sub = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(walk(*sub))
+                result = None
+        return result[0]
+
     ins = []
     for i in range(_atoms(typecheck(t).domain)):
         put(f"i{i} [shape=point];", 1)
         ins.append(((f"i{i}", 0, 1),))
-    outs, _ = walk(t, ins, 1)
+    outs = wire(t, ins)
     for i, entry in enumerate(outs):
         put(f"o{i} [shape=point];", 1)
         edge(entry, f"o{i}", 0, 1)

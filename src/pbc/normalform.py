@@ -23,7 +23,7 @@ from .terms import (
     Id, Seq, Swap, Term, coin, copy_gen, par, phi_case, phi_mix, same_type,
     seq,
 )
-from .semantics import StochMap, bit_string, denote
+from .semantics import Series, StochMap, bit_string, denote
 
 __all__ = [
     "Leaf", "Node", "Tree", "Case", "NormalForm", "WeightedTree",
@@ -164,8 +164,7 @@ def nf_to_term(nf: NormalForm) -> Term:
 
 def decide_equal(f: Term, g: Term) -> bool:
     """Exact semantic equality of two star-free terms of one type."""
-    same_type(f, g)
-    return denote(f).rows == denote(g).rows
+    return Series(same_type(f, g)).difference(f, g) is None
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .terms import (
     Par, PBCError, PBCTypeError, Seq, Term, exact_rational, phi_case,
     phi_mix, same_type, typecheck,
 )
-from .semantics import StochMap, denote
+from .semantics import Series, StochMap, denote
 from .normalform import (
     case_term, nf_to_term, split_last_bit, synthesize_from_map,
 )
@@ -155,7 +155,7 @@ def _check(node: Derivation) -> Fraction:
         if node.bound != 0:
             raise PBCProofError(f"Refl has bound 0, got {node.bound}")
         # The endpoint types were compared above.
-        if denote(lhs).rows != denote(rhs).rows:
+        if Series(jl).difference(lhs, rhs) is not None:
             raise PBCProofError(
                 "Refl endpoints are not semantically equal")
         return node.bound

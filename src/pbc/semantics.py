@@ -248,39 +248,97 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 #
 # A term is compiled into ``_Node``s, at one size at a time.  A node is
 # deterministic (``det`` maps a packed input to its packed output) or
-# stochastic (``kernel`` maps it to ``(den, {output: numerator})``, int
-# numerators summing to the int ``den``).  Coin-free, if-free wiring also
-# keeps its bit selection, so any Seq/Par of wiring fuses into one
-# selection, applied as a few shift/mask groups.  Stochastic Seq and Par
-# nodes memoize their kernels per input value; a kernel of support one is
-# always ``(1, {value: 1})``, and numerators become reduced Fractions only
-# in finished maps.
+# stochastic: its ``memo`` holds its rows by input, each ``(den, {output:
+# numerator})`` with int numerators summing to the int ``den``, and its
+# ``kernel`` computes a missing row.  A kernel is a generator: it reads
+# its children's rows from their memos and yields ``(child, input)`` for
+# a row that is missing, which is sent back to it; a known row costs no
+# round trip through the driver.  One loop, ``_row``, runs the pending
+# kernels on an explicit stack, so no evaluation recurses, however deep
+# the term nests.  A deterministic node calls its parts' functions
+# instead; one nested more than ``_DET_DEPTH`` calls deep becomes a
+# kernel.  Coin-free, if-free wiring also keeps its bit selection, so any
+# Seq/Par of wiring fuses into one selection, applied as a few shift/mask
+# groups.  A row of support one is always ``(1, {value: 1})``, and
+# numerators become reduced Fractions only in finished maps.
+
+# Far below the default recursion limit of 1000, whatever calls the
+# evaluator.
+_DET_DEPTH = 50
+
 
 class _Node:
     """One compiled subterm of type ``n_in`` wires -> ``n_out`` wires.
 
-    Stochastic when ``kernel`` is set, else deterministic.  ``sel`` is
-    set on pure wiring: output bit i, counted from the least significant,
-    is input bit ``sel[i]``; its ``det`` is built on first use, because
-    most wiring only ever fuses into larger wiring.  ``injective`` says
-    that ``det`` never merges two inputs.
+    Stochastic when ``memo`` is set, else deterministic.  ``sel`` is set
+    on pure wiring: output bit i, counted from the least significant, is
+    input bit ``sel[i]``; its ``det`` is built on first use, because most
+    wiring only ever fuses into larger wiring.  ``injective`` says that
+    ``det`` never merges two inputs, and ``depth`` how deep its calls
+    nest.  A coin's memo holds its one row, and it has no kernel.
     """
 
-    __slots__ = ("n_in", "n_out", "sel", "det", "injective", "kernel")
+    __slots__ = ("n_in", "n_out", "sel", "det", "injective", "depth",
+                 "memo", "kernel")
 
     def __init__(self, n_in, n_out, *, sel=None, det=None, injective=False,
-                 kernel=None):
+                 depth=1, kernel=None, memo=None):
         self.n_in = n_in
         self.n_out = n_out
         self.sel = sel  # tuple of input bit positions, or None
         self.det = det  # int -> int
         self.injective = injective
-        self.kernel = kernel  # int -> (den, {output: numerator})
+        self.depth = depth
+        self.kernel = kernel  # int -> generator yielding (node, int)
+        self.memo = {} if kernel is not None else memo  # int -> row
 
     def function(self):
         if self.det is None:
             self.det = _select(self.sel, self.n_in)
         return self.det
+
+
+def _row(node: _Node, x: int) -> tuple:
+    """The row of a node at input x, as ``(den, {output: numerator})``.
+
+    The one evaluation loop: it runs each missing row's kernel on an
+    explicit stack, sends the rows a kernel asks for back to it, and
+    files every finished row in its node's memo.
+    """
+    if node.memo is None:
+        return 1, {node.function()(x): 1}
+    row = node.memo.get(x)
+    if row is not None:
+        return row
+    stack = []
+    run = node.kernel(x)
+    while True:
+        try:
+            child, y = run.send(row)
+        except StopIteration as done:
+            node.memo[x] = row = done.value
+            if not stack:
+                return row
+            node, x, run = stack.pop()
+        else:
+            stack.append((node, x, run))
+            node, x, run, row = child, y, child.kernel(y), None
+
+
+def _as_kernel(node: _Node) -> _Node:
+    """A deterministic node as a stochastic one, of support one."""
+    det = node.function()
+
+    def kernel(x):
+        return 1, {det(x): 1}
+        yield  # a generator, as every kernel is
+
+    return _Node(node.n_in, node.n_out, kernel=kernel)
+
+
+def _shallow(node: _Node) -> _Node:
+    """The node, or its kernel when its calls nest too deep."""
+    return _as_kernel(node) if node.depth > _DET_DEPTH else node
 
 
 def _select(sel: tuple, n_in: int):
@@ -327,20 +385,24 @@ def _support_error(size: int, cap: int) -> WireLimitError:
         f"limit of {cap} (2^PBC_MAX_WIRES; set PBC_MAX_WIRES to raise it)")
 
 
-def _push(den: int, dist: dict, kernel, cap: int):
-    """Push a distribution of support two or more through a kernel.
+def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
+    """The row of a mixture: each part ``(n, hi, (d, row))`` is the row
+    taken with weight n / den, with ``hi`` or-ed into its outputs and
+    ``push``, when given, applied to them.
 
-    The kernels met are brought to one common denominator, so every
-    weight is an int product and no gcd runs per entry.
+    The rows are brought to one common denominator, so every weight is
+    an int product and no gcd runs per entry.
     """
-    parts = [(n, kernel(v)) for v, n in dist.items()]
-    scale = math.lcm(*{d for _, (d, _) in parts})
+    scale = math.lcm(*{d for _, _, (d, _) in parts})
     out: dict = {}
     get = out.get
-    for n, (d, k) in parts:
+    for n, hi, (d, row) in parts:
         if d != scale:
             n *= scale // d
-        for y, m in k.items():
+        for y, m in row.items():
+            y |= hi
+            if push is not None:
+                y = push(y)
             out[y] = get(y, 0) + n * m
         if len(out) > cap:
             raise _support_error(len(out), cap)
@@ -383,25 +445,9 @@ def _compose(nodes: list) -> _Node:
         for fn in fns:
             x = fn(x)
         return x
-    return _Node(fused[0].n_in, fused[-1].n_out, det=det,
-                 injective=all(n.injective for n in fused))
-
-
-def _wiring_sel(term: Term) -> tuple:
-    """The bit selection of a star-free wiring term."""
-    return _Compiler(1).node(term).sel
-
-
-def _dirac_kernel(x):
-    return 1, {x: 1}
-
-
-def _row_kernel(node: _Node):
-    """The node's kernel; a deterministic node gives rows of support one."""
-    if node.kernel is not None:
-        return node.kernel
-    det = node.function()
-    return lambda x: (1, {det(x): 1})
+    return _shallow(_Node(fused[0].n_in, fused[-1].n_out, det=det,
+                          injective=all(n.injective for n in fused),
+                          depth=1 + max(n.depth for n in fused)))
 
 
 class _Loop:
@@ -409,21 +455,20 @@ class _Loop:
     tau^(n+1) = pop ; (body x id) ; (id x tau^n) ; push with tau^0 the
     identity on the state.
 
-    Level n holds tau^n memoized per input value, and the pop and push
-    selections (None when the identity) that peel and file its front
-    elements.  No level depends on the size the loop runs at, so a loop
-    kept from one size to the next only adds the levels it lacks.  A
-    call walks down the levels collecting the inputs each level needs
-    from the next, then back up combining them, so no recursion runs k
-    deep.
+    Level n is a stochastic node for tau^n.  Its kernel pops the front
+    elements, runs the body on them, asks level n - 1 for each
+    continuation and pushes the outputs; pop and push are selections,
+    left out when the identity.  No level depends on the size the loop
+    runs at, so a loop kept from one size to the next only adds the
+    levels it lacks.
     """
 
-    __slots__ = ("body_kernel", "sw", "a", "b", "in_words", "out_words",
-                 "cap", "memos", "pops", "pushes")
+    __slots__ = ("body", "sw", "a", "b", "in_words", "out_words", "cap",
+                 "levels")
 
-    def __init__(self, body_kernel, sw: int, ins: tuple, outs: tuple,
+    def __init__(self, body: _Node, sw: int, ins: tuple, outs: tuple,
                  cap: int):
-        self.body_kernel = body_kernel
+        self.body = body if body.memo is not None else _as_kernel(body)
         self.sw, self.a, self.b = sw, sum(ins), sum(outs)
         # Pop and push are the wiring tau_k_expand uses, over Boolean
         # words; with at most one nonempty stream they are the identity.
@@ -432,96 +477,48 @@ class _Loop:
         self.out_words = (tuple(bools(w) for w in outs)
                           if sum(1 for w in outs if w) > 1 else None)
         self.cap = cap
-        self.memos = [None]
-        self.pops = [None]
-        self.pushes = [None]
+        self.levels = [_as_kernel(_wiring(sw, tuple(range(sw))))]
+
+    def level(self, k: int) -> _Node:
+        """The node of tau^k."""
+        while len(self.levels) <= k:
+            self._add_level()
+        return self.levels[k]
 
     def _add_level(self) -> None:
-        n, sw = len(self.memos), self.sw
-        self.memos.append({})
+        n, sw, a, b, cap = (len(self.levels), self.sw, self.a, self.b,
+                            self.cap)
+        # Both are star-free wiring, so they compile to one selection.
         pop = push = None
         if self.in_words:
             wiring = par(Id(bools(sw)), pop_term(self.in_words, n - 1))
-            pop = _select(_wiring_sel(wiring), sw + n * self.a)
+            pop = _Compiler(1).node(wiring).function()
         if self.out_words:
             wiring = par(push_term(self.out_words, n - 1), Id(bools(sw)))
-            push = _select(_wiring_sel(wiring), n * self.b + sw)
-        self.pops.append(pop)
-        self.pushes.append(push)
-
-    def kernel(self, k: int):
-        """The kernel of tau^k, for k >= 1."""
-        while len(self.memos) <= k:
-            self._add_level()
-        body_kernel, sw, a, b, cap = (self.body_kernel, self.sw, self.a,
-                                      self.b, self.cap)
-        memos, pops, pushes = self.memos, self.pops, self.pushes
-        top = memos[k]
+            push = _Compiler(1).node(wiring).function()
+        body, below = self.body, self.levels[-1]
+        body_rows, below_rows = body.memo, below.memo
+        r_bits = (n - 1) * a
+        r_mask = (1 << r_bits) - 1
         s_mask = (1 << sw) - 1
+        c_bits = (n - 1) * b + sw
 
-        def kernel(x):
-            hit = top.get(x)
-            if hit is not None:
-                return hit
-            # Down: peel the front elements and run the body on them.
-            plan = []
-            frontier = (x,)
-            for n in range(k, 0, -1):
-                r_bits = (n - 1) * a
-                r_mask = (1 << r_bits) - 1
-                pop = pops[n]
-                below = memos[n - 1] if n > 1 else None
-                steps = []
-                wanted = set()
-                for v in frontier:
-                    y = pop(v) if pop else v
-                    den, dist = body_kernel(y >> r_bits)
-                    r = y & r_mask
-                    items = [(o >> sw, ((o & s_mask) << r_bits) | r, m)
-                             for o, m in dist.items()]
-                    steps.append((v, den, items))
-                    if below is not None:
-                        wanted.update(c for _, c, _ in items if c not in below)
-                plan.append((n, steps))
-                if not wanted:
-                    break
-                frontier = wanted
-            # Up: combine each body outcome with tau^(n-1) of what follows.
-            for n, steps in reversed(plan):
-                memo = memos[n]
-                child = memos[n - 1].__getitem__ if n > 1 else _dirac_kernel
-                c_bits = (n - 1) * b + sw
-                push = pushes[n]
-                for v, den, items in steps:
-                    if len(items) == 1:
-                        ((o, c, _),) = items
-                        den, dist = child(c)
-                        hi = o << c_bits
-                        if push:
-                            dist = {push(hi | y): m for y, m in dist.items()}
-                        elif hi:
-                            dist = {hi | y: m for y, m in dist.items()}
-                        memo[v] = (den, dist)
-                        continue
-                    parts = [(o << c_bits, m, child(c)) for o, c, m in items]
-                    scale = math.lcm(*{d for _, _, (d, _) in parts})
-                    out: dict = {}
-                    get = out.get
-                    for hi, m, (d, dist) in parts:
-                        if d != scale:
-                            m *= scale // d
-                        for y, w in dist.items():
-                            y |= hi
-                            if push:
-                                y = push(y)
-                            out[y] = get(y, 0) + m * w
-                        if len(out) > cap:
-                            raise _support_error(len(out), cap)
-                    memo[v] = ((1, dict.fromkeys(out, 1)) if len(out) == 1
-                               else (den * scale, out))
-            return top[x]
+        def kernel(v):
+            y = pop(v) if pop else v
+            e = y >> r_bits
+            row = body_rows.get(e)
+            den, dist = row if row is not None else (yield body, e)
+            r = y & r_mask
+            parts = []
+            for o, m in dist.items():
+                c = ((o & s_mask) << r_bits) | r
+                row = below_rows.get(c)
+                if row is None:
+                    row = yield below, c
+                parts.append((m, (o >> sw) << c_bits, row))
+            return _mix(den, parts, cap, push)
 
-        return kernel
+        self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))
 
 
 class _Compiler:
@@ -588,7 +585,7 @@ class _Compiler:
         if isinstance(term, Seq):
             return self._seq(nodes), free
         # Pairwise into a balanced tree: a chain of n factors nests log n
-        # deep, so its kernels stay shallow.
+        # deep, so its functions and the driver's stack stay shallow.
         while len(nodes) > 1:
             pairs = [self._par(f, g) for f, g in zip(nodes[::2], nodes[1::2])]
             nodes = pairs + nodes[2 * len(pairs):]
@@ -604,11 +601,10 @@ class _Compiler:
         _, body, free = self.nodes[id(term.body)]
         kept = self.loops.get(id(term)) if free else None
         if kept is None:
-            kept = (term, _Loop(_row_kernel(body), sw, ins, outs, self.cap))
+            kept = (term, _Loop(body, sw, ins, outs, self.cap))
             if free:
                 self.loops[id(term)] = kept
-        return _Node(sw + k * sum(ins), k * sum(outs) + sw,
-                     kernel=kept[1].kernel(k))
+        return kept[1].level(k)
 
     def _gen(self, term: Gen) -> _Node:
         if term.kind == COIN:
@@ -616,8 +612,9 @@ class _Compiler:
             if p.denominator == 1:
                 value = p.numerator
                 return _Node(0, 1, det=lambda x: value, injective=True)
-            k = (p.denominator, {1: p.numerator, 0: p.denominator - p.numerator})
-            return _Node(0, 1, kernel=lambda x: k)
+            row = (p.denominator,
+                   {1: p.numerator, 0: p.denominator - p.numerator})
+            return _Node(0, 1, memo={0: row})
         w = width(term.at)
         if term.kind == COPY:
             return _wiring(w, tuple(range(w)) * 2)
@@ -630,32 +627,37 @@ class _Compiler:
     def _seq(self, nodes: list) -> _Node:
         # Runs of deterministic stages compose into one stage each.
         stages = []
-        for det, run in groupby(nodes, key=lambda n: n.kernel is None):
+        for det, run in groupby(nodes, key=lambda n: n.memo is None):
             if det:
                 stages.append(_compose(list(run)))
             else:
                 stages.extend(run)
         if len(stages) == 1:
             return stages[0]
-        steps = tuple((None, False, s.kernel) if s.kernel else
-                      (s.function(), s.injective, None) for s in stages)
+        steps = tuple((None, False, s, s.memo) if s.memo is not None else
+                      (s.function(), s.injective, None, None)
+                      for s in stages)
         cap = self.cap
-        memo: dict = {}
 
         def kernel(x):
-            hit = memo.get(x)
-            if hit is not None:
-                return hit
             den, dist = 1, {x: 1}
-            for det, injective, ker in steps:
+            for det, injective, child, rows in steps:
                 if len(dist) == 1:
                     (v,) = dist
                     if det is not None:
                         dist = {det(v): 1}
                     else:
-                        den, dist = ker(v)
+                        row = rows.get(v)
+                        den, dist = (row if row is not None
+                                     else (yield child, v))
                 elif det is None:
-                    den, dist = _push(den, dist, ker, cap)
+                    parts = []
+                    for v, n in dist.items():
+                        row = rows.get(v)
+                        if row is None:
+                            row = yield child, v
+                        parts.append((n, 0, row))
+                    den, dist = _mix(den, parts, cap)
                 elif injective:
                     dist = {det(v): n for v, n in dist.items()}
                 else:
@@ -666,8 +668,7 @@ class _Compiler:
                     if len(out) == 1:
                         den, out = 1, dict.fromkeys(out, 1)
                     dist = out
-            memo[x] = hit = (den, dist)
-            return hit
+            return den, dist
 
         return _Node(stages[0].n_in, stages[-1].n_out, kernel=kernel)
 
@@ -677,46 +678,42 @@ class _Compiler:
         if f.sel is not None and g.sel is not None:
             return _wiring(n_in, g.sel + tuple(s + g_in for s in f.sel))
         g_mask = (1 << g_in) - 1
-        fk, gk = f.kernel, g.kernel
-        fd = None if fk else f.function()
-        gd = None if gk else g.function()
+        f_rows, g_rows = f.memo, g.memo
+        fd = None if f_rows is not None else f.function()
+        gd = None if g_rows is not None else g.function()
         if fd is not None and gd is not None:
-            return _Node(n_in, n_out,
-                         det=lambda x: (fd(x >> g_in) << g_out) | gd(x & g_mask),
-                         injective=f.injective and g.injective)
+            return _shallow(_Node(
+                n_in, n_out,
+                det=lambda x: (fd(x >> g_in) << g_out) | gd(x & g_mask),
+                injective=f.injective and g.injective,
+                depth=1 + max(f.depth, g.depth)))
         cap = self.cap
-        memo: dict = {}
 
         def kernel(x):
-            hit = memo.get(x)
-            if hit is not None:
-                return hit
+            u, v = x >> g_in, x & g_mask
             if fd is not None:
-                hi = fd(x >> g_in) << g_out
-                den, k = gk(x & g_mask)
-                hit = (den, {hi | v: n for v, n in k.items()}) if hi else (den, k)
-            elif gd is not None:
-                lo = gd(x & g_mask)
-                den, k = fk(x >> g_in)
-                hit = (den, {(u << g_out) | lo: n for u, n in k.items()})
+                df, kf = 1, {fd(u): 1}
             else:
-                df, kf = fk(x >> g_in)
-                dg, kg = gk(x & g_mask)
-                if len(kf) == 1:
-                    (u,) = kf
-                    hi = u << g_out
-                    hit = (dg, {hi | v: m for v, m in kg.items()})
-                elif len(kg) == 1:
-                    (lo,) = kg
-                    hit = (df, {(u << g_out) | lo: n for u, n in kf.items()})
-                else:
-                    if len(kf) * len(kg) > cap:
-                        raise _support_error(len(kf) * len(kg), cap)
-                    hit = (df * dg, {(u << g_out) | v: n * m
-                                     for u, n in kf.items()
-                                     for v, m in kg.items()})
-            memo[x] = hit
-            return hit
+                row = f_rows.get(u)
+                df, kf = row if row is not None else (yield f, u)
+            if gd is not None:
+                dg, kg = 1, {gd(v): 1}
+            else:
+                row = g_rows.get(v)
+                dg, kg = row if row is not None else (yield g, v)
+            if len(kf) == 1:
+                (u,) = kf
+                if not u:
+                    return dg, kg
+                hi = u << g_out
+                return dg, {hi | v: m for v, m in kg.items()}
+            if len(kg) == 1:
+                (lo,) = kg
+                return df, {(u << g_out) | lo: n for u, n in kf.items()}
+            if len(kf) * len(kg) > cap:
+                raise _support_error(len(kf) * len(kg), cap)
+            return df * dg, {(u << g_out) | v: n * m
+                             for u, n in kf.items() for v, m in kg.items()}
 
         return _Node(n_in, n_out, kernel=kernel)
 
@@ -768,15 +765,14 @@ class Series:
         """The stochastic map of a term of this type at size k."""
         n_in = self._at(k)
         node = self._compiler.node(term)
-        n_out = node.n_out
-        if node.kernel is None:
+        if node.memo is None:
             det = node.function()
-            return StochMap(n_in, n_out,
+            return StochMap(n_in, node.n_out,
                             tuple({det(x): ONE} for x in range(1 << n_in)))
         weights: dict = {}  # den -> {numerator: Fraction}, shared by all rows
         rows = []
         for x in range(1 << n_in):
-            den, dist = node.kernel(x)
+            den, dist = _row(node, x)
             known = weights.setdefault(den, {})
             row = {}
             for y, n in dist.items():
@@ -785,20 +781,19 @@ class Series:
                     p = known[n] = Fraction(n, den)
                 row[y] = p
             rows.append(row)
-        return StochMap(n_in, n_out, tuple(rows))
+        return StochMap(n_in, node.n_out, tuple(rows))
 
-    def _kernels(self, f: Term, g: Term, k: int | None):
+    def _nodes(self, f: Term, g: Term, k: int | None):
         n_in = self._at(k)
-        return (n_in, _row_kernel(self._compiler.node(f)),
-                _row_kernel(self._compiler.node(g)))
+        return n_in, self._compiler.node(f), self._compiler.node(g)
 
     def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
         """The hom distance of two terms at size k: the largest total
         variation distance over the input rows."""
-        n_in, fk, gk = self._kernels(f, g, k)
+        n_in, fn, gn = self._nodes(f, g, k)
         best = ZERO
         for x in range(1 << n_in):
-            d = _tv(*fk(x), *gk(x))
+            d = _tv(*_row(fn, x), *_row(gn, x))
             if d > best:
                 best = d
         return best
@@ -807,10 +802,10 @@ class Series:
         """The first input where two terms part ways at size k, as
         ``(input, input width, row of f, row of g)`` with Fraction
         weights; None when they denote the same map."""
-        n_in, fk, gk = self._kernels(f, g, k)
+        n_in, fn, gn = self._nodes(f, g, k)
         for x in range(1 << n_in):
-            da, a = fk(x)
-            db, b = gk(x)
+            da, a = _row(fn, x)
+            db, b = _row(gn, x)
             if not _same_row(da, a, db, b):
                 return x, n_in, _fractions(da, a), _fractions(db, b)
         return None

@@ -207,17 +207,24 @@ _PAR_DONE = object()
 _LOOP_DONE = object()  # below it: the iteration's normalized objects
 
 
-def typecheck(term: Term) -> TypeJudgement:
+def typecheck(term: Term, known: dict | None = None) -> TypeJudgement:
     """Compute the type of a term, raising PBCTypeError on mismatch.
 
     One post-order loop over an explicit stack, so a chain of any length
     checks without recursion; subterms are checked left to right.
+    ``known`` maps the ids of terms already judged to their judgements,
+    which their occurrences inside ``term`` reuse without a walk.
     """
     judged: list[tuple] = []  # (domain, codomain) of the judged subterms
     todo: list = [term]
     loops = False
     while todo:
         t = todo.pop()
+        if known and id(t) in known:
+            j = known[id(t)]
+            judged.append((j.domain, j.codomain))
+            loops = loops or j.iterates
+            continue
         cls = t.__class__
         if cls is Id:
             o = object_normalize(t.obj)

@@ -77,6 +77,30 @@ def test_a_three_thousand_factor_tensor_evaluates_and_compares(
     assert run(capsys, "eq", str(src), str(src)) == (0, "EQUAL\n", "")
 
 
+@pytest.mark.parametrize("first, step, rows, boxes", [
+    ("coin(1/2)", "({} x coin(1/2)) ; (id<B> x del<B>)",
+     "-\t0\t1/2\n-\t1\t1/2\n", 2),
+    ("coin(0)", "({} x coin(0)) ; (id<B> x del<B>)", "-\t0\t1/1\n", 2),
+    ("coin(1)", "({} x coin(1) x coin(0)) ; if<B>", "-\t1\t1/1\n", 3),
+], ids=["stochastic", "constant-coin", "if"])
+def test_a_let_chain_nested_past_the_recursion_limit_runs(
+        capsys, tmp_path, first, step, rows, boxes):
+    # Each binding nests the one before under another ; and x, 1500
+    # deep, which no evaluation and no walk may recurse along.
+    lines = [f"let a0 = {first}"]
+    lines += [f"let a{i} = " + step.format(f"a{i - 1}")
+              for i in range(1, 1500)]
+    src = tmp_path / "chain.pbc"
+    src.write_text("\n".join(lines + ["main = a1499"]) + "\n")
+    assert run(capsys, "eval", str(src)) == (
+        0, "in\tout\tprob\n" + rows, "")
+    assert run(capsys, "eq", str(src), str(src)) == (0, "EQUAL\n", "")
+    assert run(capsys, "dist", str(src), str(src)) == (0, "0/1\n", "")
+    code, out, err = run(capsys, "dot", str(src))
+    assert (code, err) == (0, "")
+    assert out.count("[label=") == 1 + boxes * 1499
+
+
 def test_stars_nest_two_hundred_levels_deep(capsys, tmp_path):
     src = tmp_path / "stars.pbc"
     src.write_text("main = id<B" + "^*" * 200 + ">\n")

@@ -20,6 +20,7 @@ from pbc import (
     denote,
     hom_distance,
     nf_to_term,
+    normalize,
     par,
     phi_gen,
     phi_p,
@@ -184,6 +185,21 @@ def test_synthesis_past_support_512_under_the_default_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert d.bound == Fraction(1, 6) == exact_distance(f, g)
+
+
+def test_a_nine_coin_normal_form_spine_under_the_default_recursion_limit():
+    # The spine nests one mixture per support entry, 512 deep.
+    coins = par(*[coin("1/2")] * 9)
+    spine = nf_to_term(normalize(coins))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        spine_map = denote(spine)
+        bound = check_derivation(Derivation(REFL, (spine, coins), 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert spine_map.rows == denote(coins).rows
+    assert bound == 0
 
 
 def test_a_case_node_is_built_around_its_premises_endpoints():

@@ -116,19 +116,24 @@ def test_random_loops(sw, ins, outs, salt):
 
 
 def test_a_von_neumann_series_runs_each_level_once(monkeypatch):
-    # Size k + 1 adds one level on top of the kept ones, so the body runs
-    # at most once per (level, state): four two-bit states over 400
-    # levels, where evaluating every size afresh runs it 400^2 / 2 times.
+    # Size k + 1 adds one level on top of the kept ones, so each level's
+    # kernel runs at most once per state: four two-bit states over 400
+    # levels, where evaluating every size afresh runs them 400^2 / 2
+    # times.
     calls = []
 
     class CountingLoop(semantics._Loop):
         __slots__ = ()
 
-        def __init__(self, body_kernel, *rest):
+        def _add_level(self):
+            super()._add_level()
+            node = self.levels[-1]
+            kernel = node.kernel
+
             def counted(v):
                 calls.append(v)
-                return body_kernel(v)
-            super().__init__(counted, *rest)
+                return kernel(v)
+            node.kernel = counted
 
     monkeypatch.setattr(semantics, "_Loop", CountingLoop)
     series = distance_series(C.vn_lhs(Fraction(3, 4)), C.vn_rhs(), 0, 400)

@@ -297,6 +297,30 @@ def test_bindings_resolve_in_order():
     assert f.rows[0][0] == f.rows[0][1]
 
 
+def test_let_chains_typecheck_in_linear_time(monkeypatch):
+    # A statement reuses the judgements of the bindings it names, so the
+    # leaves judged grow with the chain, not with its square.
+    import pbc.terms
+    judged = []
+    leaf_type = pbc.terms._leaf_type
+
+    def counted(term):
+        judged.append(term)
+        return leaf_type(term)
+
+    monkeypatch.setattr(pbc.terms, "_leaf_type", counted)
+
+    def leaves(n):
+        lines = ["let a0 = coin(1/2)"]
+        lines += [f"let a{i} = (a{i - 1} x coin(1/2)) ; (id<B> x del<B>)"
+                  for i in range(1, n)]
+        judged.clear()
+        parse_circuit("\n".join(lines + [f"main = a{n - 1}"]))
+        return len(judged)
+
+    assert leaves(200) <= 2 * leaves(100) + 1
+
+
 def test_coin_bias_rejects_floats():
     # Fraction(0.1) would silently be 3602879701896397/36028797018963968.
     with pytest.raises(TypeError, match="float"):
