@@ -33,7 +33,7 @@ from .iteration import K_TEST, EqualUpTo, star_equiv_bounded
 from .normalform import decide_equal, nf_pretty, normalize
 from .parser import parse_circuit
 from .semantics import Series, StochMap, bit_string, denote, map_to_tsv
-from .terms import PBCError, typecheck
+from .terms import PBCError, same_type, typecheck
 
 __all__ = ["main"]
 
@@ -92,7 +92,7 @@ def _load_pair(args):
     if js != jt:
         raise PBCError(
             f"type mismatch: {args.left} is {js} but {args.right} is {jt}")
-    return s, t, jt if jt.iterates else js
+    return s, t, same_type(s, t)
 
 
 def _dec(x: Fraction) -> str:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .objects import (
-    UNIT, B, Object, bools, is_star_free, object_normalize, star, tensor,
+    UNIT, B, BoolAtom, Object, Star, bools, is_star_free, object_normalize,
+    star, tensor,
 )
 from .terms import (
     Id, Swap, TauStar, Term,
@@ -72,35 +73,81 @@ def lazy_flip(p) -> Term:
 # loop that applies the inner circuit elementwise, and longer words split
 # off their first atom and re-interleave.
 
-def _split_word(obj: Object):
-    head = object_normalize((obj[0],))
-    rest = object_normalize(obj[1:])
-    return head, rest
+def _star_lifted(obj: Object, at_word, at_star, at_split) -> Term:
+    """A derived circuit at ``obj``: ``at_word(w)`` at a star-free word
+    ``w``, ``at_star(a, inner, t)`` at a word ``a`` of one starred atom
+    whose inner circuit is ``t``, and ``at_split(head, rest, th, tr)`` at
+    a longer word, from the circuits at its first atom and at the rest.
+
+    A word splits until its rest is star-free or one atom.  Inner words
+    are built first, off an explicit stack, and each word's splits are
+    folded right to left, so neither deep stars nor long words recurse.
+    """
+    obj = object_normalize(obj)
+    built: dict = {}  # word -> its circuit
+
+    def part(w: Object) -> Term:  # a star-free word or one starred atom
+        if is_star_free(w):
+            return at_word(w)
+        return at_star(w, w[0].inner, built[w[0].inner])
+
+    todo = [obj]
+    while todo:
+        word = todo.pop()
+        inners = {a.inner for a in word if isinstance(a, Star)} - built.keys()
+        if inners:
+            todo += (word, *inners)  # the inner circuits come first
+        elif is_star_free(word) or len(word) == 1:
+            built[word] = part(word)
+        else:
+            base = len(word)  # where the star-free tail starts
+            while isinstance(word[base - 1], BoolAtom):
+                base -= 1
+            base = min(base, len(word) - 1)  # the tail, else the last atom
+            term = part(word[base:])
+            for i in reversed(range(base)):
+                head = word[i:i + 1]
+                term = at_split(head, word[i + 1:], part(head), term)
+            built[word] = term
+    return built[obj]
 
 
 def copy_at(obj: Object) -> Term:
-    obj = object_normalize(obj)
-    if is_star_free(obj):
-        return copy_gen(obj)
-    if len(obj) == 1:
-        inner = obj[0].inner
-        return TauStar(UNIT, (inner,), (inner, inner), copy_at(inner))
-    head, rest = _split_word(obj)
-    return seq(
-        par(copy_at(head), copy_at(rest)),
-        permute_blocks([head, head, rest, rest], [0, 2, 1, 3]),
-    )
+    return _star_lifted(
+        obj, copy_gen,
+        lambda a, inner, t: TauStar(UNIT, (inner,), (inner, inner), t),
+        lambda head, rest, th, tr: seq(
+            par(th, tr),
+            permute_blocks([head, head, rest, rest], [0, 2, 1, 3])))
 
 
 def discard_at(obj: Object) -> Term:
-    obj = object_normalize(obj)
-    if is_star_free(obj):
-        return discard_gen(obj)
-    if len(obj) == 1:
-        inner = obj[0].inner
-        return TauStar(UNIT, (inner,), (), discard_at(inner))
-    head, rest = _split_word(obj)
-    return par(discard_at(head), discard_at(rest))
+    return _star_lifted(
+        obj, discard_gen,
+        lambda a, inner, t: TauStar(UNIT, (inner,), (), t),
+        lambda head, rest, th, tr: par(th, tr))
+
+
+def _phi_star(a: Object, inner: Object, t: Term) -> Term:
+    body = seq(
+        par(copy_gen(B), Id(tensor(inner, inner))),
+        permute_blocks([B, B, inner, inner], [2, 0, 3, 1]),
+        par(t, Id(B)),
+    )
+    return seq(
+        permute_blocks([a, B, a], [1, 0, 2]),
+        TauStar(B, (inner, inner), (inner,), body),
+        par(Id(a), discard_gen(B)),
+    )
+
+
+def _phi_split(head: Object, rest: Object, th: Term, tr: Term) -> Term:
+    return seq(
+        par(Id(tensor(head, rest)), copy_gen(B), Id(tensor(head, rest))),
+        permute_blocks([head, rest, B, B, head, rest],
+                       [0, 2, 4, 1, 3, 5]),
+        par(th, tr),
+    )
 
 
 def phi_at(obj: Object) -> Term:
@@ -109,28 +156,7 @@ def phi_at(obj: Object) -> Term:
     At a starred atom the single condition bit rides along as loop state,
     steering every element pair; it is discarded once the loop ends.
     """
-    obj = object_normalize(obj)
-    if is_star_free(obj):
-        return phi_gen(obj)
-    if len(obj) == 1:
-        inner = obj[0].inner
-        body = seq(
-            par(copy_gen(B), Id(tensor(inner, inner))),
-            permute_blocks([B, B, inner, inner], [2, 0, 3, 1]),
-            par(phi_at(inner), Id(B)),
-        )
-        return seq(
-            permute_blocks([obj, B, obj], [1, 0, 2]),
-            TauStar(B, (inner, inner), (inner,), body),
-            par(Id(obj), discard_gen(B)),
-        )
-    head, rest = _split_word(obj)
-    return seq(
-        par(Id(tensor(head, rest)), copy_gen(B), Id(tensor(head, rest))),
-        permute_blocks([head, rest, B, B, head, rest],
-                       [0, 2, 4, 1, 3, 5]),
-        par(phi_at(head), phi_at(rest)),
-    )
+    return _star_lifted(obj, phi_gen, _phi_star, _phi_split)
 
 
 def phi_p_at(obj: Object, p) -> Term:

@@ -97,32 +97,50 @@ def instantiate_object(k: int, obj: Object) -> Object:
     return tensor(*out)
 
 
+_DONE = object()  # stack marker: the composite below it has its parts
+
+
 def instantiate(k: int, term: Term) -> Term:
     """Unroll every loop in ``term`` at size k.
 
     The result is star-free whenever the original typechecks, and equals
-    the original term when that is already star-free.
+    the original term when that is already star-free.  One post-order
+    loop over an explicit stack builds it, so nesting of any depth
+    unrolls without recursion.
     """
     if k < 0:
         raise ValueError(f"negative instantiation size {k}")
-    if isinstance(term, Id):
-        return Id(instantiate_object(k, term.obj))
-    if isinstance(term, Gen):
-        return term  # typecheck keeps generators at star-free words
-    if isinstance(term, Swap):
-        return Swap(instantiate_object(k, term.left),
-                    instantiate_object(k, term.right))
-    if isinstance(term, Seq):
-        return Seq(instantiate(k, term.first), instantiate(k, term.second))
-    if isinstance(term, Par):
-        return Par(instantiate(k, term.left), instantiate(k, term.right))
-    if isinstance(term, TauStar):
-        spec = TupleSpec(
-            instantiate_object(k, term.state),
-            tuple(instantiate_object(k, b) for b in term.inputs),
-            tuple(instantiate_object(k, b) for b in term.outputs))
-        return tau_k_expand(k, spec, instantiate(k, term.body))
-    raise PBCError(f"not a term: {term!r}")
+    built: list = []  # the instantiated subterms, left to right
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        if t is _DONE:
+            t = todo.pop()
+            if isinstance(t, TauStar):
+                spec = TupleSpec(
+                    instantiate_object(k, t.state),
+                    tuple(instantiate_object(k, b) for b in t.inputs),
+                    tuple(instantiate_object(k, b) for b in t.outputs))
+                built[-1] = tau_k_expand(k, spec, built[-1])
+            else:
+                second = built.pop()
+                built[-1] = type(t)(built[-1], second)
+        elif isinstance(t, Id):
+            built.append(Id(instantiate_object(k, t.obj)))
+        elif isinstance(t, Gen):
+            built.append(t)  # typecheck keeps generators at star-free words
+        elif isinstance(t, Swap):
+            built.append(Swap(instantiate_object(k, t.left),
+                              instantiate_object(k, t.right)))
+        elif isinstance(t, Seq):
+            todo += (t, _DONE, t.second, t.first)
+        elif isinstance(t, Par):
+            todo += (t, _DONE, t.right, t.left)
+        elif isinstance(t, TauStar):
+            todo += (t, _DONE, t.body)
+        else:
+            raise PBCError(f"not a term: {t!r}")
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,9 @@ def object_normalize(obj: Object) -> Object:
     for atom in obj:
         if isinstance(atom, Star):
             inner = object_normalize(atom.inner)
-            if inner != UNIT:
+            if inner == atom.inner:
+                out.append(atom)  # already normal: no copy
+            elif inner != UNIT:
                 out.append(Star(inner))
         elif isinstance(atom, BoolAtom):
             out.append(atom)

@@ -29,8 +29,7 @@ from fractions import Fraction
 from .objects import B, UNIT, Object, Star, is_star_free, power, star, tensor
 from .terms import (
     COPY, DISCARD, GEN_NAMES, PHI, Id, PBCError, PBCTypeError, Seq, Par,
-    Swap, TauStar, Term, TypeJudgement, coin, copy_gen, discard_gen,
-    phi_gen, typecheck,
+    Swap, TauStar, Term, coin, copy_gen, discard_gen, phi_gen, typecheck,
 )
 from .combinators import (
     and_gate, copy_at, discard_at, eq_bit, not_gate, phi_at, xor_gate,
@@ -343,9 +342,6 @@ def parse_circuit(source: str) -> Term:
     if not (p.at_word("let") or p.at_word("main")):
         return p.end(p.term())
     main: Term | None = None
-    # The judgements of the bound terms, by id; the bindings keep them
-    # alive, so later statements reuse them instead of walking them.
-    judged: dict = {}
     while p.peek().kind != "eof":
         t = p.peek()
         if p.at_word("let"):
@@ -363,7 +359,7 @@ def parse_circuit(source: str) -> Term:
             p.next()
             p.expect_sym("=")
             term = p.term()
-            judged[id(term)] = _check_stmt(term, f"let {name}", t, judged)
+            _check_stmt(term, f"let {name}", t)
             p.bindings[name] = term
         elif p.at_word("main"):
             if main is not None:
@@ -371,7 +367,7 @@ def parse_circuit(source: str) -> Term:
             p.next()
             p.expect_sym("=")
             main = p.term()
-            _check_stmt(main, "main", t, judged)
+            _check_stmt(main, "main", t)
         else:
             p.fail("expected 'let' or 'main'")
     if main is None:
@@ -380,9 +376,8 @@ def parse_circuit(source: str) -> Term:
     return main
 
 
-def _check_stmt(term: Term, what: str, at: _Tok,
-                known: dict) -> TypeJudgement:
+def _check_stmt(term: Term, what: str, at: _Tok) -> None:
     try:
-        return typecheck(term, known)
+        typecheck(term)
     except PBCTypeError as err:
         raise PBCSyntaxError(f"in {what}: {err}", at.line, at.col) from err

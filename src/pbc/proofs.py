@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from .objects import bools
 from .terms import (
-    Par, PBCError, PBCTypeError, Seq, Term, exact_rational, phi_case,
-    phi_mix, same_type, typecheck,
+    Par, PBCError, PBCTypeError, Seq, Term, TypeJudgement, exact_rational,
+    phi_case, phi_mix, same_type, typecheck,
 )
 from .semantics import Series, StochMap, denote
 from .normalform import (
@@ -125,7 +125,9 @@ class Derivation:
         return self.endpoints[1]
 
 
-def _check(node: Derivation) -> Fraction:
+def _check_node(node: Derivation) -> TypeJudgement:
+    """The checks a node passes before its premises are checked; the
+    judgement of its endpoints."""
     if not isinstance(node, Derivation):
         raise PBCProofError(f"not a derivation: {node!r}")
     lhs, rhs = node.endpoints
@@ -142,8 +144,12 @@ def _check(node: Derivation) -> Fraction:
         raise PBCProofError(f"negative bound {node.bound}")
     if node.rule != PHI_MIX and node.param is not None:
         raise PBCProofError(f"{node.rule} carries no parameter")
+    return jl
 
-    sub = [_check(p) for p in node.premises]
+
+def _check_rule(node: Derivation, jl: TypeJudgement, sub: list) -> Fraction:
+    """The node's rule schema, given its premises' checked bounds."""
+    lhs, rhs = node.endpoints
 
     def arity(n: int) -> None:
         if len(node.premises) != n:
@@ -248,6 +254,9 @@ def _check(node: Derivation) -> Fraction:
     raise PBCProofError(f"unknown rule: {node.rule!r}")
 
 
+_DONE = object()  # stack marker: the node below it has checked premises
+
+
 def check_derivation(d: Derivation) -> Fraction:
     """Validate every node of a derivation and return the root bound.
 
@@ -256,7 +265,19 @@ def check_derivation(d: Derivation) -> Fraction:
     guarantees that the endpoint denotations are within the root bound
     in hom distance.
     """
-    return _check(d)
+    bounds: list = []  # the checked bounds, in post-order
+    todo: list = [d]
+    while todo:
+        node = todo.pop()
+        if node is _DONE:
+            node, jl = todo.pop()
+            n = len(bounds) - len(node.premises)
+            bound = _check_rule(node, jl, bounds[n:])
+            bounds[n:] = [bound]
+        else:
+            jl = _check_node(node)
+            todo += ((node, jl), _DONE, *reversed(node.premises))
+    return bounds[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +378,12 @@ def _rule_label(node: Derivation) -> str:
 def serialize_derivation(d: Derivation) -> str:
     """Indented trace of a derivation, bounds as exact fractions."""
     lines: list = []
-
-    def walk(node: Derivation, depth: int) -> None:
+    todo = [(d, 0)]
+    while todo:
+        node, depth = todo.pop()
         b = node.bound
         lines.append(
             "  " * depth
             + f"{_rule_label(node)} {b.numerator}/{b.denominator}")
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(d, 0)
+        todo += ((p, depth + 1) for p in reversed(node.premises))
     return "\n".join(lines)

@@ -97,16 +97,23 @@ class Swap:
     right: Object
 
 
+# A composite's ``_type`` is the (domain, codomain, iterates) that
+# ``typecheck``, its only writer, found for it; ==, hash, repr and
+# pattern matching ignore it.
 @dataclass(frozen=True, slots=True)
 class Seq:
     first: "Term"
     second: "Term"
+    _type: tuple | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Par:
     left: "Term"
     right: "Term"
+    _type: tuple | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,6 +122,8 @@ class TauStar:
     inputs: tuple  # tuple[Object, ...]
     outputs: tuple  # tuple[Object, ...]
     body: "Term"
+    _type: tuple | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
 Term = Id | Gen | Swap | Seq | Par | TauStar
@@ -200,73 +209,72 @@ def par(*terms: Term) -> Term:
     return out
 
 
-# Stack markers: the subterms above the marker on the stack are judged.
+# Stack marker: the composite below it waits for its judged subterms.
 # Objects are normalized words, so ``+`` is their tensor.
-_SEQ_DONE = object()
-_PAR_DONE = object()
-_LOOP_DONE = object()  # below it: the iteration's normalized objects
+_DONE = object()
 
 
-def typecheck(term: Term, known: dict | None = None) -> TypeJudgement:
+def typecheck(term: Term) -> TypeJudgement:
     """Compute the type of a term, raising PBCTypeError on mismatch.
 
     One post-order loop over an explicit stack, so a chain of any length
-    checks without recursion; subterms are checked left to right.
-    ``known`` maps the ids of terms already judged to their judgements,
-    which their occurrences inside ``term`` reuse without a walk.
+    checks without recursion; subterms are checked left to right.  A
+    composite keeps its judgement, so a later visit, from this call or
+    any other, reads it instead of walking the composite again.
     """
-    judged: list[tuple] = []  # (domain, codomain) of the judged subterms
+    judged: list[tuple] = []  # (domain, codomain, iterates) per subterm
     todo: list = [term]
-    loops = False
     while todo:
         t = todo.pop()
-        if known and id(t) in known:
-            j = known[id(t)]
-            judged.append((j.domain, j.codomain))
-            loops = loops or j.iterates
-            continue
         cls = t.__class__
         if cls is Id:
             o = object_normalize(t.obj)
-            judged.append((o, o))
-        elif cls is Seq:
-            todo += (_SEQ_DONE, t.second, t.first)
-        elif cls is Par:
-            todo += (_PAR_DONE, t.right, t.left)
-        elif cls is TauStar:
-            loops = True
-            todo += ((object_normalize(t.state),
-                      tuple(object_normalize(o) for o in t.inputs),
-                      tuple(object_normalize(o) for o in t.outputs)),
-                     _LOOP_DONE, t.body)
-        elif t is _SEQ_DONE:
-            mid, cod = judged.pop()
-            dom, first_cod = judged[-1]
-            if first_cod != mid:
-                raise PBCTypeError(
-                    "sequential mismatch: expected "
-                    f"{obj_to_str(first_cod)} on the left of the second "
-                    f"factor, got {obj_to_str(mid)}")
-            judged[-1] = (dom, cod)
-        elif t is _PAR_DONE:
-            right_dom, right_cod = judged.pop()
-            left_dom, left_cod = judged[-1]
-            judged[-1] = (left_dom + right_dom, left_cod + right_cod)
-        elif t is _LOOP_DONE:
-            state, ins, outs = todo.pop()
-            body_dom, body_cod = judged[-1]
-            want_dom = tensor(state, *ins)
-            want_cod = tensor(*outs, state)
-            if body_dom != want_dom or body_cod != want_cod:
-                raise PBCTypeError(
-                    "iteration body must be "
-                    f"{obj_to_str(want_dom)} -> {obj_to_str(want_cod)}, got "
-                    f"{obj_to_str(body_dom)} -> {obj_to_str(body_cod)}")
-            judged[-1] = (tensor(state, *map(star, ins)),
-                          tensor(*map(star, outs), state))
+            judged.append((o, o, False))
+        elif cls is Seq or cls is Par or cls is TauStar:
+            if t._type is not None:
+                judged.append(t._type)
+            elif cls is Seq:
+                todo += (t, _DONE, t.second, t.first)
+            elif cls is Par:
+                todo += (t, _DONE, t.right, t.left)
+            else:
+                todo += (t, _DONE, t.body)
+        elif t is _DONE:
+            t = todo.pop()
+            if t.__class__ is Seq:
+                mid, cod, second_loops = judged.pop()
+                dom, first_cod, first_loops = judged[-1]
+                if first_cod != mid:
+                    raise PBCTypeError(
+                        "sequential mismatch: expected "
+                        f"{obj_to_str(first_cod)} on the left of the "
+                        f"second factor, got {obj_to_str(mid)}")
+                j = (dom, cod, first_loops or second_loops)
+            elif t.__class__ is Par:
+                right_dom, right_cod, right_loops = judged.pop()
+                left_dom, left_cod, left_loops = judged[-1]
+                j = (left_dom + right_dom, left_cod + right_cod,
+                     left_loops or right_loops)
+            else:
+                state = object_normalize(t.state)
+                ins = tuple(object_normalize(o) for o in t.inputs)
+                outs = tuple(object_normalize(o) for o in t.outputs)
+                body_dom, body_cod, _ = judged[-1]
+                want_dom = tensor(state, *ins)
+                want_cod = tensor(*outs, state)
+                if body_dom != want_dom or body_cod != want_cod:
+                    raise PBCTypeError(
+                        "iteration body must be "
+                        f"{obj_to_str(want_dom)} -> {obj_to_str(want_cod)}, "
+                        f"got {obj_to_str(body_dom)} -> "
+                        f"{obj_to_str(body_cod)}")
+                j = (tensor(state, *map(star, ins)),
+                     tensor(*map(star, outs), state), True)
+            object.__setattr__(t, "_type", j)
+            judged[-1] = j
         else:
-            judged.append(_leaf_type(t))
-    return TypeJudgement(*judged[0], loops)
+            judged.append((*_leaf_type(t), False))
+    return TypeJudgement(*judged[0])
 
 
 def _leaf_type(term: Term) -> tuple:
@@ -317,40 +325,48 @@ _CHAINS = {
 }
 
 
-def _pretty(term: Term, level: int) -> str:
-    # level 0: may print a bare Seq; level 1: may print a bare Par;
-    # level 2: primaries only.
-    if type(term) in _CHAINS:
-        # A chain nests down its left spine, too deep to recurse on.
-        former = type(term)
-        sep, bare, left, right = _CHAINS[former]
-        parts = []
-        while isinstance(term, former):
-            parts.append(_pretty(getattr(term, right), bare + 1))
-            term = getattr(term, left)
-        parts.append(_pretty(term, bare))
-        s = sep.join(reversed(parts))
-        return f"({s})" if level > bare else s
-    if isinstance(term, Id):
-        return f"id<{obj_to_str(term.obj)}>"
-    if isinstance(term, Swap):
-        return f"swap<{obj_to_str(term.left)},{obj_to_str(term.right)}>"
-    if isinstance(term, Gen):
-        if term.kind == COIN:
-            return f"coin({term.p})"
-        return f"{GEN_NAMES[term.kind]}<{obj_to_str(term.at)}>"
-    if isinstance(term, TauStar):
-        ins = ", ".join(obj_to_str(o) for o in term.inputs)
-        outs = ", ".join(obj_to_str(o) for o in term.outputs)
-        return (f"iter[{obj_to_str(term.state)}; ({ins}); ({outs})]"
-                f"({_pretty(term.body, 0)})")
-    raise TypeError(f"not a term: {term!r}")
-
-
 def pretty_term(term: Term) -> str:
     """Render a term in the surface syntax; parsing the result rebuilds
     exactly the same tree."""
-    return _pretty(term, 0)
+    # One loop over a stack of text and (term, level) pairs, so nesting
+    # of any depth prints without recursion.  Level 0 may print a bare
+    # Seq, level 1 a bare Par, level 2 primaries only.
+    out: list[str] = []
+    todo: list = [(term, 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        term, level = item
+        former = type(term)
+        if former in _CHAINS:
+            # Push the factors right to left down the chain's left spine.
+            sep, bare, left, right = _CHAINS[former]
+            if level > bare:
+                todo.append(")")
+            while isinstance(term, former):
+                todo += ((getattr(term, right), bare + 1), sep)
+                term = getattr(term, left)
+            todo.append((term, bare))
+            if level > bare:
+                todo.append("(")
+        elif isinstance(term, Id):
+            out.append(f"id<{obj_to_str(term.obj)}>")
+        elif isinstance(term, Swap):
+            out.append(
+                f"swap<{obj_to_str(term.left)},{obj_to_str(term.right)}>")
+        elif isinstance(term, Gen):
+            out.append(f"coin({term.p})" if term.kind == COIN
+                       else f"{GEN_NAMES[term.kind]}<{obj_to_str(term.at)}>")
+        elif isinstance(term, TauStar):
+            ins = ", ".join(obj_to_str(o) for o in term.inputs)
+            outs = ", ".join(obj_to_str(o) for o in term.outputs)
+            todo += (")", (term.body, 0),
+                     f"iter[{obj_to_str(term.state)}; ({ins}); ({outs})](")
+        else:
+            raise TypeError(f"not a term: {term!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitgen import random_circuit
-from pbc import cli, coin, par, pretty_term
+from pbc import cli, coin, par, pretty_term, terms
 from pbc import combinators as C
 from pbc.cli import main
 from pbc.cli import main as pbc_command
@@ -39,6 +39,17 @@ def run(capsys, *argv):
 def test_check_prints_the_judgement(capsys):
     code, out, err = run(capsys, "check", OTP_L)
     assert (code, out, err) == (0, "B -> B^2\n", "")
+
+
+def test_eq_judges_each_leaf_once(capsys, monkeypatch):
+    judged = []
+    leaf_type = terms._leaf_type
+    monkeypatch.setattr(terms, "_leaf_type",
+                        lambda t: judged.append(t) or leaf_type(t))
+    assert run(capsys, "eq", OTP_L, OTP_R) == (0, "EQUAL\n", "")
+    # Nine generators and swaps in the pad, counting the bound xor gate
+    # once, and one coin on the right.
+    assert len(judged) == 10
 
 
 def test_check_locates_type_errors(capsys):
@@ -99,6 +110,23 @@ def test_a_let_chain_nested_past_the_recursion_limit_runs(
     code, out, err = run(capsys, "dot", str(src))
     assert (code, err) == (0, "")
     assert out.count("[label=") == 1 + boxes * 1499
+
+
+@pytest.mark.parametrize("gate, rows", [
+    ("copy", "-\t-\t1/1\n"),
+    ("del", "-\t-\t1/1\n"),
+    ("if", "0\t-\t1/1\n1\t-\t1/1\n"),
+], ids=["copy", "del", "if"])
+def test_a_gate_at_a_thousand_starred_atoms_runs(capsys, tmp_path, gate,
+                                                  rows):
+    # The derived circuit splits off one atom at a time, 1000 deep.
+    src = tmp_path / "wide.pbc"
+    src.write_text(f"main = {gate}<{' x '.join(['B^*'] * 1000)}>\n")
+    for argv in (["check"], ["dot"]):
+        code, out, err = run(capsys, *argv, str(src))
+        assert (code, err) == (0, ""), argv
+    assert run(capsys, "eval", "--k", "0", str(src)) == (
+        0, "in\tout\tprob\n" + rows, "")
 
 
 def test_stars_nest_two_hundred_levels_deep(capsys, tmp_path):

@@ -48,3 +48,51 @@ def test_every_imported_name_is_used(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# Functions that may call themselves: each recursion is bounded by a
+# limit the tool enforces, far below the interpreter's recursion limit.
+RECURSION_ALLOWED = {
+    # Star nesting, which the parser caps at 200 levels.
+    "object_normalize": "star nesting",
+    "width": "star nesting",
+    "instantiate_object": "star nesting",
+    # Input arity, which the wire limit caps.
+    "synthesize_from_map": "input arity",
+    "nf_to_term": "input arity",
+    "_render": "input arity",
+    "_synth_maps": "input arity",
+}
+
+
+def _self_calls(tree: ast.Module) -> dict:
+    """Functions that call themselves by their plain name, mapped to the
+    line of the first such call."""
+    calls = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == func.name):
+                calls.setdefault(func.name, node.lineno)
+    return calls
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_recurses_unless_its_depth_is_bounded(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    recursive = {name: line for name, line in _self_calls(tree).items()
+                 if name not in RECURSION_ALLOWED}
+    assert not recursive, (
+        f"{path.name} has functions that call themselves, which deep "
+        f"input turns into a RecursionError: {recursive}")
+
+
+def test_every_allowed_recursion_exists():
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= _self_calls(tree).keys()
+    assert set(RECURSION_ALLOWED) <= found

@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from pbc import (
     UNIT,
     bools,
     coin,
+    copy_gen,
     denote,
     discard_gen,
     dot_power,
@@ -21,8 +23,10 @@ from pbc import (
     instantiate,
     par,
     phi_gen,
+    permute_blocks,
     pop_term,
     power,
+    pretty_term,
     push_term,
     seq,
     star,
@@ -39,6 +43,7 @@ from pbc.combinators import (
     cycle,
     cycle_back,
     discard_at,
+    phi_at,
     unzip_streams,
     zip_streams,
 )
@@ -127,6 +132,20 @@ def test_instantiate_replaces_stars_in_types():
 def test_instantiate_zero_iteration_is_state_identity():
     t = TauStar(B, (B,), (B,), random_circuit(random.Random(3), 2, 2))
     assert denote(instantiate(0, t)) == identity_map(1)
+
+
+def test_instantiate_unrolls_long_chains_without_recursion():
+    plain = seq(*[Id(B)] * 3000)
+    starred = seq(*[Id(star(B))] * 3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        # Texts, not terms: == on a 3000-deep term recurses.
+        texts = [pretty_term(instantiate(2, t)) for t in (plain, starred)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert texts == [" ; ".join(["id<B>"] * 3000),
+                     " ; ".join(["id<B^2>"] * 3000)]
 
 
 def test_nested_stars_share_the_size():
@@ -244,9 +263,30 @@ def test_star_lifted_copy_satisfies_comonoid_laws():
     assert isinstance(equal_up_to(left_assoc, right_assoc, 4), EqualUpTo)
 
 
+def test_star_lifted_circuits_split_off_the_first_atom():
+    head, rest = star(B), tensor(B, star(B))
+    assert copy_at(tensor(head, rest)) == seq(
+        par(copy_at(head), copy_at(rest)),
+        permute_blocks([head, head, rest, rest], [0, 2, 1, 3]))
+    assert discard_at(tensor(head, rest)) == par(discard_at(head),
+                                                 discard_at(rest))
+    assert phi_at(tensor(head, rest)) == seq(
+        par(Id(tensor(head, rest)), copy_gen(B), Id(tensor(head, rest))),
+        permute_blocks([head, rest, B, B, head, rest], [0, 2, 4, 1, 3, 5]),
+        par(phi_at(head), phi_at(rest)))
+    # A star-free tail is one primitive, and so is a star-free word.
+    assert copy_at(rest) == seq(
+        par(copy_gen(B), copy_at(star(B))),
+        permute_blocks([B, B, star(B), star(B)], [0, 2, 1, 3]))
+    assert copy_at(tensor(star(B), B, B)) == seq(
+        par(copy_at(star(B)), copy_gen(bools(2))),
+        permute_blocks([star(B), star(B), bools(2), bools(2)],
+                       [0, 2, 1, 3]))
+    assert discard_at(bools(3)) == discard_gen(bools(3))
+
+
 def test_star_lifted_conditional_matches_single_bit_behaviour():
     obj = star(B)
-    from pbc.combinators import phi_at
     t = phi_at(obj)
     for k in (1, 2, 3):
         f = denote(instantiate(k, t))

@@ -31,6 +31,7 @@ from pbc import (
     synthesize_tight_derivation,
     typecheck,
 )
+from pbc import terms
 from pbc.combinators import (
     copy_at, otp_lhs, otp_rhs, vn_lhs, vn_rhs, xor_gate,
 )
@@ -200,6 +201,53 @@ def test_a_nine_coin_normal_form_spine_under_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert spine_map.rows == denote(coins).rows
     assert bound == 0
+
+
+def test_a_long_chain_of_weakenings_checks_and_prints():
+    d = Derivation(REFL, (coin("1/2"), coin("1/2")), 0)
+    for _ in range(3000):
+        d = Derivation(WEAKEN, d.endpoints, 0, (d,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        bound = check_derivation(d)
+        text = serialize_derivation(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert bound == 0
+    assert text == "\n".join(["  " * i + "Weaken 0/1" for i in range(3000)]
+                             + ["  " * 3000 + "Refl 0/1"])
+
+
+def test_checking_certificates_judges_each_leaf_once(monkeypatch):
+    # A node's endpoints are built around its premises' endpoints, so
+    # the certificates share their subterms: the check judges each
+    # leaf object once, not once per node that reaches it.
+    rng = random.Random(7)
+    certificates = [synthesize_tight_derivation(random_circuit(rng, 3, 3),
+                                                random_circuit(rng, 3, 3))
+                    for _ in range(40)]
+    leaves = set()
+    nodes = list(certificates)
+    while nodes:
+        node = nodes.pop()
+        nodes += node.premises
+        parts = list(node.endpoints)
+        while parts:
+            t = parts.pop()
+            if isinstance(t, Seq):
+                parts += (t.first, t.second)
+            elif isinstance(t, Par):
+                parts += (t.left, t.right)
+            elif not isinstance(t, Id):
+                leaves.add(id(t))
+    judged = []
+    leaf_type = terms._leaf_type
+    monkeypatch.setattr(terms, "_leaf_type",
+                        lambda t: judged.append(t) or leaf_type(t))
+    for d in certificates:
+        check_derivation(d)
+    assert 0 < len(judged) <= len(leaves)
 
 
 def test_a_case_node_is_built_around_its_premises_endpoints():

@@ -14,6 +14,7 @@ from pbc import (
     Par,
     PBCSyntaxError,
     PBCTypeError,
+    Seq,
     TypeJudgement,
     UNIT,
     axiom_corpus,
@@ -23,6 +24,8 @@ from pbc import (
     denote,
     distance_series,
     is_star_free,
+    nf_to_term,
+    normalize,
     obj_to_str,
     object_normalize,
     parse_circuit,
@@ -178,6 +181,48 @@ def test_pretty_term_prints_long_chains_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert text == " x ".join(["coin(1)"] * 3000)
+
+
+def test_pretty_term_prints_deep_nesting_without_recursion():
+    # Factors nested on the right, and a normal-form spine that nests
+    # one mixture per support entry, 1024 deep.
+    right_seq, right_par = Id(B), Id(UNIT)
+    for _ in range(3000):
+        right_seq = Seq(Id(B), right_seq)
+        right_par = Par(Id(UNIT), right_par)
+    spine = nf_to_term(normalize(par(*[coin(Fraction(1, 2))] * 10)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        texts = [pretty_term(t) for t in (right_seq, right_par, spine)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert texts[0] == "id<B> ; (" * 2999 + "id<B> ; id<B>" + ")" * 2999
+    assert texts[1] == "id<I> x (" * 2999 + "id<I> x id<I>" + ")" * 2999
+    assert texts[2].count("if<B^10>") == 1023
+
+
+def test_a_kept_judgement_is_invisible():
+    judged, fresh = otp_lhs(), otp_lhs()
+    assert typecheck(judged) == typecheck(otp_lhs())
+    assert judged == fresh and hash(judged) == hash(fresh)
+    assert repr(judged) == repr(fresh)
+    assert pretty_term(judged) == pretty_term(fresh)
+    match judged:
+        case Seq(first, second):
+            assert (first, second) == (fresh.first, fresh.second)
+        case _:
+            pytest.fail("a judged Seq no longer matches Seq(first, second)")
+    # A failed judgement is not kept: the second call fails the same way.
+    bad = Par(copy_at(star(B)), seq(otp_lhs(), coin(1)))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(PBCTypeError) as err:
+            typecheck(bad)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == (
+        "sequential mismatch: expected B^2 on the left of the second "
+        "factor, got I")
 
 
 def test_parentheses_nest_two_hundred_levels_deep():
