@@ -109,9 +109,10 @@ def distance_series(f: Term, g: Term, k_min: int, k_max: int,
                     g_label: str | None = None) -> DecaySeries:
     """Exact hom distances of the two terms at each size k, from one
     compilation of both for the whole range."""
-    series = Series(same_type(f, g))
+    same_type(f, g)
     if not 0 <= k_min <= k_max:
         raise PBCError(f"bad size range {k_min}..{k_max}")
+    series = Series()
     pairs = tuple((k, series.distance(f, g, k))
                   for k in range(k_min, k_max + 1))
     return DecaySeries(pairs,
@@ -208,16 +209,19 @@ def newton_bound_check(f: Term, g: Term, h: Term, spec: TupleSpec,
               TauStar(jf.codomain, spec.inputs, spec.outputs, g))
     rhs = seq(TauStar(spec.state, spec.inputs, spec.outputs, h),
               par(Id(out_streams), f))
-    iterated = Series(same_type(lhs, rhs))
+    same_type(lhs, rhs)  # before the premise: a bad body fails as a loop's
+    if k_max < 0:
+        raise PBCError(f"negative size bound {k_max}")
 
+    # One series for both pairs, which share f, g and h.
+    series = Series()
     premise_lhs = seq(par(f, Id(in_one)), g)
     premise_rhs = seq(h, par(Id(out_one), f))
-    gap = Series(same_type(premise_lhs, premise_rhs)).distance(
-        premise_lhs, premise_rhs)
+    gap = series.distance(premise_lhs, premise_rhs)
 
     rows = []
     for k in range(0, k_max + 1):
-        c = iterated.distance(lhs, rhs, k)
+        c = series.distance(lhs, rhs, k)
         ceiling = k * gap
         if c > ceiling:
             raise PBCError(

@@ -19,7 +19,7 @@ from .terms import (
     Id, Swap, Term,
     coin, copy_gen, discard_gen, par, phi_gen, phi_p, seq,
 )
-from .combinators import and_gate, not_gate, xor_gate
+from .combinators import _phi_split, and_gate, not_gate, xor_gate
 
 __all__ = ["axiom_corpus"]
 
@@ -63,20 +63,8 @@ def _phi_as(a, b, obj: Object):
 def _phi_times(left: Object, right: Object) -> tuple[Term, Term]:
     """The conditional at a tensor versus two conditionals sharing one
     copied condition bit."""
-    both = tensor(left, right)
-    unshuffle = seq(
-        par(Id(both), copy_gen(B), Id(both)),
-        _route(left, right),
-        par(phi_gen(left), phi_gen(right)),
-    )
-    return phi_gen(both), unshuffle
-
-
-def _route(left: Object, right: Object) -> Term:
-    # left x right x B x B x left x right -> (left x B x left) x (right x B x right)
-    from .terms import permute_blocks
-    return permute_blocks([left, right, B, B, left, right],
-                          [0, 2, 4, 1, 3, 5])
+    return (phi_gen(tensor(left, right)),
+            _phi_split(left, right, phi_gen(left), phi_gen(right)))
 
 
 def axiom_corpus() -> list[tuple[str, Term, Term]]:

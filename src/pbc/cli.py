@@ -181,7 +181,7 @@ def _cmd_dist(args) -> int:
         if judgement.parametric:
             raise PBCError(
                 "parametric terms need a size: pass --k K or --k LO..HI")
-        print(_frac_str(Series(judgement).distance(s, t), args.decimal))
+        print(_frac_str(Series().distance(s, t), args.decimal))
         return 0
     lo, hi = _parse_k(args.k)
     for k, d in distance_series(s, t, lo, hi, args.left, args.right).pairs:

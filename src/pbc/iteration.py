@@ -177,7 +177,10 @@ def star_equiv_bounded(s: Term, t: Term, k_max: int = K_TEST):
     every size, else a ``Counterexample`` for the first disagreement.
     Both terms must share one parametric type.
     """
-    series = Series(same_type(s, t))
+    same_type(s, t)
+    if k_max < 0:
+        raise PBCError(f"negative size bound {k_max}")
+    series = Series()
     for k in range(k_max + 1):
         differs = series.difference(s, t, k)
         if differs is not None:

@@ -50,7 +50,7 @@ from .terms import (
     Par, PBCError, PBCTypeError, Seq, Term, TypeJudgement, exact_rational,
     phi_case, phi_mix, same_type, typecheck,
 )
-from .semantics import Series, StochMap, denote
+from .semantics import Series, StochMap
 from .normalform import (
     case_term, nf_to_term, split_last_bit, synthesize_from_map,
 )
@@ -147,8 +147,10 @@ def _check_node(node: Derivation) -> TypeJudgement:
     return jl
 
 
-def _check_rule(node: Derivation, jl: TypeJudgement, sub: list) -> Fraction:
-    """The node's rule schema, given its premises' checked bounds."""
+def _check_rule(node: Derivation, jl: TypeJudgement, sub: list,
+                series: Series) -> Fraction:
+    """The node's rule schema, given its premises' checked bounds; Refl
+    compares its endpoints through ``series``."""
     lhs, rhs = node.endpoints
 
     def arity(n: int) -> None:
@@ -160,8 +162,7 @@ def _check_rule(node: Derivation, jl: TypeJudgement, sub: list) -> Fraction:
         arity(0)
         if node.bound != 0:
             raise PBCProofError(f"Refl has bound 0, got {node.bound}")
-        # The endpoint types were compared above.
-        if Series(jl).difference(lhs, rhs) is not None:
+        if series.difference(lhs, rhs) is not None:
             raise PBCProofError(
                 "Refl endpoints are not semantically equal")
         return node.bound
@@ -265,6 +266,7 @@ def check_derivation(d: Derivation) -> Fraction:
     guarantees that the endpoint denotations are within the root bound
     in hom distance.
     """
+    series = Series()  # shared by every Refl node
     bounds: list = []  # the checked bounds, in post-order
     todo: list = [d]
     while todo:
@@ -272,7 +274,7 @@ def check_derivation(d: Derivation) -> Fraction:
         if node is _DONE:
             node, jl = todo.pop()
             n = len(bounds) - len(node.premises)
-            bound = _check_rule(node, jl, bounds[n:])
+            bound = _check_rule(node, jl, bounds[n:], series)
             bounds[n:] = [bound]
         else:
             jl = _check_node(node)
@@ -355,7 +357,8 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
         raise PBCTypeError(
             "tight derivations cover star-free terms without loops, got "
             f"a parametric pair of type {jf}")
-    mf, mg = denote(f), denote(g)
+    series = Series()
+    mf, mg = series.map(f), series.map(g)
     if mf.rows == mg.rows:
         return _refl(f, g)
     core = _synth_maps(mf, mg)

@@ -20,7 +20,8 @@ from itertools import groupby
 from .objects import bools, is_star_free, width
 from .terms import (
     COIN, COPY, DISCARD, Gen, Id, PHI, Par, PBCError, Seq, Swap, TauStar,
-    Term, TypeJudgement, exact_rational, par, pop_term, push_term, typecheck,
+    Term, TypeJudgement, exact_rational, par, pop_term, push_term, same_type,
+    typecheck,
 )
 
 __all__ = [
@@ -51,9 +52,12 @@ def _wire_limit() -> int:
     if raw is None:
         return HARD_WIRE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise PBCError(f"PBC_MAX_WIRES must be an integer, got {raw!r}")
+    if limit < 0:
+        raise PBCError(f"PBC_MAX_WIRES must not be negative, got {raw!r}")
+    return limit
 
 
 def _check_width(n: int, what: str, warn: bool = True) -> bool:
@@ -492,10 +496,10 @@ class _Loop:
         pop = push = None
         if self.in_words:
             wiring = par(Id(bools(sw)), pop_term(self.in_words, n - 1))
-            pop = _Compiler(1).node(wiring).function()
+            pop = Series().node(wiring).function()
         if self.out_words:
             wiring = par(push_term(self.out_words, n - 1), Id(bools(sw)))
-            push = _Compiler(1).node(wiring).function()
+            push = Series().node(wiring).function()
         body, below = self.body, self.levels[-1]
         body_rows, below_rows = body.memo, below.memo
         r_bits = (n - 1) * a
@@ -521,30 +525,62 @@ class _Loop:
         self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))
 
 
-class _Compiler:
-    """Compiles subterms bottom up with an explicit stack, at one size at
-    a time.  Repeated occurrences of one term object share a node, and so
-    share its memo.
+def _fractions(den: int, row: dict) -> dict:
+    return {y: Fraction(n, den) for y, n in row.items()}
 
-    A node is size-free when its subterm has only star-free objects and
-    no loop.  It is the same at every size, so moving to another size
-    keeps it, memo and all, and a loop whose body is size-free keeps its
-    ``_Loop``.  Every other node is rebuilt at each size: a loop over a
-    body that loops too gets fresh levels, even when its type is
-    star-free, because the inner loop's value depends on the size.
+
+class Series:
+    """One question's compile cache: terms compiled bottom up with an
+    explicit stack, at one size at a time, for a run of sizes.
+
+    A question takes its type from the terms it is asked about, so one
+    series may answer questions of many types.  Repeated occurrences of
+    one term object share a node, and so share its memo, across every
+    question.  A node is size-free when its subterm has only star-free
+    objects and no loop.  It is the same at every size, so moving to
+    another size keeps it, memo and all, and a loop whose body is
+    size-free keeps its ``_Loop``.  Every other node is rebuilt at each
+    size: a loop over a body that loops too gets fresh levels, even when
+    its type is star-free, because the inner loop's value depends on the
+    size.  Over increasing sizes k = 0, 1, ..., K a series costs about
+    as much as its largest size.  Comparisons read the compiled roots
+    one input row at a time as ``(den, {output: numerator})``; they
+    build no map and no Fraction per entry.
+
+    The size k is None for terms of a fixed size, which parametric
+    terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
+    bounds a question's type at every size, and every distribution met
+    on the way to at most 2^limit outcomes.  A type of 14 wires or more
+    warns once per series.
     """
 
-    def __init__(self, cap: int):
-        self.cap = cap  # largest support a kernel may have
+    def __init__(self):
         self.k = None  # the size starred objects are read at, or None
         self.nodes: dict = {}  # id(term) -> (term, node, size-free)
         self.loops: dict = {}  # id(term) -> (term, _Loop), size-free bodies
+        self.cap = 1  # largest support a kernel may have; set per question
+        self._warned = False
 
-    def at(self, k: int | None) -> None:
-        """Move to size k, dropping the nodes that depend on the size."""
+    def _at(self, judgement: TypeJudgement, k: int | None) -> int:
+        """Move to size k, dropping the nodes that depend on the size;
+        the input width of a question of this type there."""
+        # No distribution held in memory reaches 2^64 outcomes; the clamp
+        # keeps a huge PBC_MAX_WIRES from building a huge int.
+        self.cap = 1 << min(_wire_limit(), 64)
+        if k is None and judgement.parametric:
+            raise PBCError(
+                f"term of parametric type {judgement} has no "
+                "fixed-size semantics; pass a size k to instantiate it at")
+        if k is not None and k < 0:
+            raise ValueError(f"negative size {k}")
+        n_in = width(judgement.domain, k)
+        n = max(n_in, width(judgement.codomain, k))
+        if _check_width(n, "the map", warn=not self._warned):
+            self._warned = True
         if k != self.k:
             self.k = k
             self.nodes = {key: e for key, e in self.nodes.items() if e[2]}
+        return n_in
 
     def node(self, root: Term) -> _Node:
         todo = [(root, None)]
@@ -717,54 +753,10 @@ class _Compiler:
 
         return _Node(n_in, n_out, kernel=kernel)
 
-
-def _fractions(den: int, row: dict) -> dict:
-    return {y: Fraction(n, den) for y, n in row.items()}
-
-
-class Series:
-    """Terms of one type, compiled once for a run of sizes.
-
-    Each size reuses what the sizes before it compiled and no size
-    changes: size-free nodes with their memos, and the levels of loops
-    over size-free bodies.  Over increasing sizes k = 0, 1, ..., K a
-    series costs about as much as its largest size.  Comparisons read
-    the compiled roots one input row at a time as ``(den, {output:
-    numerator})``; they build no map and no Fraction per entry.
-
-    The size k is None for terms of a fixed size, which parametric
-    terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
-    bounds the type's width at every size, and every distribution met
-    on the way to at most 2^limit outcomes.  A type of 14 wires or more
-    warns once, at the first size that reaches it.
-    """
-
-    def __init__(self, judgement: TypeJudgement):
-        self.judgement = judgement
-        # No distribution held in memory reaches 2^64 outcomes; the clamp
-        # keeps a huge PBC_MAX_WIRES from building a huge int.
-        self._compiler = _Compiler(1 << min(_wire_limit(), 64))
-        self._warned = False
-
-    def _at(self, k: int | None) -> int:
-        """Move to size k; the input width there."""
-        if k is None and self.judgement.parametric:
-            raise PBCError(
-                f"term of parametric type {self.judgement} has no "
-                "fixed-size semantics; pass a size k to instantiate it at")
-        if k is not None and k < 0:
-            raise ValueError(f"negative size {k}")
-        n_in = width(self.judgement.domain, k)
-        n = max(n_in, width(self.judgement.codomain, k))
-        if _check_width(n, "the map", warn=not self._warned):
-            self._warned = True
-        self._compiler.at(k)
-        return n_in
-
     def map(self, term: Term, k: int | None = None) -> StochMap:
-        """The stochastic map of a term of this type at size k."""
-        n_in = self._at(k)
-        node = self._compiler.node(term)
+        """The stochastic map of a term at size k."""
+        n_in = self._at(typecheck(term), k)
+        node = self.node(term)
         if node.memo is None:
             det = node.function()
             return StochMap(n_in, node.n_out,
@@ -783,14 +775,14 @@ class Series:
             rows.append(row)
         return StochMap(n_in, node.n_out, tuple(rows))
 
-    def _nodes(self, f: Term, g: Term, k: int | None):
-        n_in = self._at(k)
-        return n_in, self._compiler.node(f), self._compiler.node(g)
+    def _pair(self, f: Term, g: Term, k: int | None):
+        n_in = self._at(same_type(f, g), k)
+        return n_in, self.node(f), self.node(g)
 
     def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
-        """The hom distance of two terms at size k: the largest total
-        variation distance over the input rows."""
-        n_in, fn, gn = self._nodes(f, g, k)
+        """The hom distance of two terms of one type at size k: the
+        largest total variation distance over the input rows."""
+        n_in, fn, gn = self._pair(f, g, k)
         best = ZERO
         for x in range(1 << n_in):
             d = _tv(*_row(fn, x), *_row(gn, x))
@@ -799,10 +791,10 @@ class Series:
         return best
 
     def difference(self, f: Term, g: Term, k: int | None = None):
-        """The first input where two terms part ways at size k, as
-        ``(input, input width, row of f, row of g)`` with Fraction
+        """The first input where two terms of one type part ways at size
+        k, as ``(input, input width, row of f, row of g)`` with Fraction
         weights; None when they denote the same map."""
-        n_in, fn, gn = self._nodes(f, g, k)
+        n_in, fn, gn = self._pair(f, g, k)
         for x in range(1 << n_in):
             da, a = _row(fn, x)
             db, b = _row(gn, x)
@@ -820,7 +812,7 @@ def denote(term: Term, k: int | None = None) -> StochMap:
     not built as syntax.  This is the one-size case of ``Series``, whose
     limits it keeps: without a size, parametric terms raise.
     """
-    return Series(typecheck(term)).map(term, k)
+    return Series().map(term, k)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,20 @@ def test_eval_rejects_parametric_without_k(capsys):
     assert "parametric type" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "abc", ""])
+@pytest.mark.parametrize("argv", [
+    ("eval", OTP_L), ("eq", OTP_L, OTP_R), ("dist", OTP_L, OTP_R),
+    ("demo", "otp"),
+], ids=lambda a: a[0])
+def test_a_bad_wire_limit_is_a_usage_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("PBC_MAX_WIRES", value)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("pbc: PBC_MAX_WIRES ")
+    assert err.count("\n") == 1
+    assert "internal error" not in err
+
+
 def test_eval_rejects_a_range(capsys):
     code, _, err = run(capsys, "eval", OTP_L, "--k", "0..3")
     assert code == 2

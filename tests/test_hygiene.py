@@ -1,11 +1,13 @@
 """Source hygiene of the package modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parents[1] / "src" / "pbc"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "pbc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -96,3 +98,26 @@ def test_every_allowed_recursion_exists():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found |= _self_calls(tree).keys()
     assert set(RECURSION_ALLOWED) <= found
+
+
+def test_the_benchmark_tracer_finds_every_name_it_reads():
+    # perfbench/tracing.py wraps each name in LAYERS, looked up in its
+    # pbc module, and imports names from pbc modules: a name moved out
+    # of its module fails every traced benchmark run.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    wanted = []
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "LAYERS"
+                        for t in node.targets)):
+            for layer, names in ast.literal_eval(node.value).items():
+                wanted += ((f"pbc.{layer}", name) for name in names)
+        elif (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.startswith("pbc.")):
+            wanted += ((node.module, a.name) for a in node.names)
+    assert ("pbc.normalform", "Case") in wanted
+    assert ("pbc.semantics", "compose_maps") in wanted
+    missing = [f"{module}.{name}" for module, name in wanted
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"the tracer reads names that are gone: {missing}"

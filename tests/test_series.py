@@ -4,13 +4,15 @@
 the size-free nodes and the levels of loops over size-free bodies, and
 compares the roots one integer row at a time.  Its distances and
 equality verdicts must be those of ``hom_distance`` and row equality on
-fresh ``denote`` maps at every size.
+fresh ``denote`` maps at every size, and those of a fresh series when
+one series answers questions about terms of many types.
 """
 
 import random
 import warnings
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,29 +20,33 @@ from circuitgen import random_circuit
 from pbc import (
     B,
     Id,
+    PBCError,
+    PBCTypeError,
     TauStar,
+    axiom_corpus,
     bools,
     coin,
     denote,
     distance_series,
     hom_distance,
+    newton_bound_check,
     par,
     seq,
     star,
     star_equiv_bounded,
+    synthesize_tight_derivation,
     tensor,
 )
 from pbc import combinators as C
 from pbc import semantics
 from pbc.semantics import Series
-from pbc.terms import same_type
 from test_forward import _demo_pairs
 
 
 def assert_series_agrees(f, g, sizes):
     """The series evaluator, moved through ``sizes`` in order, against
     per-size maps: the distance, and the first differing row if any."""
-    series = Series(same_type(f, g))
+    series = Series()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 14 wires and more warn
         for k in sizes:
@@ -156,3 +162,83 @@ def test_the_soft_limit_warns_once_per_question():
         # and k = 7, the first size the warning names.
         assert str(caught[0].message) == (
             "the map uses 14 wires; expect slow exact arithmetic")
+
+
+def test_one_series_answers_questions_of_many_types_as_fresh_ones_do():
+    # The 34 axiom pairs and 40 seeded 3-wire pairs, of many types, all
+    # asked of one series: every answer is a fresh series' answer.
+    rng = random.Random(7)
+    pairs = [(f, g) for _, f, g in axiom_corpus()]
+    pairs += [(random_circuit(rng, 3, 3), random_circuit(rng, 3, 3))
+              for _ in range(40)]
+    shared = Series()
+    for f, g in pairs:
+        assert shared.map(f) == Series().map(f)
+        assert shared.map(g) == Series().map(g)
+        assert shared.distance(f, g) == Series().distance(f, g)
+        assert shared.difference(f, g) == Series().difference(f, g)
+    # Through sizes 0..4 of a parametric pair, then a star-free question
+    # without a size, then back to a smaller size: the nodes of the
+    # sizes left behind are dropped, not reused.
+    lhs, rhs = C.otp_star_lhs(), C.otp_star_rhs()
+    noisy = TauStar((), (B,), (bools(2),), par(Id(B), coin(Fraction(1, 3))))
+    for k in range(5):
+        assert shared.map(lhs, k) == Series().map(lhs, k)
+        assert shared.difference(lhs, rhs, k) is None
+        assert (shared.distance(lhs, noisy, k)
+                == Series().distance(lhs, noisy, k))
+        assert (shared.difference(rhs, noisy, k)
+                == Series().difference(rhs, noisy, k))
+    f, g = C.otp_lhs(), C.otp_rhs()
+    assert shared.map(f) == Series().map(f)
+    assert shared.difference(f, g) is None
+    assert shared.map(noisy, 2) == Series().map(noisy, 2)
+
+
+_ILL = seq(coin(Fraction(1, 2)), Id(bools(2)))
+_ILL_TEXT = ("sequential mismatch: expected B on the left of the second "
+             "factor, got B^2")
+_F, _G, _H, _SPEC = C.newton_discard_instance()
+
+
+@pytest.mark.parametrize("ask, text", [
+    (lambda: star_equiv_bounded(C.otp_star_lhs(), Id(B), 3),
+     "cannot compare terms of types B^* -> (B^2)^* and B -> B"),
+    (lambda: star_equiv_bounded(C.otp_star_lhs(), Id(B), -1),
+     "cannot compare terms of types B^* -> (B^2)^* and B -> B"),
+    (lambda: star_equiv_bounded(C.otp_star_lhs(), _ILL, 3), _ILL_TEXT),
+    (lambda: distance_series(coin(Fraction(1, 2)), Id(B), 0, 2),
+     "cannot compare terms of types I -> B and B -> B"),
+    (lambda: distance_series(coin(Fraction(1, 2)), Id(B), 3, 2),
+     "cannot compare terms of types I -> B and B -> B"),
+    (lambda: distance_series(_ILL, coin(Fraction(1, 2)), 0, 2), _ILL_TEXT),
+    (lambda: newton_bound_check(Id(bools(2)), _G, _H, _SPEC, 3),
+     "the state map f must start at the state B of h, got f : B^2 -> B^2"),
+    (lambda: newton_bound_check(_ILL, _G, _H, _SPEC, 3), _ILL_TEXT),
+    (lambda: newton_bound_check(_F, Id(bools(2)), _H, _SPEC, -1),
+     "iteration body must be B -> B, got B^2 -> B^2"),
+    (lambda: newton_bound_check(_F, _G, _ILL, _SPEC, 3), _ILL_TEXT),
+    (lambda: synthesize_tight_derivation(coin(Fraction(1, 2)), Id(B)),
+     "cannot compare terms of types I -> B and B -> B"),
+    (lambda: synthesize_tight_derivation(coin(Fraction(1, 2)), _ILL),
+     _ILL_TEXT),
+    (lambda: synthesize_tight_derivation(C.otp_star_lhs(), C.otp_star_rhs()),
+     "tight derivations cover star-free terms without loops, got a "
+     "parametric pair of type B^* -> (B^2)^*"),
+])
+def test_questions_about_mismatched_or_ill_typed_terms_keep_their_errors(
+        ask, text):
+    # Each question judges its terms before it asks for any size.
+    with pytest.raises(PBCTypeError) as caught:
+        ask()
+    assert str(caught.value) == text
+
+
+@pytest.mark.parametrize("ask", [
+    lambda: star_equiv_bounded(C.otp_star_lhs(), C.otp_star_rhs(), k_max=-1),
+    lambda: newton_bound_check(_F, _G, _H, _SPEC, k_max=-1),
+])
+def test_a_negative_size_bound_is_refused(ask):
+    # Comparing no size at all would read as a verdict.
+    with pytest.raises(PBCError, match=r"^negative size bound -1$"):
+        ask()

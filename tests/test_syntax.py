@@ -20,6 +20,7 @@ from pbc import (
     axiom_corpus,
     bools,
     coin,
+    copy_gen,
     decide_equal,
     denote,
     distance_series,
@@ -32,6 +33,8 @@ from pbc import (
     parse_object,
     parse_term,
     par,
+    permute_blocks,
+    phi_gen,
     power,
     pretty_term,
     seq,
@@ -137,6 +140,21 @@ def test_axiom_corpus_round_trips():
     for name, lhs, rhs in axiom_corpus():
         assert parse_term(pretty_term(lhs)) == lhs, name
         assert parse_term(pretty_term(rhs)) == rhs, name
+
+
+def test_the_conditional_at_a_tensor_pairs_are_pinned():
+    # Both sides as the corpus stated them before the right side was
+    # built by the star-lifted conditional's split.
+    corpus = {name: (lhs, rhs) for name, lhs, rhs in axiom_corpus()}
+    for name, left, right in (("phi-times", B, B),
+                              ("phi-times@B^2", B, bools(2))):
+        both = tensor(left, right)
+        rhs = seq(
+            par(Id(both), copy_gen(B), Id(both)),
+            permute_blocks([left, right, B, B, left, right],
+                           [0, 2, 4, 1, 3, 5]),
+            par(phi_gen(left), phi_gen(right)))
+        assert corpus[name] == (phi_gen(both), rhs), name
 
 
 def test_iterates_walks_a_long_chain_without_recursion():
