@@ -16,10 +16,11 @@ from fractions import Fraction
 
 from .objects import B, UNIT, Object, bools, tensor
 from .terms import (
-    Id, Swap, Term,
-    coin, copy_gen, discard_gen, par, phi_gen, phi_p, seq,
+    Id, Seq, Swap, Term,
+    coin, copy_gen, discard_gen, par, phi_gen, phi_mix, phi_p, seq,
 )
 from .combinators import _phi_split, and_gate, not_gate, xor_gate
+from .normalform import case_term
 
 __all__ = ["axiom_corpus"]
 
@@ -27,25 +28,17 @@ __all__ = ["axiom_corpus"]
 def _mix(x: Term, y: Term, p, dom: Object, cod: Object) -> Term:
     """Convex combination of two parallel-typed circuits: copy the input,
     run both, choose the left result with probability p."""
-    return seq(copy_gen(dom), par(x, y), phi_p(cod, p))
+    return Seq(copy_gen(dom), phi_mix(x, y, cod, p))
 
 
-def _case_split(f: Term, in_bits: int, out_obj: Object) -> Term:
-    """Case distinction on the last input bit of f: Bool^in_bits -> out.
-
-    Copies the leading bits, routes the last bit to the condition port,
-    and runs f with that bit pinned to 1 on one branch and 0 on the
-    other.
-    """
-    lead = bools(in_bits - 1)
-    f1 = seq(par(Id(lead), coin(1)), f) if in_bits > 1 else seq(coin(1), f)
-    f0 = seq(par(Id(lead), coin(0)), f) if in_bits > 1 else seq(coin(0), f)
-    return seq(
-        par(copy_gen(lead), Id(B)),
-        par(Id(lead), Swap(lead, B)),
-        par(f1, Id(B), f0),
-        phi_gen(out_obj),
-    )
+def _case_split(f: Term, in_bits: int) -> Term:
+    """Case distinction on the last input bit of f: Bool^in_bits -> B,
+    the normal form's case shape over f with that bit pinned to 1 on
+    one branch and 0 on the other."""
+    lead = Id(bools(in_bits - 1))
+    f1 = seq(par(lead, coin(1)), f) if in_bits > 1 else seq(coin(1), f)
+    f0 = seq(par(lead, coin(0)), f) if in_bits > 1 else seq(coin(0), f)
+    return case_term(in_bits, 1, f1, f0)
 
 
 def _phi_as(a, b, obj: Object):
@@ -134,9 +127,9 @@ def axiom_corpus() -> list[tuple[str, Term, Term]]:
     pairs.append(("phi-times@B^2", lhs, rhs))
 
     # case distinction on an input bit
-    pairs.append(("B-split", _case_split(xor_gate(), 2, B), xor_gate()))
-    pairs.append(("B-split@and", _case_split(and_gate(), 2, B), and_gate()))
-    pairs.append(("B-split@not", _case_split(not_gate(), 1, B), not_gate()))
+    pairs.append(("B-split", _case_split(xor_gate(), 2), xor_gate()))
+    pairs.append(("B-split@and", _case_split(and_gate(), 2), and_gate()))
+    pairs.append(("B-split@not", _case_split(not_gate(), 1), not_gate()))
 
     # choices distribute over a common precursor
     pairs.append(("phi-distr",

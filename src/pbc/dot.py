@@ -7,7 +7,7 @@ from itertools import count
 from .objects import obj_to_str, object_normalize
 from .terms import (
     COIN, GEN_NAMES, Gen, Id, Par, PBCError, Seq, Swap, TauStar, Term,
-    typecheck,
+    factors, typecheck,
 )
 
 __all__ = ["emit_dot"]
@@ -76,24 +76,17 @@ def emit_dot(t: Term) -> str:
                 edge(src, node, port, n_in)
             outs = [((node, port, n_out),) for port in range(n_out)]
             return outs, ins[n_in:]
-        # A chain nests down its left spine: walk the spine with a loop,
-        # leftmost factor first, so the stack of walks stays short.
+        # A chain is walked factor by factor, leftmost first, so the
+        # stack of walks stays short.
         if isinstance(term, Seq):
-            stages = []
-            while isinstance(term, Seq):
-                stages.append(term.second)
-                term = term.first
-            outs, rest = yield term, ins, depth
-            for stage in reversed(stages):
+            first, *stages = factors(term)
+            outs, rest = yield first, ins, depth
+            for stage in stages:
                 outs = (yield stage, outs, depth)[0]
             return outs, rest
         if isinstance(term, Par):
-            factors = []
-            while isinstance(term, Par):
-                factors.append(term.right)
-                term = term.left
-            outs, rest = yield term, ins, depth
-            for factor in reversed(factors):
+            outs, rest = [], ins
+            for factor in factors(term):
                 more, rest = yield factor, rest, depth
                 outs += more
             return outs, rest

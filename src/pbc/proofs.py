@@ -289,6 +289,15 @@ def _refl(a: Term, b: Term) -> Derivation:
     return Derivation(REFL, (a, b), Fraction(0))
 
 
+def _bridge(f: Term, core: Derivation, g: Term) -> Derivation:
+    """``f = core.lhs``, then ``core``, then ``core.rhs = g``: the core
+    glued to the endpoints f and g by zero-cost Refl steps."""
+    inner = Derivation(TRIANGLE, (core.lhs, g), core.bound,
+                       (core, _refl(core.rhs, g)))
+    return Derivation(TRIANGLE, (f, g), inner.bound,
+                      (_refl(f, core.lhs), inner))
+
+
 def _dist_term(dist: dict, out_arity: int) -> Term:
     nf = synthesize_from_map(StochMap(0, out_arity, (dist,)))
     return nf_to_term(nf)
@@ -317,10 +326,7 @@ def _synth_dists(v: dict, w: dict, out_arity: int) -> Derivation:
         PHI_MIX, (mix_f, mix_g), 1 - m,
         (Derivation(TOP, (tvr, twr), Fraction(1)), _refl(tc, tc)),
         param=1 - m)
-    inner = Derivation(TRIANGLE, (mix_f, tg), mix.bound,
-                       (mix, _refl(mix_g, tg)))
-    return Derivation(TRIANGLE, (tf, tg), inner.bound,
-                      (_refl(tf, mix_f), inner))
+    return _bridge(tf, mix, tg)
 
 
 def _synth_maps(f: StochMap, g: StochMap) -> Derivation:
@@ -361,11 +367,7 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
     mf, mg = series.map(f), series.map(g)
     if mf.rows == mg.rows:
         return _refl(f, g)
-    core = _synth_maps(mf, mg)
-    inner = Derivation(TRIANGLE, (core.lhs, g), core.bound,
-                       (core, _refl(core.rhs, g)))
-    return Derivation(TRIANGLE, (f, g), inner.bound,
-                      (_refl(f, core.lhs), inner))
+    return _bridge(f, _synth_maps(mf, mg), g)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +21,8 @@ from itertools import groupby
 from .objects import bools, is_star_free, width
 from .terms import (
     COIN, COPY, DISCARD, Gen, Id, PHI, Par, PBCError, Seq, Swap, TauStar,
-    Term, TypeJudgement, exact_rational, par, pop_term, push_term, same_type,
-    typecheck,
+    Term, TypeJudgement, exact_rational, factors, par, pop_term, push_term,
+    same_type, typecheck,
 )
 
 __all__ = [
@@ -38,6 +39,8 @@ ONE = Fraction(1)
 
 HARD_WIRE_LIMIT = 20
 SOFT_WIRE_LIMIT = 14
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 # Distribution: dict[int, Fraction] with positive entries summing to one.
 Distribution = dict
@@ -71,9 +74,14 @@ def _check_width(n: int, what: str, warn: bool = True) -> bool:
     if n < SOFT_WIRE_LIMIT:
         return False
     if warn:
+        # Name the first caller outside this package, which is what
+        # warn's skip_file_prefixes does from Python 3.12 on.
+        level, frame = 1, sys._getframe()
+        while frame and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{what} uses {n} wires; expect slow exact arithmetic",
-            stacklevel=3)
+            stacklevel=level)
     return True
 
 
@@ -210,14 +218,6 @@ def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
     total = (sum([abs(n * ma - get(y, 0) * mb) for y, n in a.items()])
              + mb * sum([m for y, m in b.items() if y not in a]))
     return Fraction(total, 2 * s)
-
-
-def _same_row(da: int, a: dict, db: int, b: dict) -> bool:
-    """Whether two integer rows are one distribution, by cross-multiplying."""
-    if da == db:
-        return a == b
-    return a.keys() == b.keys() and all(
-        n * db == b[y] * da for y, n in a.items())
 
 
 def tv_distance(v: Distribution, w: Distribution) -> Fraction:
@@ -415,22 +415,6 @@ def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
     return den * scale, out
 
 
-def _factors(term: Seq | Par) -> list:
-    """The factors of a Seq or a Par tree: its subterms of another
-    former, left to right."""
-    former = type(term)
-    out, todo = [], [term]
-    while todo:
-        t = todo.pop()
-        if type(t) is not former:
-            out.append(t)
-        elif former is Seq:
-            todo += (t.second, t.first)
-        else:
-            todo += (t.right, t.left)
-    return out
-
-
 def _compose(nodes: list) -> _Node:
     """One deterministic node for a run of them, applied in order;
     neighbouring wiring fuses into one selection."""
@@ -525,8 +509,14 @@ class _Loop:
         self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))
 
 
-def _fractions(den: int, row: dict) -> dict:
-    return {y: Fraction(n, den) for y, n in row.items()}
+def _fractions(den: int, row: dict, weights: dict) -> dict:
+    """A row with Fraction weights.  ``weights`` holds one Fraction per
+    (denominator, numerator), shared by every row read through it."""
+    known = weights.setdefault(den, {})
+    for n in row.values():
+        if n not in known:
+            known[n] = Fraction(n, den)
+    return {y: known[n] for y, n in row.items()}
 
 
 class Series:
@@ -590,7 +580,7 @@ class Series:
                 continue
             if parts is None and isinstance(term, (Seq, Par, TauStar)):
                 parts = ((term.body,) if isinstance(term, TauStar)
-                         else _factors(term))
+                         else factors(term))
                 todo.append((term, parts))
                 todo.extend((t, None) for t in parts)
             else:
@@ -756,24 +746,9 @@ class Series:
     def map(self, term: Term, k: int | None = None) -> StochMap:
         """The stochastic map of a term at size k."""
         n_in = self._at(typecheck(term), k)
-        node = self.node(term)
-        if node.memo is None:
-            det = node.function()
-            return StochMap(n_in, node.n_out,
-                            tuple({det(x): ONE} for x in range(1 << n_in)))
-        weights: dict = {}  # den -> {numerator: Fraction}, shared by all rows
-        rows = []
-        for x in range(1 << n_in):
-            den, dist = _row(node, x)
-            known = weights.setdefault(den, {})
-            row = {}
-            for y, n in dist.items():
-                p = known.get(n)
-                if p is None:
-                    p = known[n] = Fraction(n, den)
-                row[y] = p
-            rows.append(row)
-        return StochMap(n_in, node.n_out, tuple(rows))
+        node, weights = self.node(term), {}
+        return StochMap(n_in, node.n_out, tuple(
+            _fractions(*_row(node, x), weights) for x in range(1 << n_in)))
 
     def _pair(self, f: Term, g: Term, k: int | None):
         n_in = self._at(same_type(f, g), k)
@@ -781,13 +756,16 @@ class Series:
 
     def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
         """The hom distance of two terms of one type at size k: the
-        largest total variation distance over the input rows."""
+        largest total variation distance over the input rows; the scan
+        stops at a row of distance 1, the largest there is."""
         n_in, fn, gn = self._pair(f, g, k)
         best = ZERO
         for x in range(1 << n_in):
             d = _tv(*_row(fn, x), *_row(gn, x))
             if d > best:
                 best = d
+                if d == ONE:
+                    break
         return best
 
     def difference(self, f: Term, g: Term, k: int | None = None):
@@ -798,8 +776,8 @@ class Series:
         for x in range(1 << n_in):
             da, a = _row(fn, x)
             db, b = _row(gn, x)
-            if not _same_row(da, a, db, b):
-                return x, n_in, _fractions(da, a), _fractions(db, b)
+            if _tv(da, a, db, b):
+                return x, n_in, _fractions(da, a, {}), _fractions(db, b, {})
         return None
 
 

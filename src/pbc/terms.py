@@ -34,7 +34,8 @@ __all__ = [
     "copy_gen", "discard_gen", "coin", "phi_gen", "phi_p", "phi_case",
     "phi_mix", "exact_rational",
     "seq", "par", "typecheck", "same_type", "pretty_term",
-    "permute_blocks", "push_term", "pop_term", "GEN_NAMES",
+    "permute_blocks", "push_term", "pop_term", "factors",
+    "GENERATORS", "GEN_NAMES",
 ]
 
 COPY = "copy"
@@ -42,10 +43,17 @@ DISCARD = "discard"
 COIN = "coin"
 PHI = "phi"
 
-_GEN_KINDS = (COPY, DISCARD, COIN, PHI)
+# Each generator kind: its surface name, None for the coin, which is
+# written ``coin(p)``, and its (domain, codomain) at a star-free word.
+GENERATORS = {
+    COPY: ("copy", lambda at: (at, at + at)),
+    DISCARD: ("del", lambda at: (at, UNIT)),
+    COIN: (None, lambda at: (UNIT, B)),
+    PHI: ("if", lambda at: (at + B + at, at)),
+}
 
 # Surface names of the generators written ``name<obj>``.
-GEN_NAMES = {COPY: "copy", DISCARD: "del", PHI: "if"}
+GEN_NAMES = {kind: name for kind, (name, _) in GENERATORS.items() if name}
 
 
 class PBCError(Exception):
@@ -68,7 +76,7 @@ class Gen:
     p: Fraction | None = None
 
     def __post_init__(self):
-        if self.kind not in _GEN_KINDS:
+        if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind: {self.kind!r}")
         if (self.kind == COIN) != (self.p is not None):
             raise ValueError("coin takes a bias, other generators do not")
@@ -97,33 +105,89 @@ class Swap:
     right: Object
 
 
+def _composite_eq(self, other):
+    """Structural equality: one walk of both terms on an explicit stack,
+    which skips pairs of one object."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    todo = [(self, other)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        a, b = pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is Seq:
+            push((a.second, b.second))
+            push((a.first, b.first))
+        elif cls is Par:
+            push((a.right, b.right))
+            push((a.left, b.left))
+        elif cls is TauStar:
+            if (a.state, a.inputs, a.outputs) != (b.state, b.inputs,
+                                                  b.outputs):
+                return False
+            push((a.body, b.body))
+        elif not a == b:
+            return False
+    return True
+
+
+def _composite_hash(self) -> int:
+    """A hash over the same kind of walk, so equal terms hash alike."""
+    h, todo = 0, [self]
+    while todo:
+        t = todo.pop()
+        key = cls = t.__class__
+        if cls is Seq:
+            todo += (t.second, t.first)
+        elif cls is Par:
+            todo += (t.right, t.left)
+        elif cls is TauStar:
+            key = (t.state, t.inputs, t.outputs)
+            todo.append(t.body)
+        else:
+            key = t
+        h = hash((h, key))
+    return h
+
+
 # A composite's ``_type`` is the (domain, codomain, iterates) that
 # ``typecheck``, its only writer, found for it; ==, hash, repr and
-# pattern matching ignore it.
-@dataclass(frozen=True, slots=True)
+# pattern matching ignore it.  Composites compare and hash without
+# recursion, so terms of any depth do.
+@dataclass(frozen=True, slots=True, eq=False)
 class Seq:
     first: "Term"
     second: "Term"
-    _type: tuple | None = field(
-        default=None, init=False, compare=False, repr=False)
+    _type: tuple | None = field(default=None, init=False, repr=False)
+
+    __eq__ = _composite_eq
+    __hash__ = _composite_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Par:
     left: "Term"
     right: "Term"
-    _type: tuple | None = field(
-        default=None, init=False, compare=False, repr=False)
+    _type: tuple | None = field(default=None, init=False, repr=False)
+
+    __eq__ = _composite_eq
+    __hash__ = _composite_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TauStar:
     state: Object
     inputs: tuple  # tuple[Object, ...]
     outputs: tuple  # tuple[Object, ...]
     body: "Term"
-    _type: tuple | None = field(
-        default=None, init=False, compare=False, repr=False)
+    _type: tuple | None = field(default=None, init=False, repr=False)
+
+    __eq__ = _composite_eq
+    __hash__ = _composite_hash
 
 
 Term = Id | Gen | Swap | Seq | Par | TauStar
@@ -209,6 +273,22 @@ def par(*terms: Term) -> Term:
     return out
 
 
+def factors(term: Seq | Par) -> list:
+    """The factors of a Seq or a Par tree: its subterms of another
+    former, left to right."""
+    former = type(term)
+    out, todo = [], [term]
+    while todo:
+        t = todo.pop()
+        if type(t) is not former:
+            out.append(t)
+        elif former is Seq:
+            todo += (t.second, t.first)
+        else:
+            todo += (t.right, t.left)
+    return out
+
+
 # Stack marker: the composite below it waits for its judged subterms.
 # Objects are normalized words, so ``+`` is their tensor.
 _DONE = object()
@@ -285,16 +365,9 @@ def _leaf_type(term: Term) -> tuple:
             raise PBCTypeError(
                 f"{term.kind} is primitive at star-free words only, not at "
                 f"{obj_to_str(at)}; use the derived star-lifted circuit")
-        if term.kind == COPY:
-            return at, at + at
-        if term.kind == DISCARD:
-            return at, UNIT
-        if term.kind == COIN:
-            if not 0 <= term.p <= 1:
-                raise PBCTypeError(f"coin bias {term.p} outside [0, 1]")
-            return UNIT, B
-        if term.kind == PHI:
-            return at + B + at, at
+        if term.kind == COIN and not 0 <= term.p <= 1:
+            raise PBCTypeError(f"coin bias {term.p} outside [0, 1]")
+        return GENERATORS[term.kind][1](at)
     if isinstance(term, Swap):
         l = object_normalize(term.left)
         r = object_normalize(term.right)

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitgen import random_circuit
-from pbc import cli, coin, par, pretty_term, terms
+from pbc import B, Par, Seq, cli, coin, copy_gen, par, pretty_term, terms
 from pbc import combinators as C
 from pbc.cli import main
 from pbc.cli import main as pbc_command
+from pbc.dot import emit_dot
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -536,6 +537,15 @@ def test_dot_walks_long_chains(capsys, tmp_path, body, n_boxes):
     code, out, err = run(capsys, "dot", str(src))
     assert (code, err) == (0, "")
     assert out.count("[label=") == n_boxes
+
+
+@pytest.mark.parametrize("former, a, b, c", [
+    (Seq, copy_gen(B), C.xor_gate(), C.not_gate()),
+    (Par, coin(1), C.not_gate(), copy_gen(B)),
+], ids=["seq", "par"])
+def test_dot_draws_a_chain_however_it_nests(former, a, b, c):
+    assert (emit_dot(former(a, former(b, c)))
+            == emit_dot(former(former(a, b), c)))
 
 
 def test_dot_iteration_gets_a_cluster(capsys):

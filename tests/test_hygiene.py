@@ -100,6 +100,14 @@ def test_every_allowed_recursion_exists():
     assert set(RECURSION_ALLOWED) <= found
 
 
+@pytest.mark.parametrize("name", ["Seq", "Par", "TauStar"])
+def test_composite_terms_compare_without_the_generated_eq(name):
+    # The dataclass-generated == and hash recurse once per nesting
+    # level, so a deep term would raise RecursionError.
+    cls = getattr(importlib.import_module("pbc.terms"), name)
+    assert not cls.__dataclass_params__.eq
+
+
 def test_the_benchmark_tracer_finds_every_name_it_reads():
     # perfbench/tracing.py wraps each name in LAYERS, looked up in its
     # pbc module, and imports names from pbc modules: a name moved out

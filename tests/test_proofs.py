@@ -204,6 +204,23 @@ def test_a_nine_coin_normal_form_spine_under_the_default_recursion_limit():
     assert bound == 0
 
 
+def test_sym_over_a_deep_copy_checks_without_recursion():
+    # The Refl premise holds separately built copies, so the Sym check
+    # compares 3000-stage chains in full.
+    def chain():
+        return seq(*[Id(B)] * 3000)
+
+    d = Derivation(SYM, (chain(), chain()), 0,
+                   (Derivation(REFL, (chain(), chain()), 0),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        bound = check_derivation(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert bound == 0
+
+
 def test_a_long_chain_of_weakenings_checks_and_prints():
     d = Derivation(REFL, (coin("1/2"), coin("1/2")), 0)
     for _ in range(3000):

@@ -29,6 +29,7 @@ from pbc import (
     denote,
     distance_series,
     hom_distance,
+    identity_map,
     newton_bound_check,
     par,
     seq,
@@ -36,6 +37,7 @@ from pbc import (
     star_equiv_bounded,
     synthesize_tight_derivation,
     tensor,
+    tensor_maps,
 )
 from pbc import combinators as C
 from pbc import semantics
@@ -162,6 +164,45 @@ def test_the_soft_limit_warns_once_per_question():
         # and k = 7, the first size the warning names.
         assert str(caught[0].message) == (
             "the map uses 14 wires; expect slow exact arithmetic")
+
+
+@pytest.mark.parametrize("ask", [
+    lambda t: denote(t, 14),
+    lambda t: Series().map(t, 14),
+    lambda t: Series().distance(t, t, 14),
+    lambda t: distance_series(t, t, 14, 14),
+    lambda t: star_equiv_bounded(t, t, 14),
+    lambda t: tensor_maps(identity_map(7), identity_map(7)),
+], ids=["denote", "map", "distance", "distance_series",
+        "star_equiv_bounded", "tensor_maps"])
+def test_the_soft_limit_warning_names_the_caller(ask):
+    # A filter by module or a traceback location then points at the
+    # caller's code, not at pbc's.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ask(Id(star(B)))
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_a_distance_stops_at_a_row_of_distance_one(monkeypatch):
+    # Row 0 of id against not is at distance 1, the largest there is,
+    # so row 1 is never read.
+    rows = []
+    read = semantics._row
+
+    def counted(node, x):
+        rows.append(x)
+        return read(node, x)
+
+    monkeypatch.setattr(semantics, "_row", counted)
+    assert Series().distance(Id(B), C.not_gate()) == 1
+    assert rows == [0, 0]
+
+
+def test_rows_over_two_denominators_are_one_distribution():
+    # Two fair coins xor-ed give one fair coin, its rows over 4 and 2.
+    xored = seq(par(coin(Fraction(1, 2)), coin(Fraction(1, 2))), C.xor_gate())
+    assert Series().difference(xored, coin(Fraction(1, 2))) is None
 
 
 def test_one_series_answers_questions_of_many_types_as_fresh_ones_do():

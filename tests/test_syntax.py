@@ -47,7 +47,7 @@ from pbc import (
 from pbc.combinators import (
     copy_at, discard_at, otp_lhs, phi_at, vn_lhs, xor_gate,
 )
-from pbc.terms import same_type
+from pbc.terms import GENERATORS, GEN_NAMES, Swap, same_type
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,6 @@ def test_pretty_term_prints_long_chains_without_recursion():
     try:
         for term in (seq(*[Id(B)] * 3000), par(*[coin(1)] * 3000)):
             text = pretty_term(term)
-            # Texts, not terms: == on a 3000-deep term recurses.
             assert pretty_term(parse_term(text)) == text
     finally:
         sys.setrecursionlimit(limit)
@@ -218,6 +217,30 @@ def test_pretty_term_prints_deep_nesting_without_recursion():
     assert texts[0] == "id<B> ; (" * 2999 + "id<B> ; id<B>" + ")" * 2999
     assert texts[1] == "id<I> x (" * 2999 + "id<I> x id<I>" + ")" * 2999
     assert texts[2].count("if<B^10>") == 1023
+
+
+def test_deep_terms_compare_and_hash_without_recursion():
+    # Built separately, so == walks both terms to the bottom.
+    term, copy = seq(*[Id(B)] * 3000), seq(*[Id(B)] * 3000)
+    other = seq(Swap(UNIT, B), *[Id(B)] * 2999)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert term == copy and not term != copy
+        assert term != other and not term == other
+        assert hash(term) == hash(copy)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_each_generator_is_typed_by_its_table_rule(kind):
+    _, rule = GENERATORS[kind]
+    words = [UNIT] if kind == "coin" else [B, bools(2)]
+    for at in words:
+        gen = Gen(kind, at, Fraction(1, 2) if kind == "coin" else None)
+        assert typecheck(gen) == TypeJudgement(*rule(at))
+    assert GEN_NAMES == {"copy": "copy", "discard": "del", "phi": "if"}
 
 
 def test_a_kept_judgement_is_invisible():
