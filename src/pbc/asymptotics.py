@@ -234,7 +234,7 @@ def newton_bound_check(f: Term, g: Term, h: Term, spec: TupleSpec,
 # ---------------------------------------------------------------------------
 # Stock demonstrations with their closed-form laws.
 
-_DEMO_CAP = 8  # merged-iteration widths keep exact evaluation quick
+_DEMO_CAP = 10  # OTP-star is 2k wires wide: k = 10 is at the 20-wire limit
 
 
 # The decay demos: the pair and its labels at bias p, the default bias
@@ -267,7 +267,7 @@ def _powers(base: Fraction, k_max: int):
 def lemma_demo(name: str, k_max: int = 10, p=None):
     """Rebuild a named example pair and verify its decay law.
 
-    Names: ``otp`` (exact equality at every size, sizes capped at 8),
+    Names: ``otp`` (exact equality at every size, sizes capped at 10),
     ``all1`` (bound p^k), ``keyguess`` (bound (1/2)^k, sizes capped at
     10), and ``vonneumann`` (exact law |2p-1|^k from size 1 on).  ``p``
     applies to ``all1`` (default 1/2) and ``vonneumann`` (default 3/4).

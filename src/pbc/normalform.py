@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .objects import UNIT, bools
+from .objects import bools
 from .terms import (
     Id, Seq, Swap, Term, coin, copy_gen, par, phi_case, phi_mix, seq,
 )
@@ -118,24 +118,26 @@ def normalize(t: Term) -> NormalForm:
     return synthesize_from_map(denote(t))
 
 
-def _word_term(value: int, n: int) -> Term:
-    """Deterministic output word as a tensor of deterministic coins."""
-    if n == 0:
-        return Id(UNIT)
-    bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
-    return par(*(coin(b) for b in bits))
+def _word_term(value: int, n: int, words: dict) -> Term:
+    """Deterministic output word as a tensor of deterministic coins,
+    built once per ``words`` table."""
+    term = words.get((value, n))
+    if term is None:
+        bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
+        term = words[value, n] = par(*(coin(b) for b in bits))
+    return term
 
 
-def _tree_term(tree: WeightedTree, n: int) -> Term:
+def _tree_term(tree: WeightedTree, n: int, words: dict) -> Term:
     # Built from the end of the spine: a spine is as long as its
     # support, too deep to recurse on.
     spine = []
     while isinstance(tree, Node):
         spine.append(tree)
         tree = tree.rest
-    out = _word_term(tree.value, n)
+    out = _word_term(tree.value, n, words)
     for node in reversed(spine):
-        out = phi_mix(_word_term(node.head, n), out, bools(n), node.p)
+        out = phi_mix(_word_term(node.head, n, words), out, bools(n), node.p)
     return out
 
 
@@ -154,11 +156,17 @@ def case_term(in_arity: int, out_arity: int, on1: Term, on0: Term) -> Term:
 
 
 def nf_to_term(nf: NormalForm) -> Term:
-    """Reconstruct a term in the literal normal-form shape."""
+    """Reconstruct a term in the literal normal-form shape; equal output
+    words are one term object."""
+    return _nf_term(nf, {})
+
+
+def _nf_term(nf: NormalForm, words: dict) -> Term:
+    """``nf_to_term`` with its words kept in, and taken from, ``words``."""
     if isinstance(nf, Tree):
-        return _tree_term(nf.tree, nf.out_arity)
-    return case_term(nf.in_arity, nf.out_arity,
-                     nf_to_term(nf.on_last_1), nf_to_term(nf.on_last_0))
+        return _tree_term(nf.tree, nf.out_arity, words)
+    return case_term(nf.in_arity, nf.out_arity, _nf_term(nf.on_last_1, words),
+                     _nf_term(nf.on_last_0, words))
 
 
 def decide_equal(f: Term, g: Term) -> bool:

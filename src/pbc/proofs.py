@@ -52,7 +52,7 @@ from .terms import (
 )
 from .semantics import Series, StochMap
 from .normalform import (
-    case_term, nf_to_term, split_last_bit, synthesize_from_map,
+    _nf_term, case_term, split_last_bit, synthesize_from_map,
 )
 
 __all__ = [
@@ -298,14 +298,15 @@ def _bridge(f: Term, core: Derivation, g: Term) -> Derivation:
                       (_refl(f, core.lhs), inner))
 
 
-def _dist_term(dist: dict, out_arity: int) -> Term:
+def _dist_term(dist: dict, out_arity: int, words: dict) -> Term:
     nf = synthesize_from_map(StochMap(0, out_arity, (dist,)))
-    return nf_to_term(nf)
+    return _nf_term(nf, words)
 
 
-def _synth_dists(v: dict, w: dict, out_arity: int) -> Derivation:
-    tf = _dist_term(v, out_arity)
-    tg = _dist_term(w, out_arity)
+def _synth_dists(v: dict, w: dict, out_arity: int,
+                 words: dict) -> Derivation:
+    tf = _dist_term(v, out_arity, words)
+    tg = _dist_term(w, out_arity, words)
     shared = {x: min(q, w[x]) for x, q in v.items() if x in w}
     m = sum(shared.values(), Fraction(0))
     if m == 0:
@@ -317,9 +318,9 @@ def _synth_dists(v: dict, w: dict, out_arity: int) -> Derivation:
               for x, q in v.items() if q > shared.get(x, 0)}
     w_rest = {x: (q - shared.get(x, 0)) / (1 - m)
               for x, q in w.items() if q > shared.get(x, 0)}
-    tc = _dist_term(common, out_arity)
-    tvr = _dist_term(v_rest, out_arity)
-    twr = _dist_term(w_rest, out_arity)
+    tc = _dist_term(common, out_arity, words)
+    tvr = _dist_term(v_rest, out_arity, words)
+    twr = _dist_term(w_rest, out_arity, words)
     mix_f = phi_mix(tvr, tc, bools(out_arity), 1 - m)
     mix_g = phi_mix(twr, tc, bools(out_arity), 1 - m)
     mix = Derivation(
@@ -329,16 +330,17 @@ def _synth_dists(v: dict, w: dict, out_arity: int) -> Derivation:
     return _bridge(tf, mix, tg)
 
 
-def _synth_maps(f: StochMap, g: StochMap) -> Derivation:
-    # The endpoints are the normal-form terms of f and g.
+def _synth_maps(f: StochMap, g: StochMap, words: dict) -> Derivation:
+    # The endpoints are the normal-form terms of f and g, whose equal
+    # output words are one term object each.
     if f.rows == g.rows:
-        t = nf_to_term(synthesize_from_map(f))
+        t = _nf_term(synthesize_from_map(f), words)
         return _refl(t, t)
     if f.in_arity == 0:
-        return _synth_dists(f.rows[0], g.rows[0], f.out_arity)
+        return _synth_dists(f.rows[0], g.rows[0], f.out_arity, words)
     (f1, f0), (g1, g0) = split_last_bit(f), split_last_bit(g)
-    d1 = _synth_maps(f1, g1)
-    d0 = _synth_maps(f0, g0)
+    d1 = _synth_maps(f1, g1, words)
+    d0 = _synth_maps(f0, g0, words)
     delta = max(d1.bound, d0.bound)
     if d1.bound < delta:
         d1 = Derivation(WEAKEN, d1.endpoints, delta, (d1,))
@@ -367,7 +369,7 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
     mf, mg = series.map(f), series.map(g)
     if mf.rows == mg.rows:
         return _refl(f, g)
-    return _bridge(f, _synth_maps(mf, mg), g)
+    return _bridge(f, _synth_maps(mf, mg, {}), g)
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,11 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # instead; one nested more than ``_DET_DEPTH`` calls deep becomes a
 # kernel.  Coin-free, if-free wiring also keeps its bit selection, so any
 # Seq/Par of wiring fuses into one selection, applied as a few shift/mask
-# groups.  A row of support one is always ``(1, {value: 1})``, and
-# numerators become reduced Fractions only in finished maps.
+# groups.  A conditional, ``(c x m x d) ; if`` or the choice ``(c x d) ;
+# phi_p``, is one node: it reads its chooser m and asks only for the arms
+# m gives weight, so it never builds the product of both arms.  A row of
+# support one is always ``(1, {value: 1})``, and numerators become
+# reduced Fractions only in finished maps.
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -509,6 +512,33 @@ class _Loop:
         self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))
 
 
+def _stages(fs: list, k: int | None) -> tuple:
+    """A Seq's factors, each conditional among them replaced by its arms
+    and chooser c, m, d; and where each conditional starts, with the
+    width w of its word.  The conditionals are ``(c x m x d) ; if<w>``
+    and the choice ``(c x d) ; (id<w> x coin(p) x id<w>) ; if<w>`` with
+    0 < p < 1, m the coin."""
+    out, conds, end = [], [], 0  # out[end:] is not in a conditional
+    for t in fs:
+        taken = 0
+        if t.__class__ is Gen and t.kind == PHI:
+            w = width(t.at)
+            match out[max(end, len(out) - 2):]:
+                case [Par(c, d), Par(Par(Id(a), Gen(ck, _, p) as m), Id(b))] \
+                        if (ck == COIN and 0 < p < 1
+                            and width(a, k) == w == width(b, k)):
+                    taken = 2
+                case [*_, Par(Par(c, m), d)]:
+                    taken = 1
+        if taken:
+            out[len(out) - taken:] = c, m, d
+            end = len(out)
+            conds.append((end - 3, w))
+        else:
+            out.append(t)
+    return out, conds
+
+
 def _fractions(den: int, row: dict, weights: dict) -> dict:
     """A row with Fraction weights.  ``weights`` holds one Fraction per
     (denominator, numerator), shared by every row read through it."""
@@ -579,17 +609,22 @@ class Series:
             if id(term) in self.nodes:
                 continue
             if parts is None and isinstance(term, (Seq, Par, TauStar)):
-                parts = ((term.body,) if isinstance(term, TauStar)
-                         else factors(term))
-                todo.append((term, parts))
-                todo.extend((t, None) for t in parts)
-            else:
-                self.nodes[id(term)] = (term, *self._build(term, parts))
+                parts = (_stages(factors(term), self.k) if type(term) is Seq
+                         else (factors(term) if type(term) is Par
+                               else (term.body,), ()))
+            elif (built := self._build(term, parts)) is not None:
+                self.nodes[id(term)] = (term, *built)
+                continue
+            else:  # a conditional whose arms are not of its width
+                parts = factors(term), ()
+            todo.append((term, parts))
+            todo.extend((t, None) for t in parts[0])
         return self.nodes[id(root)][1]
 
-    def _build(self, term: Term, parts) -> tuple:
-        """The node of a term whose parts are built, and whether it is
-        size-free."""
+    def _build(self, term: Term, parts) -> tuple | None:
+        """The node of a term whose parts, ``(subterms, conditionals)``,
+        are built, and whether it is size-free; None when a conditional
+        of a Seq is not one."""
         k = self.k
         if isinstance(term, Id):
             n = width(term.obj, k)
@@ -605,9 +640,13 @@ class Series:
             return self._tau(term), False
         if not isinstance(term, (Seq, Par)):
             raise PBCError(f"not a term: {term!r}")
-        built = [self.nodes[id(t)] for t in parts]
+        built = [self.nodes[id(t)] for t in parts[0]]
         free = all(f for _, _, f in built)
         nodes = [n for _, n, _ in built]
+        for i, w in reversed(parts[1]):  # right to left: i stays put
+            nodes[i:i + 3] = [self._cond(*nodes[i:i + 3], w)]
+            if nodes[i] is None:
+                return None
         if isinstance(term, Seq):
             return self._seq(nodes), free
         # Pairwise into a balanced tree: a chain of n factors nests log n
@@ -697,6 +736,40 @@ class Series:
             return den, dist
 
         return _Node(stages[0].n_in, stages[-1].n_out, kernel=kernel)
+
+    def _cond(self, c: _Node, m: _Node, d: _Node, w: int) -> _Node | None:
+        """``(c x m x d) ; if<w>`` as one node, or None when the arms are
+        not w wires wide.  It reads m's output bit and asks only for the
+        arms it gives weight: c for 1, d for 0."""
+        if not c.n_out == d.n_out == w or m.n_out != 1:
+            return None
+        d_in, m_mask, d_mask = d.n_in, (1 << m.n_in) - 1, (1 << d.n_in) - 1
+        c_at = d_in + m.n_in
+        cf, mf, df = (n.function() if n.memo is None else None
+                      for n in (c, m, d))
+        if cf and mf and df:
+            return _shallow(_Node(
+                c_at + c.n_in, w,
+                det=lambda x: (cf(x >> c_at) if mf(x >> d_in & m_mask)
+                               else df(x & d_mask)),
+                depth=1 + max(c.depth, m.depth, d.depth)))
+        arms = ((1, c, cf, c_at, -1), (0, d, df, 0, d_mask))
+        m_rows, cap = m.memo, self.cap
+
+        def kernel(x):
+            u = x >> d_in & m_mask
+            row = (1, {mf(u): 1}) if mf else m_rows.get(u)
+            den, bits = row if row is not None else (yield m, u)
+            parts = []
+            for bit, arm, fn, at, mask in arms:
+                if bit in bits:
+                    u = x >> at & mask
+                    row = (1, {fn(u): 1}) if fn else arm.memo.get(u)
+                    parts.append((bits[bit], 0, row if row is not None
+                                  else (yield arm, u)))
+            return parts[0][2] if len(parts) == 1 else _mix(den, parts, cap)
+
+        return _Node(c_at + c.n_in, w, kernel=kernel)
 
     def _par(self, f: _Node, g: _Node) -> _Node:
         g_in, g_out = g.n_in, g.n_out

@@ -154,11 +154,32 @@ def _composite_hash(self) -> int:
     return h
 
 
+def _composite_repr(self) -> str:
+    """The text the dataclass-generated repr gives, built on a stack of
+    text and subterms."""
+    out, todo = [], [self]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is str:
+            out.append(t)
+        elif cls is Seq:
+            todo += (")", t.second, ", second=", t.first, "Seq(first=")
+        elif cls is Par:
+            todo += (")", t.right, ", right=", t.left, "Par(left=")
+        elif cls is TauStar:
+            todo += (")", t.body, f"TauStar(state={t.state!r}, inputs="
+                     f"{t.inputs!r}, outputs={t.outputs!r}, body=")
+        else:
+            out.append(repr(t))
+    return "".join(out)
+
+
 # A composite's ``_type`` is the (domain, codomain, iterates) that
 # ``typecheck``, its only writer, found for it; ==, hash, repr and
-# pattern matching ignore it.  Composites compare and hash without
-# recursion, so terms of any depth do.
-@dataclass(frozen=True, slots=True, eq=False)
+# pattern matching ignore it.  Composites compare, hash and print
+# without recursion, so terms of any depth do.
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Seq:
     first: "Term"
     second: "Term"
@@ -166,9 +187,10 @@ class Seq:
 
     __eq__ = _composite_eq
     __hash__ = _composite_hash
+    __repr__ = _composite_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Par:
     left: "Term"
     right: "Term"
@@ -176,9 +198,10 @@ class Par:
 
     __eq__ = _composite_eq
     __hash__ = _composite_hash
+    __repr__ = _composite_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TauStar:
     state: Object
     inputs: tuple  # tuple[Object, ...]
@@ -188,6 +211,7 @@ class TauStar:
 
     __eq__ = _composite_eq
     __hash__ = _composite_hash
+    __repr__ = _composite_repr
 
 
 Term = Id | Gen | Swap | Seq | Par | TauStar

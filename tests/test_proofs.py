@@ -7,6 +7,7 @@ from pbc import (
     B,
     UNIT,
     Derivation,
+    Gen,
     Id,
     PBCProofError,
     PBCTypeError,
@@ -31,7 +32,7 @@ from pbc import (
     synthesize_tight_derivation,
     typecheck,
 )
-from pbc import terms
+from pbc import semantics, terms
 from pbc.combinators import (
     copy_at, otp_lhs, otp_rhs, vn_lhs, vn_rhs, xor_gate,
 )
@@ -271,9 +272,10 @@ def test_checking_certificates_judges_each_leaf_once(monkeypatch):
 def test_checking_a_certificate_compiles_each_subterm_once(monkeypatch):
     # Every Refl node of a check asks one series, and the Refl endpoints
     # share their subterms, so no subterm object is compiled twice: the
-    # 8-coin certificate builds 15,344 nodes for its 24,566 distinct
-    # subterms under Refl nodes, where a series per Refl node built
-    # 30,676.
+    # 8-coin certificate builds 4,351 nodes for its 13,046 distinct
+    # subterms under Refl nodes.  A series per Refl node, with a new
+    # term for every output word and every arm of a conditional
+    # compiled, built 30,676 nodes for 24,566 distinct subterms.
     half = Fraction(1, 2)
     d = synthesize_tight_derivation(
         par(*[coin(half)] * 8), par(coin(Fraction(1, 3)), *[coin(half)] * 7))
@@ -301,6 +303,71 @@ def test_checking_a_certificate_compiles_each_subterm_once(monkeypatch):
     assert check_derivation(d) == Fraction(1, 6)
     assert len(set(built)) == len(built)
     assert 0 < len(built) <= len(subterms)
+
+
+def test_checking_the_eight_coin_certificate_runs_few_kernels(monkeypatch):
+    # A conditional asks only for the arms its chooser weighs, so each
+    # mixture of a spine reads one word and the rest of the spine: the
+    # check runs 1,035 kernels, where evaluating both arms of every
+    # mixture and multiplying them ran 183,038.
+    runs = []
+    init = semantics._Node.__init__
+
+    def counted(self, *args, kernel=None, **kwargs):
+        if kernel is not None:
+            run = kernel
+
+            def kernel(x):
+                runs.append(x)
+                return run(x)
+        init(self, *args, kernel=kernel, **kwargs)
+
+    monkeypatch.setattr(semantics._Node, "__init__", counted)
+    half = Fraction(1, 2)
+    d = synthesize_tight_derivation(
+        par(*[coin(half)] * 8), par(coin(Fraction(1, 3)), *[coin(half)] * 7))
+    del runs[:]
+    assert check_derivation(d) == Fraction(1, 6)
+    assert 0 < len(runs) <= 1100
+
+
+def test_equal_words_of_one_certificate_are_one_object():
+    # The synthesizer builds each output word once, so every normal-form
+    # term of the certificate shares it, and the checker compiles it and
+    # compares it once.
+    rng = random.Random(5)
+    f, g = random_circuit(rng, 2, 3), random_circuit(rng, 2, 3)
+    d = synthesize_tight_derivation(f, g)
+    given = set()
+    todo = [f, g]
+    while todo:
+        t = todo.pop()
+        given.add(id(t))
+        todo += (t.first, t.second) if isinstance(t, Seq) else (
+            (t.left, t.right) if isinstance(t, Par) else ())
+    words, seen = {}, 0
+    nodes = [d]
+    while nodes:
+        node = nodes.pop()
+        nodes += node.premises
+        todo = list(node.endpoints)
+        while todo:
+            t = todo.pop()
+            if id(t) in given:
+                continue
+            if isinstance(t, Seq):
+                todo += (t.first, t.second)
+            elif isinstance(t, Par):
+                leaves = terms.factors(t)
+                if len(leaves) == 3 and all(
+                        x.__class__ is Gen and x.p in (0, 1) for x in leaves):
+                    words.setdefault(
+                        tuple(x.p for x in leaves), set()).add(id(t))
+                    seen += 1
+                else:
+                    todo += (t.left, t.right)
+    assert seen > 2 * len(words) > 0
+    assert all(len(ids) == 1 for ids in words.values())
 
 
 def test_a_case_node_is_built_around_its_premises_endpoints():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from pbc import (
     PBCSyntaxError,
     PBCTypeError,
     Seq,
+    TauStar,
     TypeJudgement,
     UNIT,
     axiom_corpus,
@@ -45,7 +47,8 @@ from pbc import (
     typecheck,
 )
 from pbc.combinators import (
-    copy_at, discard_at, otp_lhs, phi_at, vn_lhs, xor_gate,
+    all_1, copy_at, discard_at, otp_lhs, otp_star_lhs, phi_at, vn_lhs,
+    xor_gate,
 )
 from pbc.terms import GENERATORS, GEN_NAMES, Swap, same_type
 
@@ -231,6 +234,36 @@ def test_deep_terms_compare_and_hash_without_recursion():
         assert hash(term) == hash(copy)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _field_repr(term) -> str:
+    """The text of the dataclass-generated repr, rebuilt recursively."""
+    if isinstance(term, (Seq, Par, TauStar)):
+        return f"{type(term).__name__}(" + ", ".join(
+            f"{f.name}={_field_repr(getattr(term, f.name))}"
+            for f in dataclasses.fields(term) if f.repr) + ")"
+    return repr(term)
+
+
+def test_repr_is_the_field_repr():
+    terms = [t for _, f, g in axiom_corpus() for t in (f, g)]
+    terms += [otp_star_lhs(), copy_at(star(B)), all_1(Fraction(1, 3)),
+              nf_to_term(normalize(par(coin(Fraction(1, 3)), Id(B))))]
+    assert any(isinstance(t, TauStar) for t in terms)
+    for t in terms:
+        assert repr(t) == _field_repr(t)
+
+
+def test_deep_terms_print_their_repr_without_recursion():
+    term = seq(*[Id(B)] * 3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = repr(term)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == ("Seq(first=" * 2999 + repr(Id(B))
+                    + f", second={Id(B)!r})" * 2999)
 
 
 @pytest.mark.parametrize("kind", sorted(GENERATORS))
