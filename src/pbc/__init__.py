@@ -23,7 +23,6 @@ from .objects import (
     bools,
     is_star_free,
     obj_to_str,
-    object_normalize,
     power,
     star,
     tensor,
@@ -129,7 +128,7 @@ from . import combinators
 __all__ = [
     # objects
     "Atom", "BoolAtom", "Star", "Object", "BOOL", "B", "UNIT",
-    "tensor", "bools", "star", "power", "object_normalize",
+    "tensor", "bools", "star", "power",
     "is_star_free", "width", "obj_to_str",
     # terms
     "Term", "Id", "Gen", "Swap", "Seq", "Par", "TauStar",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
 
-from .objects import object_normalize, obj_to_str, star, tensor
+from .objects import obj_to_str, star, tensor
 from .terms import (
     Id, PBCError, PBCTypeError, TauStar, Term, exact_rational, par,
     pretty_term, same_type, seq, typecheck,
@@ -134,11 +134,11 @@ def negligibility_report(series: DecaySeries, a: int,
     """Scale a series by k^a and classify the trend.
 
     The verdict looks at the tail (the last half of the scaled
-    entries): strictly decreasing with a strict overall drop reads as
-    consistent with the scaled distance vanishing, a non-decreasing
-    tail as the opposite, anything else as inconclusive.  An all-zero
-    series is consistent outright.  A single sample supports no trend
-    at all unless it is zero.
+    entries): a tail of exact zeros, or a strictly decreasing one with
+    a strict overall drop, reads as consistent with the scaled distance
+    vanishing, a non-decreasing tail as the opposite, anything else as
+    inconclusive.  A single sample supports no trend at all unless it
+    is zero.
     """
     if a < 0:
         raise PBCError(f"scaling exponent must be >= 0, got {a}")
@@ -150,9 +150,12 @@ def negligibility_report(series: DecaySeries, a: int,
     scaled = tuple((k, Fraction(k) ** a * d) for k, d in series.pairs)
     values = [v for _, v in scaled]
 
-    all_zero = all(d == 0 for _, d in series.pairs)
+    zeros = len(values)  # where the closing run of zero distances starts
+    while zeros > 0 and series.pairs[zeros - 1][1] == 0:
+        zeros -= 1
     tail = values[-((len(values) + 1) // 2):]
-    if all_zero:
+    zero_tail = zeros <= len(values) - len(tail)
+    if zero_tail:
         verdict = CONSISTENT
     elif len(values) == 1:
         verdict = INCONCLUSIVE
@@ -165,7 +168,10 @@ def negligibility_report(series: DecaySeries, a: int,
         verdict = INCONCLUSIVE
 
     witness = None
-    if verdict == CONSISTENT:
+    if zero_tail:
+        # Exactly zero from the run's first size on: below any epsilon.
+        witness = (epsilon, scaled[zeros][0])
+    elif verdict == CONSISTENT:
         # Longest suffix below the threshold at every sampled size.
         i = len(scaled)
         while i > 0 and scaled[i - 1][1] < epsilon:
@@ -197,7 +203,7 @@ def newton_bound_check(f: Term, g: Term, h: Term, spec: TupleSpec,
     bound, so it raises instead of reporting.
     """
     jf = typecheck(f)
-    if jf.domain != object_normalize(spec.state):
+    if jf.domain != spec.state:
         raise PBCTypeError(
             f"the state map f must start at the state "
             f"{obj_to_str(spec.state)} of h, got f : {jf}")

@@ -151,7 +151,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    term, _ = _load(args.file)
+    term, judgement = _load(args.file)
+    if judgement.parametric:
+        raise PBCError(
+            f"{args.file}: normalize takes fixed-size terms, not one of "
+            f"parametric type {judgement}; to instantiate it at a size, "
+            "use eval --k K")
     print(nf_pretty(normalize(term)))
     return 0
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .objects import (
-    UNIT, B, BoolAtom, Object, Star, bools, is_star_free, object_normalize,
-    star, tensor,
+    UNIT, B, BoolAtom, Object, Star, bools, is_star_free, star, tensor,
 )
 from .terms import (
     Id, Swap, TauStar, Term,
@@ -83,7 +82,6 @@ def _star_lifted(obj: Object, at_word, at_star, at_split) -> Term:
     are built first, off an explicit stack, and each word's splits are
     folded right to left, so neither deep stars nor long words recurse.
     """
-    obj = object_normalize(obj)
     built: dict = {}  # word -> its circuit
 
     def part(w: Object) -> Term:  # a star-free word or one starred atom
@@ -161,7 +159,6 @@ def phi_at(obj: Object) -> Term:
 
 def phi_p_at(obj: Object, p) -> Term:
     """Probabilistic choice between two copies of obj, at any object."""
-    obj = object_normalize(obj)
     if is_star_free(obj):
         return phi_p(obj, p)
     return seq(par(Id(obj), coin(p), Id(obj)), phi_at(obj))
@@ -172,27 +169,21 @@ def phi_p_at(obj: Object, p) -> Term:
 
 def zip_streams(a: Object, b: Object) -> Term:
     """Merge two streams into a stream of pairs."""
-    a = object_normalize(a)
-    b = object_normalize(b)
     return TauStar(UNIT, (a, b), (tensor(a, b),), Id(tensor(a, b)))
 
 
 def unzip_streams(a: Object, b: Object) -> Term:
     """Split a stream of pairs into two streams."""
-    a = object_normalize(a)
-    b = object_normalize(b)
     return TauStar(UNIT, (tensor(a, b),), (a, b), Id(tensor(a, b)))
 
 
 def cycle(a: Object) -> Term:
     """Rotate an element into the front of a stream, last one out."""
-    a = object_normalize(a)
     return seq(TauStar(a, (a,), (a,), Id(tensor(a, a))), Swap(star(a), a))
 
 
 def cycle_back(a: Object) -> Term:
     """Inverse rotation, built by cycling forward one short of a full turn."""
-    a = object_normalize(a)
     return TauStar(tensor(a, star(a)), (), (), cycle(a))
 
 

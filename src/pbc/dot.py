@@ -4,17 +4,13 @@ from __future__ import annotations
 
 from itertools import count
 
-from .objects import obj_to_str, object_normalize
+from .objects import obj_to_str
 from .terms import (
     COIN, GEN_NAMES, Gen, Id, Par, PBCError, Seq, Swap, TauStar, Term,
     factors, typecheck,
 )
 
 __all__ = ["emit_dot"]
-
-
-def _atoms(obj) -> int:
-    return len(object_normalize(obj))
 
 
 def _gen_label(g: Gen) -> str:
@@ -60,16 +56,16 @@ def emit_dot(t: Term) -> str:
         an entry can carry more than one producer on the way back out.
         """
         if isinstance(term, Id):
-            w = _atoms(term.obj)
+            w = len(term.obj)
             return ins[:w], ins[w:]
         if isinstance(term, Swap):
-            w = _atoms(term.left)
-            end = w + _atoms(term.right)
+            w = len(term.left)
+            end = w + len(term.right)
             return ins[w:end] + ins[:w], ins[end:]
         if isinstance(term, Gen):
             judgement = typecheck(term)
-            n_in = _atoms(judgement.domain)
-            n_out = _atoms(judgement.codomain)
+            n_in = len(judgement.domain)
+            n_out = len(judgement.codomain)
             node = f"n{next(node_ids)}"
             put(f'{node} [label="{_gen_label(term)}"];', depth)
             for port, src in enumerate(ins[:n_in]):
@@ -96,18 +92,18 @@ def emit_dot(t: Term) -> str:
             put(f"subgraph cluster{next(cluster_ids)} {{", depth)
             put(f'label="iter[{obj_to_str(term.state)}; ({in_words}); '
                 f'({out_words})] ^*";', depth + 1)
-            sw = _atoms(term.state)
+            sw = len(term.state)
             body_ins, rest = ins[:sw], ins[sw:]
             for block in term.inputs:
                 # A stream over the empty word has no wire.
-                if width := _atoms(block):
+                if width := len(block):
                     body_ins += rest[:1] * width
                     rest = rest[1:]
             body_outs, _ = yield term.body, body_ins, depth + 1
             put("}", depth)
             outs = []
             for block in term.outputs:
-                if width := _atoms(block):
+                if width := len(block):
                     outs.append(tuple(p for entry in body_outs[:width]
                                       for p in entry))
                     body_outs = body_outs[width:]
@@ -129,7 +125,7 @@ def emit_dot(t: Term) -> str:
         return result[0]
 
     ins = []
-    for i in range(_atoms(typecheck(t).domain)):
+    for i in range(len(typecheck(t).domain)):
         put(f"i{i} [shape=point];", 1)
         ins.append(((f"i{i}", 0, 1),))
     outs = wire(t, ins)

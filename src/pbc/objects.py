@@ -2,9 +2,10 @@
 
 An object is a flat word (tuple) of atoms.  An atom is either the Boolean
 wire ``B`` or a star atom ``A^*`` holding an inner object.  The empty word
-is the tensor unit ``I``.  Words are kept flat at all times: tensoring two
-objects is tuple concatenation, and a star over the empty word collapses
-to the empty word itself.
+is the tensor unit ``I``.  Words are flat by construction: tensoring two
+objects is tuple concatenation, a star over the empty word collapses to
+the empty word itself, and a star atom refuses any inner object that is
+not a non-empty word.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ __all__ = [
     "BoolAtom", "Star", "Atom", "Object",
     "BOOL", "B", "UNIT",
     "tensor", "bools", "star", "power",
-    "object_normalize", "is_star_free", "width", "obj_to_str",
+    "is_star_free", "width", "obj_to_str",
 ]
 
 
@@ -33,6 +34,11 @@ class Star:
 
     inner: "Object"
 
+    def __post_init__(self):
+        # One level is enough: a star inside was checked when it was built.
+        if not _checked_word(self.inner):
+            raise TypeError("a star atom over the empty word: star(I) is I")
+
     def __repr__(self):
         return f"Star({self.inner!r})"
 
@@ -43,6 +49,20 @@ Object = tuple  # tuple[Atom, ...]
 BOOL = BoolAtom()
 B: Object = (BOOL,)
 UNIT: Object = ()
+
+_ATOM_TYPES = frozenset({BoolAtom, Star})
+
+
+def _checked_word(obj) -> Object:
+    """``obj`` itself if it is a word, a tuple of atoms; TypeError if not.
+
+    The check is shallow: star atoms check their inner words when they
+    are built, so every word of atoms is already flat and normal.
+    """
+    if not (isinstance(obj, tuple)
+            and _ATOM_TYPES.issuperset(map(type, obj))):
+        raise TypeError(f"not a word of atoms: {obj!r}")
+    return obj
 
 
 def tensor(*objs: Object) -> Object:
@@ -69,32 +89,7 @@ def power(obj: Object, n: int) -> Object:
 
 def star(obj: Object) -> Object:
     """Star of an object.  The star of the unit is the unit."""
-    obj = object_normalize(obj)
-    if obj == UNIT:
-        return UNIT
-    return (Star(obj),)
-
-
-def object_normalize(obj: Object) -> Object:
-    """Flatten and drop degenerate atoms.
-
-    Star atoms holding the empty word disappear; star atoms are normalized
-    recursively.  Words built through the module constructors are already
-    in this form, so this mostly matters for hand-assembled tuples.
-    """
-    out = []
-    for atom in obj:
-        if isinstance(atom, Star):
-            inner = object_normalize(atom.inner)
-            if inner == atom.inner:
-                out.append(atom)  # already normal: no copy
-            elif inner != UNIT:
-                out.append(Star(inner))
-        elif isinstance(atom, BoolAtom):
-            out.append(atom)
-        else:
-            raise TypeError(f"not an atom: {atom!r}")
-    return tuple(out)
+    return (Star(obj),) if obj else UNIT
 
 
 def is_star_free(obj: Object) -> bool:

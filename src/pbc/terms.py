@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .objects import (
-    B, UNIT, Object, is_star_free, obj_to_str, object_normalize, power,
-    star, tensor,
+    B, UNIT, Object, _checked_word, is_star_free, obj_to_str, power, star,
+    tensor,
 )
 
 __all__ = [
@@ -242,11 +242,11 @@ class TypeJudgement:
 
 
 def copy_gen(obj: Object) -> Gen:
-    return Gen(COPY, object_normalize(obj))
+    return Gen(COPY, obj)
 
 
 def discard_gen(obj: Object) -> Gen:
-    return Gen(DISCARD, object_normalize(obj))
+    return Gen(DISCARD, obj)
 
 
 def coin(p) -> Gen:
@@ -256,12 +256,11 @@ def coin(p) -> Gen:
 def phi_gen(obj: Object) -> Gen:
     """The conditional at an object: picks the first block when the middle
     Boolean is 1, the last block when it is 0."""
-    return Gen(PHI, object_normalize(obj))
+    return Gen(PHI, obj)
 
 
 def phi_p(obj: Object, p) -> Term:
     """Probabilistic choice: a coin of bias p plugged into the conditional."""
-    obj = object_normalize(obj)
     return Seq(par(Id(obj), coin(p), Id(obj)), phi_gen(obj))
 
 
@@ -314,7 +313,7 @@ def factors(term: Seq | Par) -> list:
 
 
 # Stack marker: the composite below it waits for its judged subterms.
-# Objects are normalized words, so ``+`` is their tensor.
+# Objects are checked words, so ``+`` is their tensor.
 _DONE = object()
 
 
@@ -332,7 +331,7 @@ def typecheck(term: Term) -> TypeJudgement:
         t = todo.pop()
         cls = t.__class__
         if cls is Id:
-            o = object_normalize(t.obj)
+            o = _checked_word(t.obj)
             judged.append((o, o, False))
         elif cls is Seq or cls is Par or cls is TauStar:
             if t._type is not None:
@@ -360,9 +359,9 @@ def typecheck(term: Term) -> TypeJudgement:
                 j = (left_dom + right_dom, left_cod + right_cod,
                      left_loops or right_loops)
             else:
-                state = object_normalize(t.state)
-                ins = tuple(object_normalize(o) for o in t.inputs)
-                outs = tuple(object_normalize(o) for o in t.outputs)
+                state = _checked_word(t.state)
+                ins = tuple(map(_checked_word, t.inputs))
+                outs = tuple(map(_checked_word, t.outputs))
                 body_dom, body_cod, _ = judged[-1]
                 want_dom = tensor(state, *ins)
                 want_cod = tensor(*outs, state)
@@ -384,7 +383,7 @@ def typecheck(term: Term) -> TypeJudgement:
 def _leaf_type(term: Term) -> tuple:
     """(domain, codomain) of a generator or a swap."""
     if isinstance(term, Gen):
-        at = object_normalize(term.at)
+        at = _checked_word(term.at)
         if term.kind != COIN and not is_star_free(at):
             raise PBCTypeError(
                 f"{term.kind} is primitive at star-free words only, not at "
@@ -393,8 +392,8 @@ def _leaf_type(term: Term) -> tuple:
             raise PBCTypeError(f"coin bias {term.p} outside [0, 1]")
         return GENERATORS[term.kind][1](at)
     if isinstance(term, Swap):
-        l = object_normalize(term.left)
-        r = object_normalize(term.right)
+        l = _checked_word(term.left)
+        r = _checked_word(term.right)
         return l + r, r + l
     raise PBCTypeError(f"not a term: {term!r}")
 
@@ -478,7 +477,6 @@ def permute_blocks(blocks: list, order: list) -> Term:
     realized as a chain of adjacent block swaps, which keeps every
     intermediate object explicit.
     """
-    blocks = [object_normalize(b) for b in blocks]
     if sorted(order) != list(range(len(blocks))):
         raise ValueError(f"not a permutation of {len(blocks)} blocks: {order}")
     # Drop empty blocks: they carry no wires.  Positions are tracked by

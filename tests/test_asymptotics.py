@@ -101,6 +101,14 @@ def test_single_nonzero_sample_is_inconclusive():
     assert report.verdict == INCONCLUSIVE
 
 
+def test_zero_tail_is_consistent_from_its_first_zero():
+    # The von Neumann law at p = 1/2: |2p - 1|^k is exactly 0 from k = 1.
+    series = DecaySeries(((0, 1), (1, 0), (2, 0), (3, 0)), "f", "g")
+    report = negligibility_report(series, 0, Fraction(1, 100))
+    assert report.verdict == CONSISTENT
+    assert report.threshold_witness == (Fraction(1, 100), 1)
+
+
 def test_flat_tail_is_not_decreasing():
     series = DecaySeries(
         tuple((k, Fraction(1, 3)) for k in range(6)), "f", "g")

@@ -256,6 +256,14 @@ def test_normalize_rejects_parametric_terms(capsys):
     assert "instantiate" in err
 
 
+def test_normalize_points_parametric_terms_to_eval(capsys):
+    # normalize has no --k: the message names the command that has one.
+    code, out, err = run(capsys, "normalize", ALL1_L)
+    assert (code, out) == (2, "")
+    assert "eval --k K" in err
+    assert "pass a size" not in err
+
+
 # ---------------------------------------------------------------------------
 # eq
 
@@ -424,6 +432,23 @@ def test_demo_vonneumann_golden(capsys):
         "verdict=ConsistentWithNegligible\n"
         "witness_N=3\n"
         "fitted_rate=-1.6094379124341003\n"
+    )
+
+
+def test_demo_vonneumann_at_a_fair_coin_is_exactly_zero(capsys):
+    # |2p - 1|^k is 0 from k = 1 on: a zero tail, not a flat one.
+    code, out, _ = run(capsys, "demo", "vonneumann",
+                       "--k", "3", "--p", "1/2")
+    assert code == 0
+    assert out == (
+        "k,d_num,d_den,scaled_num,scaled_den\n"
+        "0,1,1,1,1\n"
+        "1,0,1,0,1\n"
+        "2,0,1,0,1\n"
+        "3,0,1,0,1\n"
+        "verdict=ConsistentWithNegligible\n"
+        "witness_N=1\n"
+        "fitted_rate=none\n"
     )
 
 

@@ -1,0 +1,162 @@
+"""Grammar fuzzing of the command line: small generated ``.pbc`` sources,
+each run through ``check``, ``eval``, ``eq`` and ``dot`` in process.
+
+Whatever the source, a command exits 0, 1 or 2 and never reports an
+internal error; a file that checks is equal to itself.
+"""
+
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pbc.cli import main
+
+# A word is a tuple of atom texts; each atom's wires at size k = 2.
+_WIRES = {"B": 1, "B^*": 2, "(B^2)^*": 4, "(B^*)^*": 4}
+# Terms stay this narrow at k = 2, so that every command runs quickly.
+_MAX_WIRES = 8
+# Spellings of the empty word.
+_UNITS = ["I", "B^0", "I^*", "(I)^*", "(B^0)^*", "(I^*)^*"]
+
+# Closed leaves as (text, domain, codomain).
+_LEAVES = [
+    ("coin(1/2)", (), ("B",)),
+    ("coin(0)", (), ("B",)),
+    ("coin(1)", (), ("B",)),
+    ("not", ("B",), ("B",)),
+    ("and", ("B", "B"), ("B",)),
+    ("xor", ("B", "B"), ("B",)),
+    ("iter[I; (B); (B)](not)", ("B^*",), ("B^*",)),
+    ("iter[B; (B); (B)](xor ; copy<B>)", ("B", "B^*"), ("B^*", "B")),
+    ("iter[B; (); (B)](copy<B>)", ("B",), ("B^*", "B")),
+    ("iter[I; (B); ()](del<B>)", ("B^*",), ()),
+    ("iter[I; (); ()](id<I>)", (), ()),
+]
+
+# Characters the tokenizer has no rule for, or that break the grammar.
+_STRAY = "@#$!%&{}|~`?.'\"\\+-:"
+
+
+@st.composite
+def words(draw):
+    return tuple(draw(st.sampled_from(sorted(_WIRES)))
+                 for _ in range(draw(st.integers(0, 2))))
+
+
+def _narrow(*words):
+    return all(sum(map(_WIRES.get, w)) <= _MAX_WIRES for w in words)
+
+
+@st.composite
+def spell(draw, word):
+    """Surface text of a word, with the unit in one of its spellings."""
+    if not word:
+        return draw(st.sampled_from(_UNITS))
+    return " x ".join(word)
+
+
+def _paren(draw, text):
+    """``text`` as a factor of ``x``: a sequence needs its parentheses,
+    anything else may have them."""
+    return f"({text})" if ";" in text or draw(st.booleans()) else text
+
+
+@st.composite
+def stage(draw, word):
+    """A term from ``word``, as (text, codomain)."""
+    w = draw(spell(word))
+    kind = draw(st.sampled_from(["id", "copy", "del", "swap", "mix"]))
+    if kind == "copy" and _narrow(word + word):
+        return f"copy<{w}>", word + word
+    if kind == "del":
+        return f"del<{w}>", ()
+    if kind == "swap":
+        cut = draw(st.integers(0, len(word)))
+        left, right = word[:cut], word[cut:]
+        return (f"swap<{draw(spell(left))},{draw(spell(right))}>",
+                right + left)
+    if kind == "mix" and _narrow(word + word + ("B",)):
+        return (f"copy<{w}> ; (id<{w}> x coin(1/3) x id<{w}>) ; if<{w}>",
+                word)
+    return f"id<{w}>", word
+
+
+@st.composite
+def terms(draw, bound, depth):
+    """(text, domain, codomain) of a well-typed term over the leaves, the
+    generators at drawn words and the names ``bound`` so far."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        choices = _LEAVES + bound
+        if draw(st.booleans()):
+            word = draw(words())
+            text, cod = draw(stage(word))
+            return text, word, cod
+        return draw(st.sampled_from(choices))
+    if draw(st.booleans()):
+        a, a_dom, a_cod = draw(terms(bound, depth - 1))
+        b, b_dom, b_cod = draw(terms(bound, depth - 1))
+        if not _narrow(a_dom + b_dom, a_cod + b_cod):
+            return a, a_dom, a_cod
+        return (f"{_paren(draw, a)} x {_paren(draw, b)}",
+                a_dom + b_dom, a_cod + b_cod)
+    a, dom, mid = draw(terms(bound, depth - 1))
+    b, cod = draw(stage(mid))
+    return f"({a}) ; {_paren(draw, b)}", dom, cod
+
+
+@st.composite
+def sources(draw):
+    """A file of a few ``let`` bindings and a ``main``, sometimes broken
+    by a stray character, a cut, or a term of the wrong type."""
+    bound, lines = [], []
+    for i in range(draw(st.integers(0, 3))):
+        text, dom, cod = draw(terms(bound, 2))
+        lines.append(f"let a{i} = {text}")
+        bound.append((f"a{i}", dom, cod))
+    text, _, _ = draw(terms(bound, 2))
+    nesting = draw(st.integers(0, 4))
+    lines.append(f"main = {'(' * nesting}{text}{')' * nesting}")
+    source = "\n".join(lines) + "\n"
+    damage = draw(st.sampled_from(["none", "none", "stray", "cut", "retype"]))
+    if damage == "stray":
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + draw(st.sampled_from(_STRAY)) + source[at:]
+    elif damage == "cut":
+        source = source[:draw(st.integers(0, len(source) - 1))]
+    elif damage == "retype":
+        source = source.replace(";", draw(st.sampled_from(["x", ";;"])), 1)
+    return source
+
+
+def _run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "f.pbc")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sources())
+def test_every_command_exits_cleanly_on_generated_sources(path, source):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(source)
+    codes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # wide sizes warn
+        for argv in (["check", path], ["eval", path, "--k", "2"],
+                     ["eq", path, path, "--k", "2"], ["dot", path]):
+            code, err = _run(*argv)
+            assert code in (0, 1, 2), (argv, source)
+            assert "internal error" not in err, (argv, source, err)
+            codes[argv[0]] = code
+    if codes["check"] == 0:
+        assert codes["eq"] == 0, source

@@ -56,7 +56,6 @@ def test_every_imported_name_is_used(path):
 # limit the tool enforces, far below the interpreter's recursion limit.
 RECURSION_ALLOWED = {
     # Star nesting, which the parser caps at 200 levels.
-    "object_normalize": "star nesting",
     "width": "star nesting",
     "instantiate_object": "star nesting",
     # Input arity, which the wire limit caps.
@@ -98,6 +97,17 @@ def test_every_allowed_recursion_exists():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found |= _self_calls(tree).keys()
     assert set(RECURSION_ALLOWED) <= found
+
+
+def test_only_objects_and_terms_check_words():
+    # Words are normal by construction; the shallow check runs only
+    # where objects come in from outside: star atoms and typecheck.
+    callers = {
+        path.name for path in PACKAGE.glob("*.py")
+        if any(isinstance(node, ast.Name) and node.id == "_checked_word"
+               for node in ast.walk(ast.parse(path.read_text(
+                   encoding="utf-8"))))}
+    assert callers == {"objects.py", "terms.py"}
 
 
 @pytest.mark.parametrize("name", ["Seq", "Par", "TauStar"])

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from circuitgen import random_circuit
 from pbc import (
     B,
+    BOOL,
     Gen,
     Id,
     Par,
     PBCSyntaxError,
     PBCTypeError,
     Seq,
+    Star,
     TauStar,
     TypeJudgement,
     UNIT,
@@ -30,7 +32,6 @@ from pbc import (
     nf_to_term,
     normalize,
     obj_to_str,
-    object_normalize,
     parse_circuit,
     parse_object,
     parse_term,
@@ -50,6 +51,7 @@ from pbc.combinators import (
     all_1, copy_at, discard_at, otp_lhs, otp_star_lhs, phi_at, vn_lhs,
     xor_gate,
 )
+from pbc.objects import _checked_word
 from pbc.terms import GENERATORS, GEN_NAMES, Swap, same_type
 
 
@@ -73,8 +75,19 @@ def test_object_print_parse_round_trip(obj):
 
 
 @given(objects())
-def test_object_normalize_idempotent(obj):
-    assert object_normalize(obj) == obj
+def test_every_object_passes_the_word_check_unchanged(obj):
+    assert _checked_word(obj) is obj
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Star(()),
+    lambda: Star([BOOL]),
+    lambda: typecheck(Id([BOOL])),
+    lambda: typecheck(Id((1,))),
+], ids=["empty star", "star over a list", "id at a list", "id at junk"])
+def test_non_words_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_object_surface_forms():
