@@ -24,6 +24,7 @@ laws on top of the numeric series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
@@ -58,7 +59,9 @@ class DecaySeries:
     g_label: str
 
     def __post_init__(self):
-        pairs = tuple((int(k), exact_rational(d)) for k, d in self.pairs)
+        # Sizes are ints and distances exact: a float is a TypeError.
+        pairs = tuple((operator.index(k), exact_rational(d))
+                      for k, d in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         ks = [k for k, _ in pairs]
         if ks != sorted(set(ks)):
@@ -125,7 +128,10 @@ def _fit_rate(pairs) -> float | None:
     if len(positive) < 3:
         return None
     xs = [float(k) for k, _ in positive]
-    ys = [math.log(float(d)) for _, d in positive]
+    # A distance below the float range reads 0.0; its log is still finite.
+    ys = [math.log(x) if (x := float(d)) else
+          math.log(d.numerator) - math.log(d.denominator)
+          for _, d in positive]
     return linear_regression(xs, ys).slope
 
 
@@ -140,6 +146,8 @@ def negligibility_report(series: DecaySeries, a: int,
     inconclusive.  A single sample supports no trend at all unless it
     is zero.
     """
+    if not isinstance(a, int):
+        raise PBCError(f"scaling exponent must be an int, got {a!r}")
     if a < 0:
         raise PBCError(f"scaling exponent must be >= 0, got {a}")
     epsilon = exact_rational(epsilon)

@@ -96,7 +96,10 @@ def _load_pair(args):
 
 
 def _dec(x: Fraction) -> str:
-    return repr(x.numerator / x.denominator)
+    try:
+        return repr(x.numerator / x.denominator)
+    except OverflowError:  # above the float range; no value is negative
+        return "inf"
 
 
 def _frac_str(x: Fraction, decimal: bool) -> str:
@@ -163,14 +166,13 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_eq(args) -> int:
     s, t, judgement = _load_pair(args)
+    k_max = K_TEST if args.k is None else _parse_single_k(args.k, "eq")
     if not judgement.parametric:
         if decide_equal(s, t):
             print("EQUAL")
             return 0
         print("NOT EQUAL")
         return 1
-    k_max = (K_TEST if args.k is None
-             else _parse_single_k(args.k, "eq"))
     verdict = star_equiv_bounded(s, t, k_max=k_max)
     if isinstance(verdict, EqualUpTo):
         print(f"EQUAL (every size k = 0..{verdict.k_max})")

@@ -17,7 +17,7 @@ from .objects import (
 from .terms import (
     Id, Swap, TauStar, Term,
     coin, copy_gen, discard_gen, exact_rational, par, permute_blocks, phi_gen,
-    phi_p, seq,
+    seq,
 )
 from .iteration import TupleSpec
 
@@ -159,8 +159,6 @@ def phi_at(obj: Object) -> Term:
 
 def phi_p_at(obj: Object, p) -> Term:
     """Probabilistic choice between two copies of obj, at any object."""
-    if is_star_free(obj):
-        return phi_p(obj, p)
     return seq(par(Id(obj), coin(p), Id(obj)), phi_at(obj))
 
 

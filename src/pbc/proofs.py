@@ -17,8 +17,8 @@ The rules:
   factor of a composition or tensor, the other factor shared
 * ``PhiCase``: replace both branches of a conditional
   ``(c x id<B> x d) ; if`` under a shared bound
-* ``PhiMix(p)``: replace both arms of a probabilistic choice
-  ``(c x d) ; phi_p``, the bounds mixing as ``p*delta + (1-p)*gamma``
+* ``PhiMix(p)``: replace both arms of a choice ``(c x coin(p) x d) ; if``,
+  the bounds mixing as ``p*delta + (1-p)*gamma``
 
 The checker does not take a ``PhiCase`` or ``PhiMix`` conclusion apart:
 it rebuilds both endpoints from the premises' endpoints with the
@@ -111,6 +111,8 @@ class Derivation:
         if self.rule not in _RULES:
             raise ValueError(f"unknown rule: {self.rule!r}")
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
+        if len(self.endpoints) != 2:
+            raise ValueError(f"{len(self.endpoints)} endpoints, not 2")
         object.__setattr__(self, "bound", exact_rational(self.bound))
         object.__setattr__(self, "premises", tuple(self.premises))
         if self.param is not None:
@@ -244,7 +246,7 @@ def _check_rule(node: Derivation, jl: TypeJudgement, sub: list,
         if node.endpoints != (phi_mix(c.lhs, d.lhs, at, p),
                               phi_mix(c.rhs, d.rhs, at, p)):
             raise PBCProofError(
-                "PhiMix endpoints must be (c x d) ; phi_p over the "
+                "PhiMix endpoints must be (c x coin(p) x d) ; if over the "
                 "premises' endpoints, with p the parameter")
         want = p * sub[0] + (1 - p) * sub[1]
         if node.bound != want:

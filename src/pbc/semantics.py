@@ -263,11 +263,11 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # instead; one nested more than ``_DET_DEPTH`` calls deep becomes a
 # kernel.  Coin-free, if-free wiring also keeps its bit selection, so any
 # Seq/Par of wiring fuses into one selection, applied as a few shift/mask
-# groups.  A conditional, ``(c x m x d) ; if`` or the choice ``(c x d) ;
-# phi_p``, is one node: it reads its chooser m and asks only for the arms
-# m gives weight, so it never builds the product of both arms.  A row of
-# support one is always ``(1, {value: 1})``, and numerators become
-# reduced Fractions only in finished maps.
+# groups.  A conditional ``(c x m x d) ; if`` is one node, a case split
+# with m ``id<B>`` and a choice with m ``coin(p)``: it reads m and asks
+# only for the arms m gives weight, so it never builds the product of
+# both arms.  A row of support one is always ``(1, {value: 1})``, and
+# numerators become reduced Fractions only in finished maps.
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -512,30 +512,20 @@ class _Loop:
         self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))
 
 
-def _stages(fs: list, k: int | None) -> tuple:
-    """A Seq's factors, each conditional among them replaced by its arms
-    and chooser c, m, d; and where each conditional starts, with the
-    width w of its word.  The conditionals are ``(c x m x d) ; if<w>``
-    and the choice ``(c x d) ; (id<w> x coin(p) x id<w>) ; if<w>`` with
-    0 < p < 1, m the coin."""
+def _stages(fs: list) -> tuple:
+    """A Seq's factors, each conditional ``(c x m x d) ; if`` among them
+    replaced by its arms and chooser c, m, d; and where each conditional
+    starts, with its ``if``."""
     out, conds, end = [], [], 0  # out[end:] is not in a conditional
     for t in fs:
-        taken = 0
-        if t.__class__ is Gen and t.kind == PHI:
-            w = width(t.at)
-            match out[max(end, len(out) - 2):]:
-                case [Par(c, d), Par(Par(Id(a), Gen(ck, _, p) as m), Id(b))] \
-                        if (ck == COIN and 0 < p < 1
-                            and width(a, k) == w == width(b, k)):
-                    taken = 2
-                case [*_, Par(Par(c, m), d)]:
-                    taken = 1
-        if taken:
-            out[len(out) - taken:] = c, m, d
-            end = len(out)
-            conds.append((end - 3, w))
-        else:
-            out.append(t)
+        if t.__class__ is Gen and t.kind == PHI and len(out) > end:
+            match out[-1]:
+                case Par(Par(c, m), d):
+                    out[-1:] = c, m, d
+                    end = len(out)
+                    conds.append((end - 3, t))
+                    continue
+        out.append(t)
     return out, conds
 
 
@@ -609,22 +599,19 @@ class Series:
             if id(term) in self.nodes:
                 continue
             if parts is None and isinstance(term, (Seq, Par, TauStar)):
-                parts = (_stages(factors(term), self.k) if type(term) is Seq
+                parts = (_stages(factors(term)) if type(term) is Seq
                          else (factors(term) if type(term) is Par
                                else (term.body,), ()))
-            elif (built := self._build(term, parts)) is not None:
-                self.nodes[id(term)] = (term, *built)
-                continue
-            else:  # a conditional whose arms are not of its width
-                parts = factors(term), ()
-            todo.append((term, parts))
-            todo.extend((t, None) for t in parts[0])
+                todo.append((term, parts))
+                todo.extend((t, None) for t in parts[0])
+            else:
+                self.nodes[id(term)] = (term, *self._build(term, parts))
         return self.nodes[id(root)][1]
 
-    def _build(self, term: Term, parts) -> tuple | None:
+    def _build(self, term: Term, parts) -> tuple:
         """The node of a term whose parts, ``(subterms, conditionals)``,
-        are built, and whether it is size-free; None when a conditional
-        of a Seq is not one."""
+        are built, and whether it is size-free.  A conditional whose arms
+        are not of its width runs as written: its stage, then its if."""
         k = self.k
         if isinstance(term, Id):
             n = width(term.obj, k)
@@ -643,10 +630,12 @@ class Series:
         built = [self.nodes[id(t)] for t in parts[0]]
         free = all(f for _, _, f in built)
         nodes = [n for _, n, _ in built]
-        for i, w in reversed(parts[1]):  # right to left: i stays put
-            nodes[i:i + 3] = [self._cond(*nodes[i:i + 3], w)]
-            if nodes[i] is None:
-                return None
+        for i, phi in reversed(parts[1]):  # right to left: i stays put
+            c, m, d = nodes[i:i + 3]
+            cond = self._cond(c, m, d, width(phi.at))
+            nodes[i:i + 3] = ([cond] if cond is not None
+                              else [self._par(self._par(c, m), d),
+                                    self._gen(phi)])
         if isinstance(term, Seq):
             return self._seq(nodes), free
         # Pairwise into a balanced tree: a chain of n factors nests log n

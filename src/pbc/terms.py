@@ -261,7 +261,7 @@ def phi_gen(obj: Object) -> Gen:
 
 def phi_p(obj: Object, p) -> Term:
     """Probabilistic choice: a coin of bias p plugged into the conditional."""
-    return Seq(par(Id(obj), coin(p), Id(obj)), phi_gen(obj))
+    return phi_mix(Id(obj), Id(obj), obj, p)
 
 
 def phi_case(c: Term, d: Term, at: Object) -> Term:
@@ -271,9 +271,9 @@ def phi_case(c: Term, d: Term, at: Object) -> Term:
 
 
 def phi_mix(c: Term, d: Term, at: Object, p) -> Term:
-    """The choice between two arms: ``(c x d) ; phi_p(at, p)`` runs ``c``
-    with probability p and ``d`` otherwise."""
-    return Seq(Par(c, d), phi_p(at, p))
+    """The choice between two arms: ``(c x coin(p) x d) ; if<at>`` runs
+    ``c`` with probability p and ``d`` otherwise."""
+    return Seq(par(c, coin(p), d), phi_gen(at))
 
 
 def seq(*terms: Term) -> Term:

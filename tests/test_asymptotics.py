@@ -52,6 +52,12 @@ def test_series_distances_are_exact():
     assert series.pairs == ((0, 1), (1, Fraction(1, 2)), (2, Fraction(1, 4)))
 
 
+def test_series_sizes_are_ints():
+    for k in (0.5, Fraction(3, 2), 2.0):
+        with pytest.raises(TypeError):
+            DecaySeries(((k, Fraction(1, 2)),), "f", "g")
+
+
 def test_distance_series_on_the_extractor_pair():
     p = Fraction(3, 5)
     series = distance_series(vn_lhs(p), vn_rhs(), 1, 6)
@@ -128,6 +134,21 @@ def test_threshold_is_exact():
     for epsilon in ("1/100", Fraction(1, 100)):
         report = negligibility_report(halving(4), 0, epsilon)
         assert report.threshold_witness == (Fraction(1, 100), 0)
+
+
+def test_scaling_exponent_is_an_int():
+    for a in (0.5, Fraction(1, 2), 2.0):
+        with pytest.raises(PBCError):
+            negligibility_report(halving(4), a, Fraction(1, 10))
+
+
+def test_fitted_rate_reads_distances_below_the_float_range():
+    # 2^-1100 is 0.0 as a float; the slope is still ln(1/2).
+    series = DecaySeries(
+        tuple((k, Fraction(1, 2 ** (1100 * k))) for k in range(1, 4)),
+        "f", "g")
+    report = negligibility_report(series, 0, Fraction(1, 100))
+    assert report.fitted_rate == pytest.approx(-1100 * 0.6931471805599453)
 
 
 def test_fitted_rate_absent_below_three_points():

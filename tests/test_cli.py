@@ -341,6 +341,14 @@ def test_bad_k_values_are_usage_errors(capsys):
         assert "--k" in err
 
 
+def test_eq_refuses_a_bad_k_on_star_free_files(capsys):
+    for text in ("garbage", "3..1", "0..3"):
+        code, out, err = run(capsys, "eq", OTP_L, OTP_R, "--k", text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("pbc: ") and "--k" in err, text
+    assert run(capsys, "eq", OTP_L, OTP_R, "--k", "3") == (0, "EQUAL\n", "")
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -378,6 +386,17 @@ def test_series_decimal_golden(capsys):
         "verdict=ConsistentWithNegligible\n"
         "witness_N=2\n"
         "fitted_rate=-0.6931471805599453\n"))
+
+
+def test_series_prints_inf_for_a_scaled_value_above_the_float_range(
+        capsys):
+    # 6^400 / 64 is about 1.8e309; 5^400 / 32 still fits.
+    code, out, err = run(capsys, "series", ALL1_L, ALL1_R,
+                         "--k", "0..6", "--a", "400", "--decimal")
+    assert (code, err) == (1, "")
+    rows = [line.split(",") for line in out.splitlines()[1:8]]
+    assert [r[-1] for r in rows[5:]] == ["1.210184973390412e+278", "inf"]
+    assert rows[6][-2] == "0.015625"
 
 
 def test_series_is_byte_deterministic(capsys):
@@ -433,6 +452,14 @@ def test_demo_vonneumann_golden(capsys):
         "witness_N=3\n"
         "fitted_rate=-1.6094379124341003\n"
     )
+
+
+def test_demo_fits_a_rate_to_distances_below_the_float_range(capsys):
+    # |2p - 1| = 2^-19, so d_k = 2^(-19k) is 0.0 as a float from k = 57.
+    code, out, err = run(capsys, "demo", "vonneumann",
+                         "--p", "524289/1048576", "--k", "60")
+    assert (code, err) == (0, "")
+    assert out.endswith("fitted_rate=-13.169796430638963\n")
 
 
 def test_demo_vonneumann_at_a_fair_coin_is_exactly_zero(capsys):

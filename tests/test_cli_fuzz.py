@@ -1,8 +1,10 @@
 """Grammar fuzzing of the command line: small generated ``.pbc`` sources,
-each run through ``check``, ``eval``, ``eq`` and ``dot`` in process.
+each run through ``check``, ``eval``, ``eq``, ``dot``, ``normalize``,
+``dist`` and ``series`` in process.
 
 Whatever the source, a command exits 0, 1 or 2 and never reports an
-internal error; a file that checks is equal to itself.
+internal error; a file that checks is equal to itself, at distance zero
+from itself at every size.
 """
 
 import io
@@ -136,7 +138,7 @@ def _run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +151,19 @@ def path(tmp_path_factory):
 def test_every_command_exits_cleanly_on_generated_sources(path, source):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(source)
-    codes = {}
+    codes, outs = {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # wide sizes warn
         for argv in (["check", path], ["eval", path, "--k", "2"],
-                     ["eq", path, path, "--k", "2"], ["dot", path]):
-            code, err = _run(*argv)
+                     ["eq", path, path, "--k", "2"], ["dot", path],
+                     ["normalize", path],
+                     ["dist", path, path, "--k", "2", "--decimal"],
+                     ["series", path, path, "--k", "0..2", "--decimal"]):
+            code, out, err = _run(*argv)
             assert code in (0, 1, 2), (argv, source)
             assert "internal error" not in err, (argv, source, err)
-            codes[argv[0]] = code
+            codes[argv[0]], outs[argv[0]] = code, out
     if codes["check"] == 0:
         assert codes["eq"] == 0, source
+        assert outs["dist"] == "0/1\t0.0\n", source
+        assert codes["series"] == 0, source

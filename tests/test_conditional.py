@@ -1,10 +1,11 @@
 """The evaluator's conditional node against the dense reference semantics.
 
-``Series`` compiles ``(c x m x d) ; if<w>`` and the choice ``(c x d) ;
-phi_p(w, p)`` as one node that reads the chooser m and asks only for the
-arms it gives weight.  It is taken only when both arms are w wires wide;
-any other split of the same wires takes the generic path.  Either way the
-map must equal ``reference.reference_denote`` row for row.
+``Series`` compiles ``(c x m x d) ; if<w>``, with the chooser m
+``id<B>``, a coin or any one-wire circuit, as one node that reads m and
+asks only for the arms it gives weight.  It is taken only when both arms
+are w wires wide; any other split of the same wires runs as written, and
+only that conditional does.  Either way the map must equal
+``reference.reference_denote`` row for row.
 """
 
 import random
@@ -89,7 +90,7 @@ def test_the_choice_never_compiles_its_coin_stage_or_its_if(monkeypatch):
     rng = random.Random(17)
     c, d = arms(rng, 2, 2)
     term = phi_mix(c, d, bools(2), Fraction(1, 3))
-    skipped = {id(term.second.first), id(term.second.second)}
+    skipped = {id(term.first), id(term.first.left), id(term.second)}
     built = []
     build = Series._build
     monkeypatch.setattr(Series, "_build", lambda self, t, parts: built.append(
@@ -128,9 +129,30 @@ def test_arms_of_other_widths_take_the_generic_path(conds, shift):
             del conds[:]
             assert_reference(seq(par(c, m, d), phi_gen(bools(w))))
             assert conds == [None]
+        # (c x d) runs as written, and phi_p is a conditional over
+        # identities.
         del conds[:]
         assert_reference(seq(Par(c, d), phi_p(bools(w), Fraction(1, 3))))
-        assert conds == [None]
+        assert len(conds) == 1 and conds[0] is not None
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_only_the_conditional_of_other_widths_runs_as_written(conds, shift):
+    # One Seq, two conditionals: the first has proper arms; the second
+    # has arms of widths w + shift and w - shift, which together read
+    # the first's w output wires.  The first is still a node.
+    rng = random.Random(37 + shift)
+    for _ in range(20):
+        w = rng.randint(1, 2)
+        e, f = arms(rng, w, w)
+        a = rng.randint(0, w)
+        c = random_circuit(rng, a, w + shift, max_wires=4)
+        d = random_circuit(rng, w - a, w - shift, max_wires=4)
+        term = seq(par(e, rng.choice(choosers(rng)), f), phi_gen(bools(w)),
+                   par(c, coin(random_bias(rng)), d), phi_gen(bools(w)))
+        del conds[:]
+        assert_reference(term)
+        assert len(conds) == 2 and sum(n is None for n in conds) == 1
 
 
 def test_a_coin_stage_over_other_widths_takes_the_generic_path(conds):

@@ -37,6 +37,7 @@ from pbc.combinators import (
     copy_at, otp_lhs, otp_rhs, vn_lhs, vn_rhs, xor_gate,
 )
 from pbc.semantics import Series
+from pbc.terms import phi_mix
 from pbc.proofs import (
     PAR_LEFT,
     PAR_RIGHT,
@@ -80,8 +81,8 @@ def test_top_checks_to_one():
 
 def test_mix_rule_weighs_the_arm_bounds():
     p = Fraction(2, 5)
-    lhs = Seq(Par(coin(1), coin(0)), phi_p(B, p))
-    rhs = Seq(Par(coin(0), coin(0)), phi_p(B, p))
+    lhs = phi_mix(coin(1), coin(0), B, p)
+    rhs = phi_mix(coin(0), coin(0), B, p)
     arms = (
         Derivation(TOP, (coin(1), coin(0)), 1),
         Derivation(REFL, (coin(0), coin(0)), 0),
@@ -489,8 +490,8 @@ def test_weaken_cannot_shrink():
 
 def test_mix_parameter_must_match_the_coin():
     p = Fraction(2, 5)
-    lhs = Seq(Par(coin(1), coin(0)), phi_p(B, p))
-    rhs = Seq(Par(coin(0), coin(0)), phi_p(B, p))
+    lhs = phi_mix(coin(1), coin(0), B, p)
+    rhs = phi_mix(coin(0), coin(0), B, p)
     arms = (
         Derivation(TOP, (coin(1), coin(0)), 1),
         Derivation(REFL, (coin(0), coin(0)), 0),
@@ -596,7 +597,7 @@ def _mutants():
             PHI_MIX, mix.endpoints, 1, mix.premises, param=p),
         "mix sides with different biases": Derivation(
             PHI_MIX,
-            (mix.lhs, Seq(mix.rhs.first, phi_p(B, p / 2))),
+            (mix.lhs, phi_mix(arm.rhs, common.rhs, B, p / 2)),
             mix.bound, mix.premises, param=p),
         "endpoints loop at a star-free type": Derivation(
             TOP, (vn_lhs(Fraction(3, 4)), vn_rhs()), 1),
@@ -629,6 +630,12 @@ def test_bounds_and_weights_are_exact():
     for bound in (1, Fraction(1), "1/1"):
         assert Derivation(TOP, ends, bound).bound == 1
     assert Derivation(PHI_MIX, ends, 1, param="1/10").param == Fraction(1, 10)
+
+
+def test_endpoints_must_be_a_pair():
+    for ends in ((), (coin(0),), (coin(0), coin(0), coin(0))):
+        with pytest.raises(ValueError):
+            Derivation(REFL, ends, 0)
 
 
 def test_negative_bound_is_rejected():
