@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
@@ -128,9 +129,10 @@ def _fit_rate(pairs) -> float | None:
     if len(positive) < 3:
         return None
     xs = [float(k) for k, _ in positive]
-    # A distance below the float range reads 0.0; its log is still finite.
-    ys = [math.log(x) if (x := float(d)) else
-          math.log(d.numerator) - math.log(d.denominator)
+    # Below the normal float range a distance keeps too few bits, or
+    # reads 0.0; unless the float is exact, log numerator and denominator.
+    ys = [math.log(x) if (x := float(d)) >= sys.float_info.min or x == d
+          else math.log(d.numerator) - math.log(d.denominator)
           for _, d in positive]
     return linear_regression(xs, ys).slope
 

@@ -77,6 +77,8 @@ def _load(path: str):
             source = fh.read()
     except OSError as err:
         raise PBCError(str(err)) from None
+    except UnicodeDecodeError as err:
+        raise PBCError(f"{path}: {err}") from None
     try:
         term = parse_circuit(source)
         return term, typecheck(term)

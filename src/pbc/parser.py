@@ -5,8 +5,13 @@ and ``(obj)``.  Terms are ``id<obj>``, ``swap<obj,obj>``, ``copy<obj>``,
 ``del<obj>``, ``coin(p)``, ``if<obj>``, sequential ``t ; t``, parallel
 ``t x t`` and ``iter[state; (in,...); (out,...)](body)``, with ``x``
 binding tighter than ``;`` and both associating to the left.  Rationals
-are ``num/den`` or a bare integer.  ``--`` starts a line comment.
-Parentheses, and stars in an object, nest at most 200 levels deep.
+are ``num/den`` or a bare integer.  Parentheses, and stars in an object,
+nest at most 200 levels deep.
+
+Circuit files are UTF-8.  ``--`` starts a line comment.  Blanks are
+space, tab, CR and LF; any other character that no token takes (a form
+feed, a no-break space, a byte order mark) is stray and refused.  An
+error gives a 1-based line and a column counted in characters.
 
 ``copy``, ``del`` and ``if`` at star-containing objects are sugar: the
 parser elaborates them into the iteration circuits that lift the
@@ -23,7 +28,6 @@ starts with neither ``let`` nor ``main`` is one bare term.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .objects import B, UNIT, Object, Star, is_star_free, power, star, tensor
@@ -67,17 +71,22 @@ _GENERATORS = {
     GEN_NAMES[PHI]: (phi_gen, phi_at),
 }
 
-# One alternative per token kind, tried in order.  Identifiers follow
-# Python's Unicode rule; a character no alternative takes is stray.
+# Blanks, then a token (an identifier, an integer or a symbol), a
+# comment, a stray character, or the end of the source: trailing blanks
+# are one match, not one failed search per blank.
 _TOKEN = re.compile(r"""
-    (?P<newline> \n )
-  | (?P<space> [ \t\r]+ )
-  | (?P<comment> --[^\n]* )
-  | (?P<ident> [^\W\d]\w* )
-  | (?P<int> \d+ )
-  | (?P<sym> [;()<>\[\],=^*/] )
-  | (?P<stray> . )
+    [ \t\r\n]*
+    (?: ( [^\W\d]\w* | \d+ | [;()<>\[\],=^*/] )
+      | ( --[^\n]* )
+      | ( [^ \t\r\n] )
+      | \Z )
 """, re.VERBOSE)
+_SYMBOLS = frozenset(";()<>[],=^*/")
+
+
+def _is_name(text: str) -> bool:
+    """Whether a token, or ``""`` at the end, is an identifier."""
+    return text != "" and text not in _SYMBOLS and not text.isdecimal()
 
 
 # Parentheses nest the parser's recursion, and stars the recursion of
@@ -96,223 +105,220 @@ def _star_depth(obj: Object) -> int:
         depth += 1
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str  # ident | int | sym | eof
-    text: str
-    line: int
-    col: int
+def _error(source: str, offset: int, message: str) -> PBCSyntaxError:
+    """``message`` at the character ``offset`` of ``source``."""
+    return PBCSyntaxError(message, source.count("\n", 0, offset) + 1,
+                          offset - source.rfind("\n", 0, offset))
 
 
-def _tokenize(source: str) -> list:
-    toks = []
-    line = 1
-    line_start = end = 0
+def _tokenize(source: str) -> tuple:
+    """The token texts, then ``""`` for the end of input, and the offset
+    at which each starts."""
+    texts, starts = [], []
+    end = len(source)
     for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        col = m.start() - line_start + 1
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "stray":
-            raise PBCSyntaxError(f"stray character {m.group()!r}", line, col)
-        elif kind in ("ident", "int", "sym"):
-            toks.append(_Tok(kind, m.group(), line, col))
-        # End of input after a trailing comment is placed at the comment.
-        end = m.start() if kind == "comment" else m.end()
-    toks.append(_Tok("eof", "", line, end - line_start + 1))
-    return toks
+        kind = m.lastindex
+        if kind == 1:
+            texts.append(m[1])
+            starts.append(m.start(1))
+        elif kind == 3:
+            raise _error(source, m.start(3), f"stray character {m[3]!r}")
+        elif kind == 2 and m.end() == end:
+            # End of input after a trailing comment is placed at the comment.
+            end = m.start(2)
+    texts.append("")
+    starts.append(end)
+    return texts, starts
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.toks = _tokenize(source)
+        self.source = source
+        self.toks, self.starts = _tokenize(source)
         self.pos = 0
         self.depth = 0
         self.bindings: dict = {}
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Tok:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
+    def at(self, text: str) -> bool:
+        return self.toks[self.pos] == text
+
+    def error(self, message: str, pos: int | None = None) -> PBCSyntaxError:
+        """``message`` at token ``pos``, by default the next one."""
+        offset = self.starts[self.pos if pos is None else pos]
+        return _error(self.source, offset, message)
+
+    def expect(self, text: str) -> None:
+        if not self.at(text):
+            raise self.error(f"expected {text!r}")
         self.pos += 1
-        return t
-
-    def fail(self, message: str) -> None:
-        t = self.peek()
-        raise PBCSyntaxError(message, t.line, t.col)
-
-    def at_sym(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == text
-
-    def at_word(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == text
-
-    def expect_sym(self, text: str) -> _Tok:
-        if not self.at_sym(text):
-            self.fail(f"expected {text!r}")
-        return self.next()
 
     def nested(self, inner):
         """``( inner )``, one level deeper."""
-        t = self.expect_sym("(")
+        self.expect("(")
         if self.depth == _MAX_NESTING:
-            raise PBCSyntaxError(
+            raise self.error(
                 f"parentheses nested deeper than {_MAX_NESTING} levels",
-                t.line, t.col)
+                self.pos - 1)
         self.depth += 1
         out = inner()
         self.depth -= 1
-        self.expect_sym(")")
+        self.expect(")")
         return out
+
+    def check(self, term: Term, what: str, at: int) -> None:
+        """Typecheck a statement; an error names its first token ``at``."""
+        try:
+            typecheck(term)
+        except PBCTypeError as err:
+            raise self.error(f"in {what}: {err}", at) from err
 
     # -- objects -----------------------------------------------------------
 
     def object_(self) -> Object:
         out = self.object_factor()
-        while self.at_word("x"):
-            self.next()
+        while self.at("x"):
+            self.pos += 1
             out = tensor(out, self.object_factor())
         return out
 
     def object_factor(self) -> Object:
         t = self.peek()
-        if t.kind == "ident" and t.text == "I":
-            self.next()
+        if t == "I":
+            self.pos += 1
             obj: Object = UNIT
-        elif t.kind == "ident" and t.text == "B":
-            self.next()
+        elif t == "B":
+            self.pos += 1
             obj = B
-        elif self.at_sym("("):
+        elif t == "(":
             obj = self.nested(self.object_)
         else:
-            self.fail("expected an object")
-        while self.at_sym("^"):
-            self.next()
+            raise self.error("expected an object")
+        while self.at("^"):
+            self.pos += 1
             t = self.peek()
-            if t.kind == "int":
-                self.next()
-                obj = power(obj, int(t.text))
-            elif self.at_sym("*"):
-                t = self.next()
+            if t.isdecimal():
+                self.pos += 1
+                obj = power(obj, int(t))
+            elif t == "*":
                 obj = star(obj)
                 if _star_depth(obj) > _MAX_NESTING:
-                    raise PBCSyntaxError(
-                        f"stars nested deeper than {_MAX_NESTING} levels",
-                        t.line, t.col)
+                    raise self.error(
+                        f"stars nested deeper than {_MAX_NESTING} levels")
+                self.pos += 1
             else:
-                self.fail("expected a power or '*' after '^'")
+                raise self.error("expected a power or '*' after '^'")
         return obj
 
     # -- terms ---------------------------------------------------------------
 
     def rational(self) -> Fraction:
         t = self.peek()
-        if t.kind != "int":
-            self.fail("expected a rational")
-        self.next()
-        num = int(t.text)
-        if self.at_sym("/"):
-            self.next()
+        if not t.isdecimal():
+            raise self.error("expected a rational")
+        self.pos += 1
+        num = int(t)
+        if self.at("/"):
+            self.pos += 1
             d = self.peek()
-            if d.kind != "int":
-                self.fail("expected a denominator")
-            self.next()
-            den = int(d.text)
+            if not d.isdecimal():
+                raise self.error("expected a denominator")
+            den = int(d)
             if den == 0:
-                raise PBCSyntaxError("zero denominator", d.line, d.col)
+                raise self.error("zero denominator")
+            self.pos += 1
             return Fraction(num, den)
         return Fraction(num)
 
     def term(self) -> Term:
         out = self.term_factor()
-        while self.at_sym(";"):
-            self.next()
+        while self.at(";"):
+            self.pos += 1
             out = Seq(out, self.term_factor())
         return out
 
     def term_factor(self) -> Term:
         out = self.term_primary()
-        while self.at_word("x"):
-            self.next()
+        while self.at("x"):
+            self.pos += 1
             out = Par(out, self.term_primary())
         return out
 
     def angle_object(self) -> Object:
-        self.expect_sym("<")
+        self.expect("<")
         obj = self.object_()
-        self.expect_sym(">")
+        self.expect(">")
         return obj
 
     def term_primary(self) -> Term:
-        t = self.peek()
-        if t.kind == "sym" and t.text == "(":
+        name = self.peek()
+        if name == "(":
             return self.nested(self.term)
-        if t.kind != "ident":
-            self.fail("expected a term")
-        name = t.text
+        if not _is_name(name):
+            raise self.error("expected a term")
         if name == "id":
-            self.next()
+            self.pos += 1
             return Id(self.angle_object())
         if name == "swap":
-            self.next()
-            self.expect_sym("<")
+            self.pos += 1
+            self.expect("<")
             left = self.object_()
-            self.expect_sym(",")
+            self.expect(",")
             right = self.object_()
-            self.expect_sym(">")
+            self.expect(">")
             return Swap(left, right)
         if name in _GENERATORS:
-            self.next()
+            self.pos += 1
             obj = self.angle_object()
             primitive, lifted = _GENERATORS[name]
             return primitive(obj) if is_star_free(obj) else lifted(obj)
         if name == "coin":
-            self.next()
-            self.expect_sym("(")
+            self.pos += 1
+            self.expect("(")
             p = self.rational()
-            self.expect_sym(")")
+            self.expect(")")
             return coin(p)
         if name == "iter":
-            self.next()
-            self.expect_sym("[")
+            self.pos += 1
+            self.expect("[")
             state = self.object_()
-            self.expect_sym(";")
+            self.expect(";")
             inputs = self.object_list()
-            self.expect_sym(";")
+            self.expect(";")
             outputs = self.object_list()
-            self.expect_sym("]")
+            self.expect("]")
             return TauStar(state, inputs, outputs, self.nested(self.term))
         if name in _KEYWORDS:
-            self.fail(f"{name!r} cannot start a term here")
-        self.next()
+            raise self.error(f"{name!r} cannot start a term here")
         if name in self.bindings:
-            return self.bindings[name]
-        if name in _BUILTINS:
-            return _BUILTINS[name]()
-        raise PBCSyntaxError(f"unknown identifier {name!r}", t.line, t.col)
+            term = self.bindings[name]
+        elif name in _BUILTINS:
+            term = _BUILTINS[name]()
+        else:
+            raise self.error(f"unknown identifier {name!r}")
+        self.pos += 1
+        return term
 
     def object_list(self) -> tuple:
-        self.expect_sym("(")
-        if self.at_sym(")"):
-            self.next()
+        self.expect("(")
+        if self.at(")"):
+            self.pos += 1
             return ()
         objs = [self.object_()]
-        while self.at_sym(","):
-            self.next()
+        while self.at(","):
+            self.pos += 1
             objs.append(self.object_())
-        self.expect_sym(")")
+        self.expect(")")
         return tuple(objs)
 
     def end(self, out):
         """``out``, once every token has been read."""
-        if self.peek().kind != "eof":
-            self.fail("unexpected trailing input")
+        if not self.at(""):
+            raise self.error("unexpected trailing input")
         return out
 
 
@@ -339,45 +345,34 @@ def parse_circuit(source: str) -> Term:
     parses it (and not typechecked).
     """
     p = _Parser(source)
-    if not (p.at_word("let") or p.at_word("main")):
+    if not (p.at("let") or p.at("main")):
         return p.end(p.term())
     main: Term | None = None
-    while p.peek().kind != "eof":
-        t = p.peek()
-        if p.at_word("let"):
-            p.next()
-            name_tok = p.peek()
-            if name_tok.kind != "ident" or name_tok.text in _KEYWORDS:
-                p.fail("expected a binding name after 'let'")
-            name = name_tok.text
+    while not p.at(""):
+        at = p.pos
+        if p.at("let"):
+            p.pos += 1
+            name = p.peek()
+            if not _is_name(name) or name in _KEYWORDS:
+                raise p.error("expected a binding name after 'let'")
             if name in _BUILTINS:
-                raise PBCSyntaxError(f"{name!r} rebinds a builtin gate",
-                                     name_tok.line, name_tok.col)
+                raise p.error(f"{name!r} rebinds a builtin gate")
             if name in p.bindings:
-                raise PBCSyntaxError(f"{name!r} is already bound",
-                                     name_tok.line, name_tok.col)
-            p.next()
-            p.expect_sym("=")
+                raise p.error(f"{name!r} is already bound")
+            p.pos += 1
+            p.expect("=")
             term = p.term()
-            _check_stmt(term, f"let {name}", t)
+            p.check(term, f"let {name}", at)
             p.bindings[name] = term
-        elif p.at_word("main"):
+        elif p.at("main"):
             if main is not None:
-                raise PBCSyntaxError("a second 'main' entry", t.line, t.col)
-            p.next()
-            p.expect_sym("=")
+                raise p.error("a second 'main' entry")
+            p.pos += 1
+            p.expect("=")
             main = p.term()
-            _check_stmt(main, "main", t)
+            p.check(main, "main", at)
         else:
-            p.fail("expected 'let' or 'main'")
+            raise p.error("expected 'let' or 'main'")
     if main is None:
-        t = p.peek()
-        raise PBCSyntaxError("no 'main' entry", t.line, t.col)
+        raise p.error("no 'main' entry")
     return main
-
-
-def _check_stmt(term: Term, what: str, at: _Tok) -> None:
-    try:
-        typecheck(term)
-    except PBCTypeError as err:
-        raise PBCSyntaxError(f"in {what}: {err}", at.line, at.col) from err

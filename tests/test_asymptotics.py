@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -123,7 +124,6 @@ def test_flat_tail_is_not_decreasing():
 
 
 def test_fitted_rate_matches_the_halving_slope():
-    import math
     report = negligibility_report(halving(8), 0, Fraction(1, 100))
     assert report.fitted_rate == pytest.approx(-math.log(2))
 
@@ -149,6 +149,16 @@ def test_fitted_rate_reads_distances_below_the_float_range():
         "f", "g")
     report = negligibility_report(series, 0, Fraction(1, 100))
     assert report.fitted_rate == pytest.approx(-1100 * 0.6931471805599453)
+
+
+def test_fitted_rate_reads_subnormal_distances_in_full():
+    # 3^-k is subnormal from k = 645 and 0.0 from k = 678; a subnormal
+    # float keeps too few bits to give the slope ln(1/3).
+    series = DecaySeries(
+        tuple((k, Fraction(1, 3 ** k)) for k in range(600, 720, 5)),
+        "f", "g")
+    report = negligibility_report(series, 0, Fraction(1, 100))
+    assert report.fitted_rate == pytest.approx(-math.log(3), rel=1e-12)
 
 
 def test_fitted_rate_absent_below_three_points():

@@ -174,6 +174,24 @@ def test_missing_file_is_a_usage_error(capsys):
     assert err.startswith("pbc: ")
 
 
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    src = tmp_path / "latin1.pbc"
+    src.write_bytes(b"main = id<B> \xe9\n")
+    code, out, err = run(capsys, "check", str(src))
+    assert (code, out) == (2, "")
+    assert err == (f"pbc: {src}: 'utf-8' codec can't decode byte 0xe9 in "
+                   "position 13: invalid continuation byte\n")
+
+
+def test_a_byte_order_mark_is_a_stray_character(capsys, tmp_path):
+    src = tmp_path / "bom.pbc"
+    src.write_bytes(b"\xef\xbb\xbfmain = id<B>\n")
+    code, out, err = run(capsys, "check", str(src))
+    assert (code, out) == (2, "")
+    assert err == (f"pbc: {src}: line 1, column 1: stray character "
+                   "'\\ufeff'\n")
+
+
 # ---------------------------------------------------------------------------
 # eval
 

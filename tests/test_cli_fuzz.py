@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbc import PBCSyntaxError, parse_circuit
 from pbc.cli import main
 
 # A word is a tuple of atom texts; each atom's wires at size k = 2.
@@ -111,9 +112,8 @@ def terms(draw, bound, depth):
 
 
 @st.composite
-def sources(draw):
-    """A file of a few ``let`` bindings and a ``main``, sometimes broken
-    by a stray character, a cut, or a term of the wrong type."""
+def valid_sources(draw):
+    """A well-typed file of a few ``let`` bindings and a ``main``."""
     bound, lines = [], []
     for i in range(draw(st.integers(0, 3))):
         text, dom, cod = draw(terms(bound, 2))
@@ -122,7 +122,14 @@ def sources(draw):
     text, _, _ = draw(terms(bound, 2))
     nesting = draw(st.integers(0, 4))
     lines.append(f"main = {'(' * nesting}{text}{')' * nesting}")
-    source = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def sources(draw):
+    """A file from ``valid_sources``, sometimes broken by a stray
+    character, a cut, or a term of the wrong type."""
+    source = draw(valid_sources())
     damage = draw(st.sampled_from(["none", "none", "stray", "cut", "retype"]))
     if damage == "stray":
         at = draw(st.integers(0, len(source)))
@@ -167,3 +174,16 @@ def test_every_command_exits_cleanly_on_generated_sources(path, source):
         assert codes["eq"] == 0, source
         assert outs["dist"] == "0/1\t0.0\n", source
         assert codes["series"] == 0, source
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(valid_sources(), st.data())
+def test_a_stray_character_is_reported_where_it_stands(source, data):
+    at = data.draw(st.integers(0, len(source)))
+    char = data.draw(st.sampled_from(_STRAY))
+    with pytest.raises(PBCSyntaxError) as err:
+        parse_circuit(source[:at] + char + source[at:])
+    before = source[:at].split("\n")
+    line, col = len(before), len(before[-1]) + 1
+    assert str(err.value) == (
+        f"line {line}, column {col}: stray character {char!r}")

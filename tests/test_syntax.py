@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -367,41 +368,93 @@ def test_comparing_terms_of_two_types_is_one_error(compare):
 # ---------------------------------------------------------------------------
 # Error positions.
 
-def test_error_carries_line_and_column():
-    with pytest.raises(PBCSyntaxError) as err:
-        parse_term("coin(1/2) ;; id<B>")
-    assert err.value.line == 1
-    assert err.value.col == 12
+_LOOP = "iter[B; (); ()]("
+_MISMATCH = ("sequential mismatch: expected B on the left of the second "
+             "factor, got I")
 
-
-def test_non_ascii_digits_are_a_syntax_error():
+# (parser, source, the full error text): the position of every kind of
+# syntax error, counted in characters from line 1, column 1.
+_ERRORS = {
+    "double semicolon": (parse_term, "coin(1/2) ;; id<B>",
+                         "line 1, column 12: expected a term"),
     # A superscript two is a digit to str.isdigit but not a decimal one.
+    "superscript digit": (parse_circuit, "main = id<B^\u00b2>",
+                          "line 1, column 13: expected a power or '*' "
+                          "after '^'"),
+    "form feed": (parse_circuit, "main =\fid<B>\n",
+                  "line 1, column 7: stray character '\\x0c'"),
+    "no-break space": (parse_circuit, "main = id<B>\u00a0; id<B>\n",
+                       "line 1, column 13: stray character '\\xa0'"),
+    "byte order mark": (parse_circuit, "\ufeffmain = id<B>\n",
+                        "line 1, column 1: stray character '\\ufeff'"),
+    "comment at end": (parse_circuit, "main = id<B> ; -- no newline",
+                       "line 1, column 16: expected a term"),
+    "comment, newline": (parse_circuit, "main = id<B> ; -- a comment\n",
+                         "line 2, column 1: expected a term"),
+    "comment, no main": (parse_circuit, "let a = id<B>\n  -- no main",
+                         "line 2, column 3: no 'main' entry"),
+    "crlf": (parse_circuit, "let a = id<B>\r\nmain = a ;; a\r\n",
+             "line 2, column 11: expected a term"),
+    "cr alone": (parse_term, "id<B>\r;\r;",
+                 "line 1, column 9: expected a term"),
+    "after comments": (parse_circuit, "-- one\n-- two\nmain = zzz\n",
+                       "line 3, column 8: unknown identifier 'zzz'"),
+    "no main": (parse_circuit, "let a = coin(1/2)",
+                "line 1, column 18: no 'main' entry"),
+    "no main, newline": (parse_circuit, "let a = coin(1/2)\n",
+                         "line 2, column 1: no 'main' entry"),
+    "second main": (parse_circuit, "main = id<B>\nmain = id<B>",
+                    "line 2, column 1: a second 'main' entry"),
+    "indented main": (parse_circuit, "main = id<B>\n  main = id<B>\n",
+                      "line 2, column 3: a second 'main' entry"),
+    "duplicate let": (parse_circuit,
+                      "let a = id<B>\nlet  a = id<B>\nmain = a\n",
+                      "line 2, column 6: 'a' is already bound"),
+    "rebound builtin": (parse_circuit, "let xor = id<B>\nmain = xor\n",
+                        "line 1, column 5: 'xor' rebinds a builtin gate"),
+    "bound keyword": (parse_circuit, "let iter = coin(1/2)\nmain = id<B>",
+                      "line 1, column 5: expected a binding name after "
+                      "'let'"),
+    "type error": (parse_circuit,
+                   "let first = coin(1/2)\nlet bad = first ; first\n"
+                   "main = id<B>",
+                   f"line 2, column 1: in let bad: {_MISMATCH}"),
+    "indented type error": (parse_circuit,
+                            "let a = coin(1/2)\n\tlet b = a ; a\nmain = b\n",
+                            f"line 2, column 2: in let b: {_MISMATCH}"),
+    "zero denominator": (parse_term, "coin(1/0)",
+                         "line 1, column 8: zero denominator"),
+    "zero on line 2": (parse_circuit, "main =\n coin(3/0)\n",
+                       "line 2, column 9: zero denominator"),
+    "unknown identifier": (parse_term, "zzz",
+                           "line 1, column 1: unknown identifier 'zzz'"),
+    "after multi-byte": (parse_circuit,
+                         "let été = coin(1/2)\n"
+                         "main = été x zzz\n",
+                         "line 2, column 14: unknown identifier 'zzz'"),
+    "trailing input": (parse_term, "id<B> id<B>",
+                       "line 1, column 7: unexpected trailing input"),
+    "deep parentheses": (parse_term,
+                         "id<B> ;\n " + "(" * 201 + "id<B>" + ")" * 201,
+                         "line 2, column 202: parentheses nested deeper "
+                         "than 200 levels"),
+    "deep iterations": (parse_term, _LOOP * 201 + "id<B>" + ")" * 201,
+                        "line 1, column 3216: parentheses nested deeper "
+                        "than 200 levels"),
+    "deep stars": (parse_object, "B" + "^*" * 201,
+                   "line 1, column 403: stars nested deeper than 200 "
+                   "levels"),
+}
+
+
+@pytest.mark.parametrize("parse, source, message", _ERRORS.values(),
+                         ids=_ERRORS.keys())
+def test_syntax_error_positions(parse, source, message):
     with pytest.raises(PBCSyntaxError) as err:
-        parse_circuit("main = id<B^\u00b2>")
-    assert (err.value.line, err.value.col) == (1, 13)
-
-
-def test_unknown_identifier_rejected():
-    with pytest.raises(PBCSyntaxError, match="zzz"):
-        parse_term("zzz")
-
-
-def test_zero_denominator_rejected():
-    with pytest.raises(PBCSyntaxError, match="denominator"):
-        parse_term("coin(1/0)")
-
-
-def test_keyword_cannot_be_bound():
-    with pytest.raises(PBCSyntaxError):
-        parse_circuit("let iter = coin(1/2)\nmain = id<B>")
-
-
-def test_circuit_type_error_names_the_statement():
-    src = "let first = coin(1/2)\nlet bad = first ; first\nmain = id<B>"
-    with pytest.raises(PBCSyntaxError) as err:
-        parse_circuit(src)
-    assert err.value.line == 2
-    assert "bad" in str(err.value)
+        parse(source)
+    assert str(err.value) == message
+    line, col = re.match(r"line (\d+), column (\d+): ", message).groups()
+    assert (err.value.line, err.value.col) == (int(line), int(col))
 
 
 def test_a_file_without_let_or_main_is_one_bare_term():
@@ -409,16 +462,6 @@ def test_a_file_without_let_or_main_is_one_bare_term():
            "coin(1/2) x id<B> ; xor\n")
     assert parse_circuit(src) == parse_term(src)
     assert str(typecheck(parse_circuit(src))) == "B -> B"
-
-
-def test_missing_main_rejected():
-    with pytest.raises(PBCSyntaxError, match="main"):
-        parse_circuit("let a = coin(1/2)")
-
-
-def test_duplicate_main_rejected():
-    with pytest.raises(PBCSyntaxError, match="main"):
-        parse_circuit("main = id<B>\nmain = id<B>")
 
 
 def test_bindings_resolve_in_order():
