@@ -208,9 +208,11 @@ def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
     denominators ``da`` and ``db``.
 
     Both rows are scaled to the least common denominator s, so the sum
-    runs over ints and a single Fraction is built at the end.
+    runs over ints and a single Fraction is built at the end.  One row
+    object on both sides, as loops built through one table give, is at
+    distance 0 at once.
     """
-    if da == db and a == b:
+    if a is b or da == db and a == b:
         return ZERO
     s = math.lcm(da, db)
     ma, mb = s // da, s // db
@@ -267,7 +269,11 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # with m ``id<B>`` and a choice with m ``coin(p)``: it reads m and asks
 # only for the arms m gives weight, so it never builds the product of
 # both arms.  A row of support one is always ``(1, {value: 1})``, and
-# numerators become reduced Fractions only in finished maps.
+# numerators become reduced Fractions only in finished maps.  A row is
+# never mutated once made, so one row object may stand in many memos: a
+# stage hands out its child's dict as its own row, and a loop level's row
+# is built once per recipe, the body row and the continuation rows it
+# mixes, and shared by every input and loop with that recipe (``_Loop``).
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -452,15 +458,27 @@ class _Loop:
     left out when the identity.  No level depends on the size the loop
     runs at, so a loop kept from one size to the next only adds the
     levels it lacks.
+
+    A level row is fully determined by its recipe: the body row at the
+    popped element, the continuation rows it mixes, and the push, which
+    the level, the state width and the output streams fix.  ``rows``
+    maps each recipe to its finished row, and a kernel looks its recipe
+    up before it mixes, so loops that share the table, and inputs of
+    one loop, build each row once.  A recipe names each continuation
+    row by ``id``, so every such row must stay alive while its key
+    does: level rows are the table's own values, and level 0, the
+    identity ``tau0``, is the series' one node per state width, which
+    also lets loops of one shape start from the same rows.  A row is
+    never mutated once made, so it may stand in many memos.
     """
 
-    __slots__ = ("body", "sw", "a", "b", "in_words", "out_words", "cap",
-                 "levels")
+    __slots__ = ("body", "sw", "a", "outs", "in_words", "out_words",
+                 "cap", "rows", "levels")
 
     def __init__(self, body: _Node, sw: int, ins: tuple, outs: tuple,
-                 cap: int):
+                 cap: int, tau0: _Node, rows: dict):
         self.body = body if body.memo is not None else _as_kernel(body)
-        self.sw, self.a, self.b = sw, sum(ins), sum(outs)
+        self.sw, self.a, self.outs = sw, sum(ins), outs
         # Pop and push are the wiring tau_k_expand uses, over Boolean
         # words; with at most one nonempty stream they are the identity.
         self.in_words = (tuple(bools(w) for w in ins)
@@ -468,7 +486,8 @@ class _Loop:
         self.out_words = (tuple(bools(w) for w in outs)
                           if sum(1 for w in outs if w) > 1 else None)
         self.cap = cap
-        self.levels = [_as_kernel(_wiring(sw, tuple(range(sw))))]
+        self.rows = rows  # recipe -> row, shared with the table's loops
+        self.levels = [tau0]
 
     def level(self, k: int) -> _Node:
         """The node of tau^k."""
@@ -477,8 +496,8 @@ class _Loop:
         return self.levels[k]
 
     def _add_level(self) -> None:
-        n, sw, a, b, cap = (len(self.levels), self.sw, self.a, self.b,
-                            self.cap)
+        n, sw, a, b, cap = (len(self.levels), self.sw, self.a,
+                            sum(self.outs), self.cap)
         # Both are star-free wiring, so they compile to one selection.
         pop = push = None
         if self.in_words:
@@ -488,11 +507,12 @@ class _Loop:
             wiring = par(push_term(self.out_words, n - 1), Id(bools(sw)))
             push = Series().node(wiring).function()
         body, below = self.body, self.levels[-1]
-        body_rows, below_rows = body.memo, below.memo
+        body_rows, below_rows, rows = body.memo, below.memo, self.rows
         r_bits = (n - 1) * a
         r_mask = (1 << r_bits) - 1
         s_mask = (1 << sw) - 1
         c_bits = (n - 1) * b + sw
+        head = n, sw, self.outs  # what fixes the push
 
         def kernel(v):
             y = pop(v) if pop else v
@@ -500,14 +520,22 @@ class _Loop:
             row = body_rows.get(e)
             den, dist = row if row is not None else (yield body, e)
             r = y & r_mask
-            parts = []
+            parts, recipe = [], []
             for o, m in dist.items():
                 c = ((o & s_mask) << r_bits) | r
                 row = below_rows.get(c)
                 if row is None:
                     row = yield below, c
-                parts.append((m, (o >> sw) << c_bits, row))
-            return _mix(den, parts, cap, push)
+                hi = (o >> sw) << c_bits
+                parts.append((m, hi, row))
+                recipe.append((hi, m, id(row)))
+            # Sorted: one map's rows may list their outputs in any order.
+            recipe.sort()
+            key = (head, den, *recipe)
+            row = rows.get(key)
+            if row is None:
+                rows[key] = row = _mix(den, parts, cap, push)
+            return row
 
         self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))
 
@@ -552,7 +580,10 @@ class Series:
     size-free keeps its ``_Loop``.  Every other node is rebuilt at each
     size: a loop over a body that loops too gets fresh levels, even when
     its type is star-free, because the inner loop's value depends on the
-    size.  Over increasing sizes k = 0, 1, ..., K a series costs about
+    size.  The kept loops build their level rows through one table of
+    the series, so each row is built once per recipe (see ``_Loop``);
+    a loop rebuilt at each size has a table of its own, dropped with
+    it.  Over increasing sizes k = 0, 1, ..., K a series costs about
     as much as its largest size.  Comparisons read the compiled roots
     one input row at a time as ``(den, {output: numerator})``; they
     build no map and no Fraction per entry.
@@ -568,6 +599,8 @@ class Series:
         self.k = None  # the size starred objects are read at, or None
         self.nodes: dict = {}  # id(term) -> (term, node, size-free)
         self.loops: dict = {}  # id(term) -> (term, _Loop), size-free bodies
+        self.tau0: dict = {}  # state width -> the identity level tau^0
+        self.rows: dict = {}  # recipe -> row, for loops over size-free bodies
         self.cap = 1  # largest support a kernel may have; set per question
         self._warned = False
 
@@ -655,7 +688,15 @@ class Series:
         _, body, free = self.nodes[id(term.body)]
         kept = self.loops.get(id(term)) if free else None
         if kept is None:
-            kept = (term, _Loop(body, sw, ins, outs, self.cap))
+            tau0 = self.tau0.get(sw)
+            if tau0 is None:
+                tau0 = self.tau0[sw] = _as_kernel(
+                    _wiring(sw, tuple(range(sw))))
+            # A loop rebuilt at each size keeps its rows in a table of its
+            # own, dropped with it, so the series' table holds no row of
+            # a size left behind.
+            kept = (term, _Loop(body, sw, ins, outs, self.cap, tau0,
+                                self.rows if free else {}))
             if free:
                 self.loops[id(term)] = kept
         return kept[1].level(k)

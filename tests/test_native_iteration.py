@@ -38,6 +38,7 @@ from pbc import (
 )
 from pbc import combinators as C
 from pbc.cli import main as pbc_command
+from pbc.semantics import Series
 from test_forward import _demo_pairs
 
 
@@ -150,15 +151,19 @@ def test_soft_limit_warns_once_at_a_size():
 
 
 def test_evaluating_at_a_size_leaves_no_reference_cycles():
-    # Memos and kept loop levels die with the call instead of waiting
-    # for the cyclic collector, for one size and for a series alike.
+    # Memos, kept loop levels and the loops' row tables die with the
+    # call instead of waiting for the cyclic collector, for one size and
+    # for a series alike.
+    coins = TauStar((), (), (B,), coin(Fraction(1, 2)))
+    nested = TauStar((), (), (B,), seq(par(coins, coins), C.eq_star()))
     terms = [(C.vn_lhs(Fraction(3, 4)), 50), (C.keyguess_lhs(), 5),
              (C.otp_star_lhs(), 5), (C.phi_at(star(B)), 4),
              (C.cycle_back(B), 4), (C.all_1(Fraction(1, 2)), 10)]
     pairs = [(C.vn_lhs(Fraction(3, 4)), C.vn_rhs(), 50),
              (C.keyguess_lhs(), C.keyguess_rhs(), 5),
              (C.otp_star_lhs(), C.otp_star_rhs(), 5),
-             (C.copy_at(star(star(B))), C.copy_at(star(star(B))), 2)]
+             (C.copy_at(star(star(B))), C.copy_at(star(star(B))), 2),
+             (nested, coins, 4)]
     gc.collect()
     gc.disable()
     try:
@@ -170,5 +175,13 @@ def test_evaluating_at_a_size_leaves_no_reference_cycles():
             assert gc.collect() == 0, pretty_term(f)
             star_equiv_bounded(f, g, k)
             assert gc.collect() == 0, pretty_term(f)
+        # One series over the key-guess and one-time pad pairs, whose
+        # loops share one row table, and a nested loop with its own.
+        series = Series()
+        for f, g, k in pairs[1:3] + pairs[4:]:
+            for size in range(k + 1):
+                series.distance(f, g, size)
+        del series
+        assert gc.collect() == 0
     finally:
         gc.enable()

@@ -5,7 +5,10 @@ the size-free nodes and the levels of loops over size-free bodies, and
 compares the roots one integer row at a time.  Its distances and
 equality verdicts must be those of ``hom_distance`` and row equality on
 fresh ``denote`` maps at every size, and those of a fresh series when
-one series answers questions about terms of many types.
+one series answers questions about terms of many types.  Loops build
+each level row once per recipe, so loops whose bodies are different
+terms of one map share their rows; their maps must still be the
+reference unrolling's.
 """
 
 import random
@@ -30,7 +33,10 @@ from pbc import (
     distance_series,
     hom_distance,
     identity_map,
+    instantiate,
     newton_bound_check,
+    nf_to_term,
+    normalize,
     par,
     seq,
     star,
@@ -42,6 +48,7 @@ from pbc import (
 from pbc import combinators as C
 from pbc import semantics
 from pbc.semantics import Series
+from reference import reference_denote
 from test_forward import _demo_pairs
 
 
@@ -90,19 +97,120 @@ def test_sizes_out_of_order_and_repeated():
     assert_series_agrees(f, g, [3, 1, 4, 4, 0, 2, 5])
 
 
-def test_a_loop_hiding_a_sized_loop_is_rebuilt_at_each_size():
-    # The outer body has the star-free type I -> B, but holds two coin
-    # streams fed into eq_star, so its value is (1/2)^k at size k.
-    # Sharing it across sizes by its type would keep the size-1 value.
+def _unrolled(t, k):
+    """The map of a term at size k, by the dense reference semantics of
+    its unrolling."""
+    return reference_denote(instantiate(k, t))
+
+
+def _hiding(p):
+    """A loop over the star-free type I -> B whose body holds two coin
+    streams of bias p fed into eq_star: its value depends on the size."""
+    coins = TauStar((), (), (B,), coin(p))
+    return TauStar((), (), (B,), seq(par(coins, coins), C.eq_star()))
+
+
+def _carrying(p, sw):
+    """A loop that carries sw state wires through and emits coin(p) each
+    step, drawn behind a coin stream it discards: the same map at every
+    size, but over a body that loops."""
     coins = TauStar((), (), (B,), coin(Fraction(1, 2)))
-    body = seq(par(coins, coins), C.eq_star())
-    hidden = TauStar((), (), (B,), body)
+    drawn = seq(coins, C.discard_at(star(B)), coin(p))
+    return TauStar(bools(sw), (), (B,), par(drawn, Id(bools(sw))))
+
+
+def test_a_loop_hiding_a_sized_loop_is_rebuilt_at_each_size():
+    # At bias 1/2 the outer body's value is (1/2)^k at size k.  Sharing
+    # it across sizes by its type would keep the size-1 value.
+    hidden = _hiding(Fraction(1, 2))
     fair = TauStar((), (), (B,), coin(Fraction(1, 2)))
     assert_series_agrees(hidden, fair, range(5))
     # k bits, each 1 with probability (1/2)^k, against k zeros.
     zeros = TauStar((), (), (B,), coin(0))
     for k, d in distance_series(hidden, zeros, 0, 4).pairs:
         assert d == 1 - (1 - Fraction(1, 2**k)) ** k
+    # Such a loop is rebuilt at each size with a row table of its own.
+    # One series asked about such loops through sizes 0..5, size 3
+    # again, then about more pairs answers as fresh series and the
+    # reference do: no row is found by a key that names a row of a
+    # dropped size.  Loops that carry a state have a row per state at
+    # level 0, so a key naming a dead one could be met again.
+    series = Series()
+    questions = [(hidden, fair),
+                 (_hiding(Fraction(1, 3)), _hiding(Fraction(2, 3))),
+                 (_carrying(Fraction(1, 2), 1), _carrying(Fraction(1, 3), 1)),
+                 (_carrying(Fraction(1, 2), 2), _carrying(Fraction(1, 3), 2))]
+    for f, g in questions:
+        for k in [0, 1, 2, 3, 4, 5, 3]:
+            for t in (f, g):
+                assert series.map(t, k) == Series().map(t, k), k
+                assert series.map(t, k) == _unrolled(t, k), k
+            assert series.distance(f, g, k) == Series().distance(f, g, k)
+
+
+def _twin_loops():
+    """Pairs of loops whose bodies are different terms of one map: the
+    one-time pad's two loops, and random bodies against their normal
+    form and against themselves followed by an identity, over one and
+    over two output streams, where the loop pushes its outputs."""
+    yield "otp", C.otp_star_lhs(), C.otp_star_rhs()
+    rng = random.Random(11)
+    for sw, outs in ((1, (B,)), (0, (B, B)), (1, (B, B))):
+        body = random_circuit(rng, sw + 1, len(outs) + sw, max_gens=6,
+                              max_wires=5, max_den=4)
+
+        def loop(t):
+            return TauStar(bools(sw), (B,), outs, t)
+        name = f"state{sw}-outputs{len(outs)}"
+        yield name + "-nf", loop(body), loop(nf_to_term(normalize(body)))
+        yield name + "-seq-id", loop(body), loop(
+            seq(body, Id(bools(len(outs) + sw))))
+
+
+@pytest.mark.parametrize("f, g", [p[1:] for p in _twin_loops()],
+                         ids=[p[0] for p in _twin_loops()])
+def test_loops_of_one_map_share_rows_and_keep_their_maps(f, g):
+    # One series holds both loops, so they build their rows through one
+    # table; each map is still its own reference unrolling.
+    series = Series()
+    for k in range(7):
+        for t in (f, g):
+            assert series.map(t, k) == _unrolled(t, k), k
+    assert star_equiv_bounded(f, g, 6)
+
+
+def test_the_one_time_pads_two_loops_build_each_row_once():
+    # The two bodies give one row in a different order of outputs; each
+    # level row of one loop is the other's, one object.  (At size 0 a
+    # loop is the identity wiring, which makes its row as it is read.)
+    f, g = C.otp_star_lhs(), C.otp_star_rhs()
+    series = Series()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 14 wires at k = 7
+        for k in range(1, 9):
+            n_in, fn, gn = series._pair(f, g, k)
+            for x in range(1 << n_in):
+                assert semantics._row(fn, x) is semantics._row(gn, x), k
+
+
+def test_a_key_guess_series_builds_each_distinct_row_once(monkeypatch):
+    # Level n of the guessing loop has 2^n rows with the flag set and one
+    # shared by every input with it cleared; the top level 8 is asked
+    # only with the flag set.  The loops that discard the guesses and
+    # draw the fresh keys have one row per level.  So sizes 0..8 mix
+    # (2 + ... + 2^7) + 7 + 2^8 + 8 + 8 = 533 rows, where building every
+    # input's row mixes 1,282.
+    calls = []
+    mix = semantics._mix
+
+    def counted(*args):
+        calls.append(args)
+        return mix(*args)
+
+    monkeypatch.setattr(semantics, "_mix", counted)
+    series = distance_series(C.keyguess_lhs(), C.keyguess_rhs(), 0, 8)
+    assert series.pairs[-1] == (8, Fraction(1, 2**8))
+    assert len(calls) == 533
 
 
 @settings(max_examples=40, deadline=None)
