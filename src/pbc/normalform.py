@@ -10,7 +10,9 @@ Normalization goes through evaluation: the form is synthesized from the
 denotation, and two maps have equal forms exactly when they are equal.
 Normal forms are canonical, so ``decide_equal`` compares the two maps
 themselves; forms are built only to be shown (``pbc normalize``) and
-as the terms inside certificates.
+as the terms inside certificates.  One fold over the rows, bottom up
+(``_fold_cases``), builds a form, its term and, in ``proofs``, a tight
+certificate.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .semantics import Series, StochMap, bit_string, denote
 __all__ = [
     "Leaf", "Node", "Tree", "Case", "NormalForm", "WeightedTree",
     "normalize", "synthesize_from_map", "nf_to_term", "decide_equal",
-    "nf_pretty", "split_last_bit", "case_term",
+    "nf_pretty", "case_term",
 ]
 
 
@@ -82,9 +84,10 @@ class Case:
 NormalForm = Tree | Case
 
 
-def _build_spine(items) -> WeightedTree:
-    # items: ascending (value, mass) pairs, masses positive.  Built from
-    # the end: each head is weighted by the mass from it on.
+def _build_spine(row: dict) -> WeightedTree:
+    # Masses are positive, of any total: only their ratios are kept.
+    # Built from the end: each head is weighted by the mass from it on.
+    items = sorted(row.items())
     value, total = items[-1]
     tree: WeightedTree = Leaf(value)
     for value, mass in reversed(items[:-1]):
@@ -93,24 +96,23 @@ def _build_spine(items) -> WeightedTree:
     return tree
 
 
-def split_last_bit(f: StochMap) -> tuple[StochMap, StochMap]:
-    """The rows of f whose last input bit is 1, and those where it is 0."""
-    n = f.in_arity - 1
-    return (StochMap(n, f.out_arity, f.rows[1::2]),
-            StochMap(n, f.out_arity, f.rows[0::2]))
+def _fold_cases(leaves: list, case):
+    """Join one leaf per input, in input order, into the case tree:
+    ``case(on_last_1, on_last_0, arity)`` joins leaves i and i + half,
+    which differ in the first input bit, level by level to the root."""
+    level, arity = leaves, 0
+    while len(level) > 1:
+        half, arity = len(level) // 2, arity + 1
+        level = [case(level[i + half], level[i], arity) for i in range(half)]
+    return level[0]
 
 
 def synthesize_from_map(f: StochMap) -> NormalForm:
-    """Build the canonical form of a stochastic map.
-
-    Recursion on the input arity: split the rows on the last input bit;
-    at arity zero sort the one remaining row's support.
-    """
-    if f.in_arity == 0:
-        items = sorted(f.rows[0].items())
-        return Tree(_build_spine(items), f.out_arity)
-    on1, on0 = split_last_bit(f)
-    return Case(synthesize_from_map(on1), synthesize_from_map(on0))
+    """Build the canonical form of a stochastic map: each row's support
+    sorted into a spine, the rows joined by the case fold."""
+    return _fold_cases(
+        [Tree(_build_spine(row), f.out_arity) for row in f.rows],
+        lambda on1, on0, _: Case(on1, on0))
 
 
 def normalize(t: Term) -> NormalForm:
@@ -158,15 +160,12 @@ def case_term(in_arity: int, out_arity: int, on1: Term, on0: Term) -> Term:
 def nf_to_term(nf: NormalForm) -> Term:
     """Reconstruct a term in the literal normal-form shape; equal output
     words are one term object."""
-    return _nf_term(nf, {})
-
-
-def _nf_term(nf: NormalForm, words: dict) -> Term:
-    """``nf_to_term`` with its words kept in, and taken from, ``words``."""
-    if isinstance(nf, Tree):
-        return _tree_term(nf.tree, nf.out_arity, words)
-    return case_term(nf.in_arity, nf.out_arity, _nf_term(nf.on_last_1, words),
-                     _nf_term(nf.on_last_0, words))
+    n, words, level = nf.out_arity, {}, [nf]
+    while isinstance(level[0], Case):  # the leaves, in input order
+        level = [c.on_last_0 for c in level] + [c.on_last_1 for c in level]
+    return _fold_cases(
+        [_tree_term(leaf.tree, n, words) for leaf in level],
+        lambda on1, on0, arity: case_term(arity, n, on1, on0))
 
 
 def decide_equal(f: Term, g: Term) -> bool:
@@ -177,24 +176,23 @@ def decide_equal(f: Term, g: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Plain-text rendering for golden tests.
 
-def _render(nf: NormalForm, indent: str, out) -> None:
-    if isinstance(nf, Case):
-        out.append(f"{indent}last=1:")
-        _render(nf.on_last_1, indent + "  ", out)
-        out.append(f"{indent}last=0:")
-        _render(nf.on_last_0, indent + "  ", out)
-        return
-    tree = nf.tree
-    while isinstance(tree, Node):
-        out.append(
-            f"{indent}{tree.p} |{bit_string(tree.head, nf.out_arity)}>")
-        tree = tree.rest
-    out.append(f"{indent}|{bit_string(tree.value, nf.out_arity)}>")
-
-
 def nf_pretty(nf: NormalForm) -> str:
     """Indented case tree; spine nodes carry their conditional weight,
     the closing line takes whatever mass remains."""
     out: list[str] = []
-    _render(nf, "", out)
+    todo = [(nf, "", ())]  # a form, its indent and the lines heading it
+    while todo:
+        nf, indent, heading = todo.pop()
+        out += heading
+        if isinstance(nf, Case):
+            inner = indent + "  "
+            todo += ((nf.on_last_0, inner, (f"{indent}last=0:",)),
+                     (nf.on_last_1, inner, (f"{indent}last=1:",)))
+            continue
+        tree = nf.tree
+        while isinstance(tree, Node):
+            out.append(
+                f"{indent}{tree.p} |{bit_string(tree.head, nf.out_arity)}>")
+            tree = tree.rest
+        out.append(f"{indent}|{bit_string(tree.value, nf.out_arity)}>")
     return "\n".join(out)

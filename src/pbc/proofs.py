@@ -29,15 +29,16 @@ compares.  Endpoints that loop or have starred wires are refused, as
 
 The synthesizer runs over the two exact maps, split the way their
 normal forms are, and its endpoints are the normal-form terms.  Equal
-maps close with ``Refl``.  Otherwise it splits both rows on the last
-input bit, recurses into both halves and levels the bounds with
-``Weaken`` before ``PhiCase``, which matches the exact distance (the
-distance of a case split is the maximum over the branches); each case
-term is built once, around its premises' endpoints.  At input arity
-zero it aligns the two distributions along their shared mass: with
-overlap ``m`` both sides rewrite as a ``phi_(1-m)`` mixture of a common
-part against the disjoint remainders, and one ``PhiMix`` step yields
-``1 - m``, which is exactly the total-variation distance.
+maps close with ``Refl``.  Otherwise it derives each pair of rows on
+its own and joins them with the normal form's case fold, bottom up.
+Two ``Refl`` halves join into one ``Refl``; any other two are levelled
+with ``Weaken`` and joined by ``PhiCase``, which matches the exact
+distance (the distance of a case split is the maximum over the
+branches); each case term is built once, around its premises'
+endpoints.  A pair of unequal rows is aligned along its shared mass:
+with overlap ``m`` both sides rewrite as a ``phi_(1-m)`` mixture of a
+common part against the disjoint remainders, and one ``PhiMix`` step
+yields ``1 - m``, which is exactly the total-variation distance.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ from .terms import (
     phi_case, phi_mix, same_type, typecheck,
 )
 from .semantics import Series, StochMap
-from .normalform import (
-    _nf_term, case_term, split_last_bit, synthesize_from_map,
-)
+from .normalform import _build_spine, _fold_cases, _tree_term, case_term
 
 __all__ = [
     "Derivation", "PBCProofError",
@@ -301,28 +300,26 @@ def _bridge(f: Term, core: Derivation, g: Term) -> Derivation:
 
 
 def _dist_term(dist: dict, out_arity: int, words: dict) -> Term:
-    nf = synthesize_from_map(StochMap(0, out_arity, (dist,)))
-    return _nf_term(nf, words)
+    return _tree_term(_build_spine(dist), out_arity, words)
 
 
 def _synth_dists(v: dict, w: dict, out_arity: int,
                  words: dict) -> Derivation:
     tf = _dist_term(v, out_arity, words)
+    if v == w:
+        return _refl(tf, tf)
     tg = _dist_term(w, out_arity, words)
     shared = {x: min(q, w[x]) for x, q in v.items() if x in w}
     m = sum(shared.values(), Fraction(0))
     if m == 0:
         return Derivation(TOP, (tf, tg), Fraction(1))
     # 0 < m < 1: align the common mass and mix it against the disjoint
-    # remainders; the choice weight 1 - m is the exact distance.
-    common = {x: q / m for x, q in shared.items()}
-    v_rest = {x: (q - shared.get(x, 0)) / (1 - m)
-              for x, q in v.items() if q > shared.get(x, 0)}
-    w_rest = {x: (q - shared.get(x, 0)) / (1 - m)
-              for x, q in w.items() if q > shared.get(x, 0)}
-    tc = _dist_term(common, out_arity, words)
-    tvr = _dist_term(v_rest, out_arity, words)
-    twr = _dist_term(w_rest, out_arity, words)
+    # remainders; the choice weight 1 - m is the exact distance.  A
+    # spine keeps only ratios of masses, so no part is rescaled.
+    tc = _dist_term(shared, out_arity, words)
+    tvr, twr = (_dist_term({x: q - shared.get(x, 0) for x, q in r.items()
+                            if q > shared.get(x, 0)}, out_arity, words)
+                for r in (v, w))
     mix_f = phi_mix(tvr, tc, bools(out_arity), 1 - m)
     mix_g = phi_mix(twr, tc, bools(out_arity), 1 - m)
     mix = Derivation(
@@ -332,26 +329,25 @@ def _synth_dists(v: dict, w: dict, out_arity: int,
     return _bridge(tf, mix, tg)
 
 
-def _synth_maps(f: StochMap, g: StochMap, words: dict) -> Derivation:
-    # The endpoints are the normal-form terms of f and g, whose equal
-    # output words are one term object each.
-    if f.rows == g.rows:
-        t = _nf_term(synthesize_from_map(f), words)
-        return _refl(t, t)
-    if f.in_arity == 0:
-        return _synth_dists(f.rows[0], g.rows[0], f.out_arity, words)
-    (f1, f0), (g1, g0) = split_last_bit(f), split_last_bit(g)
-    d1 = _synth_maps(f1, g1, words)
-    d0 = _synth_maps(f0, g0, words)
-    delta = max(d1.bound, d0.bound)
-    if d1.bound < delta:
-        d1 = Derivation(WEAKEN, d1.endpoints, delta, (d1,))
-    if d0.bound < delta:
-        d0 = Derivation(WEAKEN, d0.endpoints, delta, (d0,))
-    tf = case_term(f.in_arity, f.out_arity, d1.lhs, d0.lhs)
-    tg = case_term(g.in_arity, g.out_arity, d1.rhs, d0.rhs)
-    case = Derivation(PHI_CASE, (tf.second, tg.second), delta, (d1, d0))
-    return Derivation(SEQ_RIGHT, (tf, tg), delta, (case,))
+def _synth_maps(f: StochMap, g: StochMap) -> Derivation:
+    """One derivation per row pair, joined by the case fold; equal words
+    are one term object."""
+    n, words = f.out_arity, {}
+
+    def case(d1: Derivation, d0: Derivation, arity: int) -> Derivation:
+        tf = case_term(arity, n, d1.lhs, d0.lhs)
+        if d1.rule == d0.rule == REFL:
+            return _refl(tf, tf)
+        delta = max(d1.bound, d0.bound)
+        d1, d0 = (d if d.bound == delta else
+                  Derivation(WEAKEN, d.endpoints, delta, (d,))
+                  for d in (d1, d0))
+        tg = case_term(arity, n, d1.rhs, d0.rhs)
+        phi = Derivation(PHI_CASE, (tf.second, tg.second), delta, (d1, d0))
+        return Derivation(SEQ_RIGHT, (tf, tg), delta, (phi,))
+
+    return _fold_cases([_synth_dists(v, w, n, words)
+                        for v, w in zip(f.rows, g.rows)], case)
 
 
 def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
@@ -371,7 +367,7 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
     mf, mg = series.map(f), series.map(g)
     if mf.rows == mg.rows:
         return _refl(f, g)
-    return _bridge(f, _synth_maps(mf, mg, {}), g)
+    return _bridge(f, _synth_maps(mf, mg), g)
 
 
 # ---------------------------------------------------------------------------

@@ -404,8 +404,11 @@ def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
     ``push``, when given, applied to them.
 
     The rows are brought to one common denominator, so every weight is
-    an int product and no gcd runs per entry.
+    an int product and no gcd runs per entry.  A lone part with no
+    ``hi`` or ``push`` is its row: a row of support one is ``(1, {v: 1})``.
     """
+    if len(parts) == 1 and parts[0][1] == 0 and push is None:
+        return parts[0][2]
     scale = math.lcm(*{d for _, _, (d, _) in parts})
     out: dict = {}
     get = out.get
@@ -797,7 +800,7 @@ class Series:
                     row = (1, {fn(u): 1}) if fn else arm.memo.get(u)
                     parts.append((bits[bit], 0, row if row is not None
                                   else (yield arm, u)))
-            return parts[0][2] if len(parts) == 1 else _mix(den, parts, cap)
+            return _mix(den, parts, cap)
 
         return _Node(c_at + c.n_in, w, kernel=kernel)
 

@@ -58,11 +58,6 @@ RECURSION_ALLOWED = {
     # Star nesting, which the parser caps at 200 levels.
     "width": "star nesting",
     "instantiate_object": "star nesting",
-    # Input arity, which the wire limit caps.
-    "synthesize_from_map": "input arity",
-    "_nf_term": "input arity",
-    "_render": "input arity",
-    "_synth_maps": "input arity",
 }
 
 

@@ -14,6 +14,7 @@ reference unrolling's.
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,9 +48,12 @@ from pbc import (
 )
 from pbc import combinators as C
 from pbc import semantics
+from pbc.cli import main
 from pbc.semantics import Series
 from reference import reference_denote
 from test_forward import _demo_pairs
+
+DATA = Path(__file__).parent / "data"
 
 
 def assert_series_agrees(f, g, sizes):
@@ -255,6 +259,32 @@ def test_a_von_neumann_series_runs_each_level_once(monkeypatch):
     series = distance_series(C.vn_lhs(Fraction(3, 4)), C.vn_rhs(), 0, 400)
     assert series.pairs[-1] == (400, Fraction(1, 2**400))
     assert 400 <= len(calls) <= 4 * 400
+
+
+def test_a_lone_mixture_part_is_its_own_row(monkeypatch, capsys):
+    # A von Neumann loop row at a decided state mixes one continuation
+    # row with weight 1: 158 of the 238 loop rows of the k = 80 demo.
+    # Each is that continuation row itself, of the value a new mixture
+    # would have.  Loop kernels are the callers that pass a push.
+    loop_rows, lone = [], []
+    mix = semantics._mix
+
+    def counted(*args):
+        row = mix(*args)
+        if len(args) == 4:
+            loop_rows.append(row)
+            den, parts, cap, push = args
+            if any(row is part[2] for part in parts):
+                # An identity push takes the path that builds a new row.
+                assert mix(den, parts, cap, push or (lambda y: y)) == row
+                lone.append(row)
+        return row
+
+    monkeypatch.setattr(semantics, "_mix", counted)
+    assert main(["demo", "vonneumann", "--k", "80"]) == 0
+    assert capsys.readouterr().out == (
+        DATA / "golden" / "demo_vonneumann_k80.txt").read_text()
+    assert (len(lone), len(loop_rows)) == (158, 238)
 
 
 def test_the_soft_limit_warns_once_per_question():
