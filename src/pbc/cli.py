@@ -225,6 +225,9 @@ def _cmd_demo(args) -> int:
     else:
         k_max = _parse_single_k(args.k, "demo")
     report = lemma_demo(args.name, k_max=k_max, p=p)
+    last = report.series.pairs[-1][0]
+    if last < k_max:  # the demo's size cap
+        print(f"pbc: {args.name} stops at size {last}", file=sys.stderr)
     if isinstance(report, EqualityReport):
         lines = ["k,d_num,d_den"]
         for k, d in report.series.pairs:

@@ -205,28 +205,41 @@ def apply_map(f: StochMap, arg) -> Distribution:
 
 def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
     """Total variation distance of two integer rows: numerators over the
-    denominators ``da`` and ``db``.
+    denominators ``da`` and ``db``, each row's numerators summing to its
+    denominator.
 
-    Both rows are scaled to the least common denominator s, so the sum
+    So the mass where one row exceeds the other is the same from either
+    side, half their pointwise difference, and one pass over the
+    smaller row sums it: its numerators less the other row's, both
+    scaled to the least common denominator s, where positive.  The sum
     runs over ints and a single Fraction is built at the end.  One row
     object on both sides, as loops built through one table give, is at
     distance 0 at once.
     """
     if a is b or da == db and a == b:
         return ZERO
+    if len(b) < len(a):
+        da, a, db, b = db, b, da, a
+    get = b.get
+    if da == db:
+        return Fraction(sum([e for y, n in a.items()
+                             if (e := n - get(y, 0)) > 0]), da)
     s = math.lcm(da, db)
     ma, mb = s // da, s // db
-    get = b.get
-    total = (sum([abs(n * ma - get(y, 0) * mb) for y, n in a.items()])
-             + mb * sum([m for y, m in b.items() if y not in a]))
-    return Fraction(total, 2 * s)
+    return Fraction(sum([e for y, n in a.items()
+                         if (e := n * ma - get(y, 0) * mb) > 0]), s)
 
 
 def tv_distance(v: Distribution, w: Distribution) -> Fraction:
-    """Total variation distance, as half the pointwise difference mass."""
+    """Total variation distance, as the mass one distribution puts above
+    the other.  Each distribution's weights must sum to 1, as they do
+    in every row of a map, or it raises ValueError;
+    ``tv_distance_overlap`` assumes the same."""
     scale = math.lcm(*{p.denominator for d in (v, w) for p in d.values()})
     a = {k: p.numerator * (scale // p.denominator) for k, p in v.items()}
     b = {k: p.numerator * (scale // p.denominator) for k, p in w.items()}
+    if sum(a.values()) != scale or sum(b.values()) != scale:
+        raise ValueError("distribution weights do not sum to 1")
     return _tv(scale, a, scale, b)
 
 
@@ -427,6 +440,32 @@ def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
     return den * scale, out
 
 
+def _concat(den: int, parts: list, cap: int, push=None) -> tuple:
+    """``_mix`` of parts whose outputs, after ``hi`` and ``push``, are
+    pairwise disjoint: the same row, with the same entries in the same
+    order, built a part at a time with no lookup per entry."""
+    if len(parts) == 1 and parts[0][1] == 0 and push is None:
+        return parts[0][2]
+    scale = math.lcm(*{d for _, _, (d, _) in parts})
+    out: dict = {}
+    for n, hi, (d, row) in parts:
+        if d != scale:
+            n *= scale // d
+        if push is not None:
+            out.update({push(y | hi): n * m for y, m in row.items()})
+        elif n != 1:
+            out.update({y | hi: n * m for y, m in row.items()})
+        elif hi:
+            out.update({y | hi: m for y, m in row.items()})
+        else:
+            out.update(row)
+        if len(out) > cap:
+            raise _support_error(len(out), cap)
+    if len(out) == 1:
+        return 1, dict.fromkeys(out, 1)
+    return den * scale, out
+
+
 def _compose(nodes: list) -> _Node:
     """One deterministic node for a run of them, applied in order;
     neighbouring wiring fuses into one selection."""
@@ -472,7 +511,8 @@ class _Loop:
     does: level rows are the table's own values, and level 0, the
     identity ``tau0``, is the series' one node per state width, which
     also lets loops of one shape start from the same rows.  A row is
-    never mutated once made, so it may stand in many memos.
+    never mutated once made, so it may stand in many memos.  A row whose
+    parts cannot collide is concatenated (``_concat``), not mixed.
     """
 
     __slots__ = ("body", "sw", "a", "outs", "in_words", "out_words",
@@ -537,7 +577,13 @@ class _Loop:
             key = (head, den, *recipe)
             row = rows.get(key)
             if row is None:
-                rows[key] = row = _mix(den, parts, cap, push)
+                # Continuation outputs lie below 2^c_bits, so parts of
+                # distinct stream heads, as their hi tells, are disjoint.
+                # A loop that emits nothing has one head.
+                rows[key] = row = (
+                    _concat(den, parts, cap, push)
+                    if b and len({h for _, h, _ in parts}) == len(parts)
+                    else _mix(den, parts, cap, push))
             return row
 
         self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))

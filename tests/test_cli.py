@@ -513,6 +513,25 @@ def test_demo_golden_at_the_benchmark_sizes(capsys, name, k):
         0, golden, 1 if name == "all1" else 0)
 
 
+@pytest.mark.parametrize("name", ["keyguess", "otp"])
+def test_demo_golden_at_the_cap(capsys, name):
+    golden = (DATA / "golden" / f"demo_{name}_k10.txt").read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the pad reaches 14 wires at k = 7
+        code, out, err = run(capsys, "demo", name, "--k", "10")
+    assert (code, out.encode(), err) == (0, golden, "")
+
+
+@pytest.mark.parametrize("name", ["keyguess", "otp"])
+def test_a_capped_demo_says_where_it_stops(capsys, name):
+    # Stdout and the exit code are those of the sizes it runs.
+    golden = (DATA / "golden" / f"demo_{name}_k10.txt").read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = run(capsys, "demo", name, "--k", "12")
+    assert got == (0, golden, f"pbc: {name} stops at size 10\n")
+
+
 def test_eq_on_the_pad_over_streams_golden(capsys, tmp_path):
     paths = []
     for name, term in (("lhs", C.otp_star_lhs()), ("rhs", C.otp_star_rhs())):

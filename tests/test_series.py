@@ -203,15 +203,18 @@ def test_a_key_guess_series_builds_each_distinct_row_once(monkeypatch):
     # only with the flag set.  The loops that discard the guesses and
     # draw the fresh keys have one row per level.  So sizes 0..8 mix
     # (2 + ... + 2^7) + 7 + 2^8 + 8 + 8 = 533 rows, where building every
-    # input's row mixes 1,282.
+    # input's row mixes 1,282.  A row is built by _mix or, when its
+    # parts cannot collide, by _concat.
     calls = []
-    mix = semantics._mix
 
-    def counted(*args):
-        calls.append(args)
-        return mix(*args)
+    def counted(build):
+        def built(*args):
+            calls.append(args)
+            return build(*args)
+        return built
 
-    monkeypatch.setattr(semantics, "_mix", counted)
+    for name in ("_mix", "_concat"):
+        monkeypatch.setattr(semantics, name, counted(getattr(semantics, name)))
     series = distance_series(C.keyguess_lhs(), C.keyguess_rhs(), 0, 8)
     assert series.pairs[-1] == (8, Fraction(1, 2**8))
     assert len(calls) == 533
