@@ -6,8 +6,10 @@ output words.  The tree lists its support in ascending order, each node
 carrying the probability of its head relative to the mass that is left,
 so ``Node(p, x, rest)`` denotes ``p * |x> + (1-p) * rest``.
 
-Normalization goes through evaluation: the form is synthesized from the
-denotation, and two maps have equal forms exactly when they are equal.
+Normalization goes through evaluation: the form is read off the
+evaluator's rows, integer numerators over a denominator per input, with
+a Fraction built only for each spine weight; two maps have equal forms
+exactly when they are equal.
 Normal forms are canonical, so ``decide_equal`` compares the two maps
 themselves; forms are built only to be shown (``pbc normalize``) and
 as the terms inside certificates.  One fold over the rows, bottom up
@@ -24,7 +26,7 @@ from .objects import bools
 from .terms import (
     Id, Seq, Swap, Term, coin, copy_gen, par, phi_case, phi_mix, seq,
 )
-from .semantics import Series, StochMap, bit_string, denote
+from .semantics import Series, StochMap, bit_string
 
 __all__ = [
     "Leaf", "Node", "Tree", "Case", "NormalForm", "WeightedTree",
@@ -85,14 +87,15 @@ NormalForm = Tree | Case
 
 
 def _build_spine(row: dict) -> WeightedTree:
-    # Masses are positive, of any total: only their ratios are kept.
-    # Built from the end: each head is weighted by the mass from it on.
+    # Masses are positive ints or Fractions, of any total: only their
+    # ratios are kept.  Built from the end: each head is weighted by the
+    # mass from it on.
     items = sorted(row.items())
     value, total = items[-1]
     tree: WeightedTree = Leaf(value)
     for value, mass in reversed(items[:-1]):
         total += mass
-        tree = Node(mass / total, value, tree)
+        tree = Node(Fraction(mass, total), value, tree)
     return tree
 
 
@@ -107,17 +110,23 @@ def _fold_cases(leaves: list, case):
     return level[0]
 
 
+def _form(rows, out_arity: int) -> NormalForm:
+    """Each row's support sorted into a spine, the rows, in input order,
+    joined by the case fold."""
+    return _fold_cases([Tree(_build_spine(row), out_arity) for row in rows],
+                       lambda on1, on0, _: Case(on1, on0))
+
+
 def synthesize_from_map(f: StochMap) -> NormalForm:
-    """Build the canonical form of a stochastic map: each row's support
-    sorted into a spine, the rows joined by the case fold."""
-    return _fold_cases(
-        [Tree(_build_spine(row), f.out_arity) for row in f.rows],
-        lambda on1, on0, _: Case(on1, on0))
+    """Build the canonical form of a stochastic map."""
+    return _form(f.rows, f.out_arity)
 
 
 def normalize(t: Term) -> NormalForm:
-    """Normal form of a star-free term, via its denotation."""
-    return synthesize_from_map(denote(t))
+    """Normal form of a star-free term, read off its exact integer rows:
+    a spine weight is the only Fraction built."""
+    n_out, rows = Series().rows(t)
+    return _form([row for _, row in rows], n_out)
 
 
 def _word_term(value: int, n: int, words: dict) -> Term:

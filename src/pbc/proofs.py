@@ -27,10 +27,13 @@ builders the synthesizer uses (``terms.phi_case`` and
 compares.  Endpoints that loop or have starred wires are refused, as
 ``typecheck`` reports them.
 
-The synthesizer runs over the two exact maps, split the way their
-normal forms are, and its endpoints are the normal-form terms.  Equal
-maps close with ``Refl``.  Otherwise it derives each pair of rows on
-its own and joins them with the normal form's case fold, bottom up.
+The synthesizer runs over the two terms' exact rows, split the way
+their normal forms are, and its endpoints are the normal-form terms.
+Each pair of rows is brought to one common denominator, so the shared
+mass and the remainders are ints, and a Fraction is built only for a
+choice weight and for spine weights.  Equal maps close with ``Refl``.
+Otherwise it derives each pair of rows on its own and joins them with
+the normal form's case fold, bottom up.
 Two ``Refl`` halves join into one ``Refl``; any other two are levelled
 with ``Weaken`` and joined by ``PhiCase``, which matches the exact
 distance (the distance of a case split is the maximum over the
@@ -43,6 +46,7 @@ yields ``1 - m``, which is exactly the total-variation distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,7 +55,7 @@ from .terms import (
     Par, PBCError, PBCTypeError, Seq, Term, TypeJudgement, exact_rational,
     phi_case, phi_mix, same_type, typecheck,
 )
-from .semantics import Series, StochMap
+from .semantics import Series
 from .normalform import _build_spine, _fold_cases, _tree_term, case_term
 
 __all__ = [
@@ -303,36 +307,51 @@ def _dist_term(dist: dict, out_arity: int, words: dict) -> Term:
     return _tree_term(_build_spine(dist), out_arity, words)
 
 
-def _synth_dists(v: dict, w: dict, out_arity: int,
-                 words: dict) -> Derivation:
+def _common(a: tuple, b: tuple) -> tuple:
+    """Two integer rows ``(den, {output: numerator})`` over their least
+    common denominator s, as ``(s, numerators of a, numerators of b)``."""
+    (da, v), (db, w) = a, b
+    if da == db:
+        return da, v, w
+    s = math.lcm(da, db)
+    ma, mb = s // da, s // db
+    return (s, {x: n * ma for x, n in v.items()} if ma != 1 else v,
+            {x: n * mb for x, n in w.items()} if mb != 1 else w)
+
+
+def _synth_rows(s: int, v: dict, w: dict, out_arity: int,
+                words: dict) -> Derivation:
+    """The derivation of two rows of numerators over one denominator s."""
     tf = _dist_term(v, out_arity, words)
     if v == w:
         return _refl(tf, tf)
     tg = _dist_term(w, out_arity, words)
     shared = {x: min(q, w[x]) for x, q in v.items() if x in w}
-    m = sum(shared.values(), Fraction(0))
+    m = sum(shared.values())
     if m == 0:
         return Derivation(TOP, (tf, tg), Fraction(1))
-    # 0 < m < 1: align the common mass and mix it against the disjoint
-    # remainders; the choice weight 1 - m is the exact distance.  A
-    # spine keeps only ratios of masses, so no part is rescaled.
+    # 0 < m < s: align the common mass m / s and mix it against the
+    # disjoint remainders; the choice weight 1 - m / s is the exact
+    # distance.  A spine keeps only ratios of masses, so no part is
+    # rescaled.
     tc = _dist_term(shared, out_arity, words)
     tvr, twr = (_dist_term({x: q - shared.get(x, 0) for x, q in r.items()
                             if q > shared.get(x, 0)}, out_arity, words)
                 for r in (v, w))
-    mix_f = phi_mix(tvr, tc, bools(out_arity), 1 - m)
-    mix_g = phi_mix(twr, tc, bools(out_arity), 1 - m)
+    p = Fraction(s - m, s)
+    mix_f = phi_mix(tvr, tc, bools(out_arity), p)
+    mix_g = phi_mix(twr, tc, bools(out_arity), p)
     mix = Derivation(
-        PHI_MIX, (mix_f, mix_g), 1 - m,
+        PHI_MIX, (mix_f, mix_g), p,
         (Derivation(TOP, (tvr, twr), Fraction(1)), _refl(tc, tc)),
-        param=1 - m)
+        param=p)
     return _bridge(tf, mix, tg)
 
 
-def _synth_maps(f: StochMap, g: StochMap) -> Derivation:
-    """One derivation per row pair, joined by the case fold; equal words
-    are one term object."""
-    n, words = f.out_arity, {}
+def _synth_maps(n: int, pairs: list) -> Derivation:
+    """One derivation per row pair ``(s, v, w)`` of ``_common``, joined
+    by the case fold; equal words are one term object."""
+    words: dict = {}
 
     def case(d1: Derivation, d0: Derivation, arity: int) -> Derivation:
         tf = case_term(arity, n, d1.lhs, d0.lhs)
@@ -346,17 +365,17 @@ def _synth_maps(f: StochMap, g: StochMap) -> Derivation:
         phi = Derivation(PHI_CASE, (tf.second, tg.second), delta, (d1, d0))
         return Derivation(SEQ_RIGHT, (tf, tg), delta, (phi,))
 
-    return _fold_cases([_synth_dists(v, w, n, words)
-                        for v, w in zip(f.rows, g.rows)], case)
+    return _fold_cases([_synth_rows(s, v, w, n, words)
+                        for s, v, w in pairs], case)
 
 
 def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
     """A checkable derivation whose bound is the exact hom distance.
 
     Both terms must be star-free and of one type.  The construction
-    runs over the two maps and glues back to the given terms with
-    zero-cost Refl bridges, so the root endpoints are ``f`` and ``g``
-    themselves.
+    runs over the two terms' integer rows and glues back to the given
+    terms with zero-cost Refl bridges, so the root endpoints are ``f``
+    and ``g`` themselves.
     """
     jf = same_type(f, g)
     if jf.parametric:
@@ -364,10 +383,12 @@ def synthesize_tight_derivation(f: Term, g: Term) -> Derivation:
             "tight derivations cover star-free terms without loops, got "
             f"a parametric pair of type {jf}")
     series = Series()
-    mf, mg = series.map(f), series.map(g)
-    if mf.rows == mg.rows:
+    n, rf = series.rows(f)
+    _, rg = series.rows(g)
+    pairs = [_common(a, b) for a, b in zip(rf, rg)]
+    if all(v == w for _, v, w in pairs):
         return _refl(f, g)
-    return _bridge(f, _synth_maps(mf, mg), g)
+    return _bridge(f, _synth_maps(n, pairs), g)
 
 
 # ---------------------------------------------------------------------------

@@ -621,11 +621,14 @@ class Series:
     explicit stack, at one size at a time, for a run of sizes.
 
     A question takes its type from the terms it is asked about, so one
-    series may answer questions of many types.  Repeated occurrences of
-    one term object share a node, and so share its memo, across every
-    question.  A node is size-free when its subterm has only star-free
-    objects and no loop.  It is the same at every size, so moving to
-    another size keeps it, memo and all, and a loop whose body is
+    series may answer questions of many types.  A node is size-free when
+    its subterm has only star-free objects and no loop.  A size-free
+    node is compiled once per shape (``_shared``): every term that
+    spells it, one object or many, shares the node, and so its memo,
+    across every question, and two terms of one node are equal without
+    a row read.  Any other node is shared by the occurrences of one
+    term object.  A size-free node is the same at every size, so moving
+    to another size keeps it, memo and all, and a loop whose body is
     size-free keeps its ``_Loop``.  Every other node is rebuilt at each
     size: a loop over a body that loops too gets fresh levels, even when
     its type is star-free, because the inner loop's value depends on the
@@ -647,9 +650,10 @@ class Series:
     def __init__(self):
         self.k = None  # the size starred objects are read at, or None
         self.nodes: dict = {}  # id(term) -> (term, node, size-free)
+        self.shapes: dict = {}  # shape -> node, for size-free terms
         self.loops: dict = {}  # id(term) -> (term, _Loop), size-free bodies
         self.tau0: dict = {}  # state width -> the identity level tau^0
-        self.rows: dict = {}  # recipe -> row, for loops over size-free bodies
+        self.recipes: dict = {}  # recipe -> row, loops over size-free bodies
         self.cap = 1  # largest support a kernel may have; set per question
         self._warned = False
 
@@ -687,12 +691,41 @@ class Series:
                 todo.append((term, parts))
                 todo.extend((t, None) for t in parts[0])
             else:
-                self.nodes[id(term)] = (term, *self._build(term, parts))
+                self.nodes[id(term)] = (term, *self._shared(term, parts))
         return self.nodes[id(root)][1]
 
+    def _shared(self, term: Term, parts) -> tuple:
+        """``_build``, run once per shape of a size-free term.
+
+        A leaf's shape is the leaf itself; a Seq's or Par's is its
+        former, its parts' nodes, held as objects, so no ``id`` can be
+        reused, and where each conditional starts, with its word.  A
+        loop, and a term that is not size-free, is built per object."""
+        cls = term.__class__
+        if parts is None:
+            shape = term
+        elif cls is TauStar:
+            return self._build(term, parts)
+        else:
+            parts = [self.nodes[id(t)] for t in parts[0]], parts[1]
+            built, conds = parts
+            for _, _, free in built:
+                if not free:
+                    return self._build(term, parts)
+            shape = (cls, *[node for _, node, _ in built],
+                     *[(i, phi.at) for i, phi in conds])
+        node = self.shapes.get(shape)
+        if node is not None:
+            return node, True
+        node, free = self._build(term, parts)
+        if free:
+            self.shapes[shape] = node
+        return node, free
+
     def _build(self, term: Term, parts) -> tuple:
-        """The node of a term whose parts, ``(subterms, conditionals)``,
-        are built, and whether it is size-free.  A conditional whose arms
+        """The node of a term whose parts are built, and whether it is
+        size-free.  A Seq's or Par's parts are its subterms' entries of
+        ``nodes`` and its conditionals.  A conditional whose arms
         are not of its width runs as written: its stage, then its if."""
         k = self.k
         if isinstance(term, Id):
@@ -709,10 +742,10 @@ class Series:
             return self._tau(term), False
         if not isinstance(term, (Seq, Par)):
             raise PBCError(f"not a term: {term!r}")
-        built = [self.nodes[id(t)] for t in parts[0]]
+        built, conds = parts
         free = all(f for _, _, f in built)
         nodes = [n for _, n, _ in built]
-        for i, phi in reversed(parts[1]):  # right to left: i stays put
+        for i, phi in reversed(conds):  # right to left: i stays put
             c, m, d = nodes[i:i + 3]
             cond = self._cond(c, m, d, width(phi.at))
             nodes[i:i + 3] = ([cond] if cond is not None
@@ -745,7 +778,7 @@ class Series:
             # own, dropped with it, so the series' table holds no row of
             # a size left behind.
             kept = (term, _Loop(body, sw, ins, outs, self.cap, tau0,
-                                self.rows if free else {}))
+                                self.recipes if free else {}))
             if free:
                 self.loops[id(term)] = kept
         return kept[1].level(k)
@@ -895,12 +928,19 @@ class Series:
 
         return _Node(n_in, n_out, kernel=kernel)
 
+    def rows(self, term: Term, k: int | None = None) -> tuple:
+        """A term at size k as its output width and its rows, one per
+        input in input order, each ``(den, {output: numerator})``."""
+        n_in = self._at(typecheck(term), k)
+        node = self.node(term)
+        return node.n_out, [_row(node, x) for x in range(1 << n_in)]
+
     def map(self, term: Term, k: int | None = None) -> StochMap:
         """The stochastic map of a term at size k."""
-        n_in = self._at(typecheck(term), k)
-        node, weights = self.node(term), {}
-        return StochMap(n_in, node.n_out, tuple(
-            _fractions(*_row(node, x), weights) for x in range(1 << n_in)))
+        n_out, rows = self.rows(term, k)
+        weights = {}
+        return StochMap(len(rows).bit_length() - 1, n_out, tuple(
+            _fractions(den, row, weights) for den, row in rows))
 
     def _pair(self, f: Term, g: Term, k: int | None):
         n_in = self._at(same_type(f, g), k)
@@ -909,9 +949,12 @@ class Series:
     def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
         """The hom distance of two terms of one type at size k: the
         largest total variation distance over the input rows; the scan
-        stops at a row of distance 1, the largest there is."""
+        stops at a row of distance 1, the largest there is.  Two terms
+        of one node are at distance 0, and no row is read."""
         n_in, fn, gn = self._pair(f, g, k)
         best = ZERO
+        if fn is gn:
+            return best
         for x in range(1 << n_in):
             d = _tv(*_row(fn, x), *_row(gn, x))
             if d > best:
@@ -923,8 +966,11 @@ class Series:
     def difference(self, f: Term, g: Term, k: int | None = None):
         """The first input where two terms of one type part ways at size
         k, as ``(input, input width, row of f, row of g)`` with Fraction
-        weights; None when they denote the same map."""
+        weights; None when they denote the same map, as two terms of
+        one node do without reading a row."""
         n_in, fn, gn = self._pair(f, g, k)
+        if fn is gn:
+            return None
         for x in range(1 << n_in):
             da, a = _row(fn, x)
             db, b = _row(gn, x)

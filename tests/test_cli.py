@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitgen import random_circuit
-from pbc import B, Par, Seq, cli, coin, copy_gen, par, pretty_term, terms
+from pbc import (
+    B, Id, Par, Seq, Swap, bools, cli, coin, copy_gen, discard_gen, par,
+    pretty_term, seq, terms,
+)
 from pbc import combinators as C
 from pbc.cli import main
 from pbc.cli import main as pbc_command
@@ -244,6 +247,28 @@ def test_a_bad_wire_limit_is_a_usage_error(capsys, monkeypatch, argv, value):
     assert err.startswith("pbc: PBC_MAX_WIRES ")
     assert err.count("\n") == 1
     assert "internal error" not in err
+
+
+def test_one_shape_compared_with_itself_reads_no_row(capsys, monkeypatch,
+                                                    tmp_path):
+    # Five fair coins, discarded: no wire in the type, but 32 outcomes on
+    # the way, above 2^4.  A file and its copy compile to one node, so
+    # eq and dist answer without reading a row; eval reads them.
+    monkeypatch.setenv("PBC_MAX_WIRES", "4")
+    text = pretty_term(seq(par(*[coin("1/2")] * 5), discard_gen(bools(5))))
+    f, copy = tmp_path / "f.pbc", tmp_path / "copy.pbc"
+    for path in (f, copy):
+        path.write_text(f"main = {text}\n")
+    assert run(capsys, "eq", str(f), str(copy)) == (0, "EQUAL\n", "")
+    assert run(capsys, "dist", str(f), str(f)) == (0, "0/1\n", "")
+    code, out, err = run(capsys, "eval", str(f))
+    assert (code, out) == (2, "") and "32 outcomes" in err
+    # A type above the limit is refused before any node is compared.
+    wide = tmp_path / "wide.pbc"
+    wide.write_text("main = id<B^5>\n")
+    for cmd in ("eq", "dist"):
+        code, out, err = run(capsys, cmd, str(wide), str(wide))
+        assert (code, out) == (2, "") and "needs 5 wires" in err
 
 
 def test_eval_rejects_a_range(capsys):
@@ -710,6 +735,13 @@ def test_normalize_twelve_fair_coins_prints_the_uniform_spine(capsys,
 def test_eq_on_eleven_fair_coins_is_equal(capsys, tmp_path):
     path = _coins(tmp_path, 11)
     code = pbc_command(["eq", path, path])
+    assert (code, capsys.readouterr().out) == (0, "EQUAL\n")
+    # One file against itself is one node and reads no row; two of the
+    # coins swapped are another node, so eq reads all 2^11 outcomes.
+    swapped = tmp_path / "swapped.pbc"
+    swapped.write_text("main = " + pretty_term(seq(
+        par(*[coin("1/2")] * 11), par(Swap(B, B), Id(bools(9))))) + "\n")
+    code = pbc_command(["eq", path, str(swapped)])
     assert (code, capsys.readouterr().out) == (0, "EQUAL\n")
 
 

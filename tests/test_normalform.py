@@ -30,6 +30,7 @@ from pbc import (
     typecheck,
 )
 from pbc.combinators import copy_at, otp_lhs, otp_rhs
+from pbc.normalform import _build_spine
 
 from circuitgen import random_circuit
 from test_semantics import random_dist
@@ -81,6 +82,51 @@ def test_spine_is_strictly_sorted_with_positive_weights():
 def test_degenerate_coin_collapses_to_a_leaf():
     assert normalize(coin(0)) == Tree(Leaf(0), 1)
     assert normalize(coin(1)) == Tree(Leaf(1), 1)
+
+
+# ---------------------------------------------------------------------------
+# Integer rows: ``normalize`` reads the evaluator's rows, and a spine keeps
+# only the ratios of its masses, so it must give the form of the map.
+
+def _spine(tree):
+    """A spine as its (weight, head) steps and its last word, walked."""
+    steps = []
+    while isinstance(tree, Node):
+        assert type(tree.p) is Fraction
+        steps.append((tree.p, tree.head))
+        tree = tree.rest
+    return steps, tree.value
+
+
+@pytest.mark.parametrize("n_in", [0, 1, 2, 3, 8])
+def test_normalize_is_the_normal_form_of_the_map(n_in):
+    rng = random.Random(4040 + n_in)
+    for _ in range(30 if n_in < 8 else 4):
+        f = random_circuit(rng, n_in, rng.randint(0, 3),
+                           max_wires=max(3, n_in))
+        assert nf_pretty(normalize(f)) == nf_pretty(
+            synthesize_from_map(denote(f)))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_normalize_on_fair_coin_words_is_the_normal_form_of_the_map(n):
+    coins = par(*[coin(Fraction(1, 2))] * n)
+    assert nf_pretty(normalize(coins)) == nf_pretty(
+        synthesize_from_map(denote(coins)))
+
+
+def test_a_spine_of_int_masses_is_the_spine_of_their_ratios():
+    rng = random.Random(5150)
+    for _ in range(200):
+        support = rng.sample(range(16), rng.randint(1, 8))
+        ints = {y: rng.randint(1, 50) for y in support}
+        scale = rng.randint(1, 7)
+        den = sum(ints.values()) * rng.randint(1, 3)
+        want = _spine(_build_spine(ints))
+        assert _spine(_build_spine(
+            {y: n * scale for y, n in ints.items()})) == want
+        assert _spine(_build_spine(
+            {y: Fraction(n, den) for y, n in ints.items()})) == want
 
 
 # ---------------------------------------------------------------------------

@@ -270,13 +270,35 @@ def test_checking_certificates_judges_each_leaf_once(monkeypatch):
     assert 0 < len(judged) <= len(leaves)
 
 
+def test_a_check_builds_each_structurally_distinct_term_once(monkeypatch):
+    # The series of a check compiles a star-free term once per shape,
+    # whatever objects spell it: the 40 certificates build 2,380 nodes,
+    # where one node per term object built 10,643.
+    rng = random.Random(7)
+    certificates = [synthesize_tight_derivation(random_circuit(rng, 3, 3),
+                                                random_circuit(rng, 3, 3))
+                    for _ in range(40)]
+    built = []
+    build = Series._build
+    monkeypatch.setattr(
+        Series, "_build",
+        lambda self, term, parts: built.append(term) or build(
+            self, term, parts))
+    for d in certificates:
+        start = len(built)
+        check_derivation(d)
+        assert len(set(built[start:])) == len(built) - start
+    assert 0 < len(built) <= 2380
+
+
 def test_checking_a_certificate_compiles_each_subterm_once(monkeypatch):
     # Every Refl node of a check asks one series, and the Refl endpoints
     # share their subterms, so no subterm object is compiled twice: the
-    # 8-coin certificate builds 4,351 nodes for its 13,046 distinct
-    # subterms under Refl nodes.  A series per Refl node, with a new
-    # term for every output word and every arm of a conditional
-    # compiled, built 30,676 nodes for 24,566 distinct subterms.
+    # 8-coin certificate builds 1,283 nodes for its 13,046 distinct
+    # subterm objects under Refl nodes (4,351 with a node per object).
+    # A series per Refl node, with a new term for every output word and
+    # every arm of a conditional compiled, built 30,676 nodes for 24,566
+    # distinct subterms.
     half = Fraction(1, 2)
     d = synthesize_tight_derivation(
         par(*[coin(half)] * 8), par(coin(Fraction(1, 3)), *[coin(half)] * 7))
@@ -309,8 +331,9 @@ def test_checking_a_certificate_compiles_each_subterm_once(monkeypatch):
 def test_checking_the_eight_coin_certificate_runs_few_kernels(monkeypatch):
     # A conditional asks only for the arms its chooser weighs, so each
     # mixture of a spine reads one word and the rest of the spine: the
-    # check runs 1,035 kernels, where evaluating both arms of every
-    # mixture and multiplying them ran 183,038.
+    # check runs 654 kernels (1,035 with a node per term object), where
+    # evaluating both arms of every mixture and multiplying them ran
+    # 183,038.
     runs = []
     init = semantics._Node.__init__
 

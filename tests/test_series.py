@@ -26,6 +26,7 @@ from pbc import (
     Id,
     PBCError,
     PBCTypeError,
+    Swap,
     TauStar,
     axiom_corpus,
     bools,
@@ -39,6 +40,8 @@ from pbc import (
     nf_to_term,
     normalize,
     par,
+    phi_gen,
+    pretty_term,
     seq,
     star,
     star_equiv_bounded,
@@ -49,7 +52,9 @@ from pbc import (
 from pbc import combinators as C
 from pbc import semantics
 from pbc.cli import main
+from pbc.parser import parse_circuit
 from pbc.semantics import Series
+from pbc.terms import phi_case
 from reference import reference_denote
 from test_forward import _demo_pairs
 
@@ -424,3 +429,72 @@ def test_a_negative_size_bound_is_refused(ask):
     # Comparing no size at all would read as a verdict.
     with pytest.raises(PBCError, match=r"^negative size bound -1$"):
         ask()
+
+
+# ---------------------------------------------------------------------------
+# One node per shape: a size-free term is compiled once per series
+# however many objects spell it.
+
+def _reparsed(term):
+    """A structurally equal copy of a term that shares no object with it."""
+    return parse_circuit(f"main = {pretty_term(term)}\n")
+
+
+def test_a_term_and_its_reparsed_copy_compile_to_one_root_node(monkeypatch):
+    rng = random.Random(23)
+    for _ in range(10):
+        f = _reparsed(random_circuit(rng, 2, 4, max_gens=20, max_wires=8))
+        g = _reparsed(f)
+        series = Series()
+        _, fn, gn = series._pair(f, g, None)
+        assert f is not g and fn is gn
+    # One node answers without reading a row.
+    monkeypatch.setattr(semantics, "_row", None)
+    assert series.distance(f, g) == 0
+    assert series.difference(f, g) is None
+
+
+def _mutants():
+    """Pairs of size-free terms one edit apart, which must compile to
+    distinct nodes."""
+    i, i2 = Id(B), Id(bools(2))
+    third, fifth = coin(Fraction(1, 3)), coin(Fraction(1, 5))
+    yield "coin-bias", third, coin(Fraction(2, 3))
+    yield "id-width", i, i2
+    yield "swap-sides", Swap(B, bools(2)), Swap(bools(2), B)
+    yield "seq-par", seq(i, i, i), par(i, i, i)
+    yield "conditional-or-not", seq(par(i, i, i), phi_gen(B)), seq(i, i, i)
+    yield "conditional-word", phi_case(i, i, B), phi_case(i2, i2, bools(2))
+    # One list of stages, [id, 1/3, 1/5, id], with the conditional first
+    # or second: "id if 1/3 else 1/5" against "1/3 if 1/5 else id".
+    yield ("conditional-position", seq(par(i, third, fifth), phi_gen(B), i),
+           seq(i, par(third, fifth, i), phi_gen(B)))
+
+
+@pytest.mark.parametrize("f, g", [m[1:] for m in _mutants()],
+                         ids=[m[0] for m in _mutants()])
+def test_terms_one_edit_apart_get_distinct_nodes(f, g):
+    series = Series()
+    assert series.map(f) == reference_denote(f)
+    assert series.map(g) == reference_denote(g)
+    assert series.node(f) is not series.node(g)
+    for t in (f, g):  # and a copy of either is its node
+        assert series.node(_reparsed(t)) is series.node(t)
+
+
+def test_loops_over_copies_of_one_body_keep_their_maps():
+    # The copies of a body are one node, so the loops share it and the
+    # series' row table, whatever state and streams they thread; each
+    # loop's map is still its own reference unrolling.
+    rng = random.Random(29)
+    for _ in range(5):
+        body = random_circuit(rng, 2, 2, max_gens=6, max_wires=4, max_den=4)
+        loops = [TauStar(B, (B,), (B,), body),
+                 TauStar(B, (B,), (B,), _reparsed(body)),
+                 TauStar(bools(2), (), (), _reparsed(body))]
+        series = Series()
+        for k in range(7):
+            for t in loops:
+                assert series.map(t, k) == _unrolled(t, k), k
+        bodies = {series.nodes[id(t.body)][1] for t in loops}
+        assert len(bodies) == 1
