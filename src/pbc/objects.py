@@ -20,9 +20,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class BoolAtom:
-    """The single Boolean wire."""
+    """The single Boolean wire: one object, ``BOOL``, compared and hashed
+    by identity, so a word of wires hashes at C speed.  ``BoolAtom()``
+    returns it, and pickling and copying keep it."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return BOOL
+
+    def __reduce__(self):
+        return BoolAtom, ()
 
     def __repr__(self):
         return "BoolAtom()"
@@ -46,7 +55,7 @@ class Star:
 Atom = BoolAtom | Star
 Object = tuple  # tuple[Atom, ...]
 
-BOOL = BoolAtom()
+BOOL = object.__new__(BoolAtom)
 B: Object = (BOOL,)
 UNIT: Object = ()
 

@@ -501,6 +501,14 @@ class _Loop:
     runs at, so a loop kept from one size to the next only adds the
     levels it lacks.
 
+    So a loop is a function of its signature ``sig``, the widths of its
+    state and of its input and output streams, and of its body's map
+    alone.  Two loops of one signature whose bodies denote one map are
+    equal at every size: tau^0 is the identity on both; pop and push at
+    level n are fixed by the signature and n, so if the two levels n are
+    one map, so are the two levels n + 1, each built from the same
+    parts.  ``Series`` uses this to let such loops share one ``_Loop``.
+
     A level row is fully determined by its recipe: the body row at the
     popped element, the continuation rows it mixes, and the push, which
     the level, the state width and the output streams fix.  ``rows``
@@ -515,12 +523,14 @@ class _Loop:
     parts cannot collide is concatenated (``_concat``), not mixed.
     """
 
-    __slots__ = ("body", "sw", "a", "outs", "in_words", "out_words",
-                 "cap", "rows", "levels")
+    __slots__ = ("body", "step", "sig", "sw", "a", "outs", "in_words",
+                 "out_words", "cap", "rows", "levels")
 
     def __init__(self, body: _Node, sw: int, ins: tuple, outs: tuple,
                  cap: int, tau0: _Node, rows: dict):
-        self.body = body if body.memo is not None else _as_kernel(body)
+        self.body = body  # as compiled; ``step`` memoizes its rows
+        self.step = body if body.memo is not None else _as_kernel(body)
+        self.sig = sw, ins, outs
         self.sw, self.a, self.outs = sw, sum(ins), outs
         # Pop and push are the wiring tau_k_expand uses, over Boolean
         # words; with at most one nonempty stream they are the identity.
@@ -549,7 +559,7 @@ class _Loop:
         if self.out_words:
             wiring = par(push_term(self.out_words, n - 1), Id(bools(sw)))
             push = Series().node(wiring).function()
-        body, below = self.body, self.levels[-1]
+        body, below = self.step, self.levels[-1]
         body_rows, below_rows, rows = body.memo, below.memo, self.rows
         r_bits = (n - 1) * a
         r_mask = (1 << r_bits) - 1
@@ -638,7 +648,11 @@ class Series:
     it.  Over increasing sizes k = 0, 1, ..., K a series costs about
     as much as its largest size.  Comparisons read the compiled roots
     one input row at a time as ``(den, {output: numerator})``; they
-    build no map and no Fraction per entry.
+    build no map and no Fraction per entry.  Two roots that are levels
+    of kept loops of one signature are first checked for bodies of one
+    map, once per pair (``_alike``); if they are, the second loop's
+    term is re-pointed to the first's ``_Loop``, so both are one node,
+    equal with no level row read, at that size and every later one.
 
     The size k is None for terms of a fixed size, which parametric
     terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
@@ -652,6 +666,8 @@ class Series:
         self.nodes: dict = {}  # id(term) -> (term, node, size-free)
         self.shapes: dict = {}  # shape -> node, for size-free terms
         self.loops: dict = {}  # id(term) -> (term, _Loop), size-free bodies
+        self.owners: dict = {}  # level node -> (term, _Loop) of such loops
+        self.alike: dict = {}  # (_Loop, _Loop) -> whether they are equal
         self.tau0: dict = {}  # state width -> the identity level tau^0
         self.recipes: dict = {}  # recipe -> row, loops over size-free bodies
         self.cap = 1  # largest support a kernel may have; set per question
@@ -781,7 +797,10 @@ class Series:
                                 self.recipes if free else {}))
             if free:
                 self.loops[id(term)] = kept
-        return kept[1].level(k)
+        node = kept[1].level(k)
+        if free:
+            self.owners[node] = kept
+        return node
 
     def _gen(self, term: Gen) -> _Node:
         if term.kind == COIN:
@@ -943,14 +962,42 @@ class Series:
             _fractions(den, row, weights) for den, row in rows))
 
     def _pair(self, f: Term, g: Term, k: int | None):
+        """The input width of two terms of one type at size k, and their
+        roots.  Two roots that are levels of kept loops of one signature
+        with equal bodies become one: the second loop's term is
+        re-pointed to the first's ``_Loop``, so from then on both terms
+        compile to one level node."""
         n_in = self._at(same_type(f, g), k)
-        return n_in, self.node(f), self.node(g)
+        fn, gn = self.node(f), self.node(g)
+        if fn is not gn:
+            a, b = self.owners.get(fn), self.owners.get(gn)
+            if a is not None and b is not None and self._alike(a[1], b[1]):
+                self.loops[id(b[0])] = b[0], a[1]
+                gn = fn
+        return n_in, fn, gn
+
+    def _alike(self, a: _Loop, b: _Loop) -> bool:
+        """Whether two loops have one signature and bodies of one map, so
+        one map at every size (see ``_Loop``), decided once per pair.
+        One body node is one map, and no row is read; else the bodies'
+        rows are compared input by input, up to the first that differs.
+        Every body input is an input of level 1, so this reads no more
+        rows than a scan of two bare loops at size 1 would."""
+        key = a, b
+        same = self.alike.get(key)
+        if same is None:
+            same = self.alike[key] = a.sig == b.sig and (
+                a.body is b.body
+                or not any(_tv(*_row(a.step, x), *_row(b.step, x))
+                           for x in range(1 << a.body.n_in)))
+        return same
 
     def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
         """The hom distance of two terms of one type at size k: the
         largest total variation distance over the input rows; the scan
         stops at a row of distance 1, the largest there is.  Two terms
-        of one node are at distance 0, and no row is read."""
+        of one node, as two loops with equal bodies become, are at
+        distance 0, and no row of theirs is read."""
         n_in, fn, gn = self._pair(f, g, k)
         best = ZERO
         if fn is gn:

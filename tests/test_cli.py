@@ -271,6 +271,31 @@ def test_one_shape_compared_with_itself_reads_no_row(capsys, monkeypatch,
         assert (code, out) == (2, "") and "needs 5 wires" in err
 
 
+def test_two_loops_with_one_body_read_no_row(capsys, monkeypatch, tmp_path):
+    # A loop that emits a fair coin a step, drawn after five fair coins
+    # it discards: 32 outcomes on the way, above 2^4.  Two loops of one
+    # signature over one body node are one loop, so eq and dist answer
+    # at every size whose type fits, without reading a row.
+    monkeypatch.setenv("PBC_MAX_WIRES", "4")
+    body = seq(par(*[coin("1/2")] * 5), discard_gen(bools(5)), coin("1/2"))
+    f, copy, respelled = (tmp_path / f"{name}.pbc"
+                          for name in ("f", "copy", "respelled"))
+    for path, term in ((f, body), (copy, body), (respelled, seq(body, Id(B)))):
+        path.write_text(f"main = iter[I; (); (B)]({pretty_term(term)})\n")
+    assert run(capsys, "eq", str(f), str(copy), "--k", "4") == (
+        0, "EQUAL (every size k = 0..4)\n", "")
+    assert run(capsys, "dist", str(f), str(copy), "--k", "0..2") == (
+        0, "0\t0/1\n1\t0/1\n2\t0/1\n", "")
+    # Bodies of two nodes are compared row by row, and eval reads rows.
+    for argv in (("eq", str(f), str(respelled), "--k", "1"),
+                 ("eval", str(f), "--k", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "32 outcomes" in err
+    # A type above the limit is refused before any node is compared.
+    code, out, err = run(capsys, "eq", str(f), str(copy), "--k", "5")
+    assert (code, out) == (2, "") and "needs 5 wires" in err
+
+
 def test_eval_rejects_a_range(capsys):
     code, _, err = run(capsys, "eval", OTP_L, "--k", "0..3")
     assert code == 2

@@ -4,10 +4,13 @@ each run through ``check``, ``eval``, ``eq``, ``dot``, ``normalize``,
 
 Whatever the source, a command exits 0, 1 or 2 and never reports an
 internal error; a file that checks is equal to itself, at distance zero
-from itself at every size.
+from itself at every size.  Loops over random ``circuitgen`` bodies,
+against a copy, a respelling or another body, get the verdicts and
+distances of the reference unrolling from ``eq`` and ``dist``.
 """
 
 import io
+import random
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -15,8 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbc import PBCSyntaxError, parse_circuit
+from circuitgen import random_circuit
+from pbc import (
+    Id, PBCSyntaxError, TauStar, bools, hom_distance, instantiate,
+    parse_circuit, pretty_term, seq, star_equiv_bounded,
+)
 from pbc.cli import main
+from pbc.semantics import bit_string
+from reference import reference_denote
 
 # A word is a tuple of atom texts; each atom's wires at size k = 2.
 _WIRES = {"B": 1, "B^*": 2, "(B^2)^*": 4, "(B^*)^*": 4}
@@ -187,3 +196,74 @@ def test_a_stray_character_is_reported_where_it_stands(source, data):
     line, col = len(before), len(before[-1]) + 1
     assert str(err.value) == (
         f"line {line}, column {col}: stray character {char!r}")
+
+
+# ---------------------------------------------------------------------------
+# Loops over random circuit bodies.
+
+def _respell(body, dom, cod, how):
+    """Another spelling of a body of type ``dom -> cod``."""
+    if how == "seq-id":
+        return seq(body, Id(bools(cod)))
+    if how == "id-seq":
+        return seq(Id(bools(dom)), body)
+    return body  # "copy": the same text, parsed anew
+
+
+@st.composite
+def loop_pairs(draw):
+    """The texts of two loops of one signature over ``circuitgen``
+    bodies: one body against itself, respelled, or against another."""
+    sw = draw(st.integers(0, 2))
+    ins = draw(st.lists(st.integers(0, 1), max_size=2))
+    outs = draw(st.lists(st.integers(0, 1), max_size=2))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    dom, cod = sw + sum(ins), sum(outs) + sw
+
+    def body():
+        return random_circuit(rng, dom, cod, max_gens=rng.randint(0, 6),
+                              max_wires=5, max_den=4)
+
+    def loop(t):
+        return pretty_term(TauStar(bools(sw), tuple(map(bools, ins)),
+                                   tuple(map(bools, outs)), t))
+    first = body()
+    how = draw(st.sampled_from(["copy", "seq-id", "id-seq", "other"]))
+    second = body() if how == "other" else _respell(first, dom, cod, how)
+    return loop(first), loop(second)
+
+
+def _reference(s, t, k_max):
+    """``eq --k k_max`` and ``dist --k 0..k_max`` as the reference
+    unrolling answers them."""
+    verdict, dists = None, []
+    for k in range(k_max + 1):
+        sk = reference_denote(instantiate(k, s))
+        tk = reference_denote(instantiate(k, t))
+        d = hom_distance(sk, tk)
+        dists.append(f"{k}\t{d.numerator}/{d.denominator}\n")
+        if verdict is None:
+            verdict = next(
+                ((1, f"NOT EQUAL at k={k}, input "
+                     f"{bit_string(x, sk.in_arity)}\n")
+                 for x, (a, b) in enumerate(zip(sk.rows, tk.rows)) if a != b),
+                None)
+    if verdict is None:
+        verdict = 0, f"EQUAL (every size k = 0..{k_max})\n"
+    return verdict, "".join(dists)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(loop_pairs())
+def test_loops_over_generated_bodies_get_the_reference_verdicts(
+        tmp_path_factory, pair):
+    paths = [str(tmp_path_factory.mktemp("loops") / f"{side}.pbc")
+             for side in ("f", "g")]
+    for path, text in zip(paths, pair):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"main = {text}\n")
+    s, t = (parse_circuit(f"main = {text}\n") for text in pair)
+    (code, line), dists = _reference(s, t, 3)
+    assert _run("eq", *paths, "--k", "3") == (code, line, ""), pair
+    assert _run("dist", *paths, "--k", "0..3") == (0, dists, ""), pair
+    assert bool(star_equiv_bounded(s, t, 3)) == (code == 0), pair

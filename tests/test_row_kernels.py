@@ -164,6 +164,14 @@ def test_the_demos_concatenate_rows_as_they_would_mix(capsys, name, k):
         warnings.simplefilter("ignore")  # 14 wires and more warn
         code = main(["demo", name, "--k", str(k)])
     assert (code, capsys.readouterr().out) == (0, golden)
+    if name == "otp":
+        # The pad's two loops have equal bodies, so the demo reads no
+        # level row; build the left side's rows at every size instead.
+        lhs, series = C.otp_star_lhs(), Series()
+        with checked_concat() as built, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for j in range(1, k + 1):
+                series.rows(lhs, j)
     assert built
 
 

@@ -28,9 +28,11 @@ from pbc import (
     PBCTypeError,
     Swap,
     TauStar,
+    UNIT,
     axiom_corpus,
     bools,
     coin,
+    copy_gen,
     denote,
     distance_series,
     hom_distance,
@@ -48,6 +50,7 @@ from pbc import (
     synthesize_tight_derivation,
     tensor,
     tensor_maps,
+    typecheck,
 )
 from pbc import combinators as C
 from pbc import semantics
@@ -61,14 +64,15 @@ from test_forward import _demo_pairs
 DATA = Path(__file__).parent / "data"
 
 
-def assert_series_agrees(f, g, sizes):
+def assert_series_agrees(f, g, sizes, reference=denote):
     """The series evaluator, moved through ``sizes`` in order, against
-    per-size maps: the distance, and the first differing row if any."""
+    per-size maps, ``denote``'s or another reference's: the distance,
+    and the first differing row if any.  The series it asked."""
     series = Series()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 14 wires and more warn
         for k in sizes:
-            fk, gk = denote(f, k), denote(g, k)
+            fk, gk = reference(f, k), reference(g, k)
             assert series.distance(f, g, k) == hom_distance(fk, gk), k
             first = next(((x, a, b) for x, (a, b)
                           in enumerate(zip(fk.rows, gk.rows)) if a != b),
@@ -81,6 +85,7 @@ def assert_series_agrees(f, g, sizes):
                 assert got == (x, fk.in_arity, a, b), k
             # The same question asked of one term twice: no difference.
             assert series.difference(f, f, k) is None
+    return series
 
 
 def test_every_demo_pair_at_every_gated_size():
@@ -157,11 +162,17 @@ def test_a_loop_hiding_a_sized_loop_is_rebuilt_at_each_size():
             assert series.distance(f, g, k) == Series().distance(f, g, k)
 
 
+def _reparsed(term):
+    """A structurally equal copy of a term that shares no object with it."""
+    return parse_circuit(f"main = {pretty_term(term)}\n")
+
+
 def _twin_loops():
-    """Pairs of loops whose bodies are different terms of one map: the
+    """Pairs of loops of one signature whose bodies are one map: the
     one-time pad's two loops, and random bodies against their normal
-    form and against themselves followed by an identity, over one and
-    over two output streams, where the loop pushes its outputs."""
+    form, against themselves followed by an identity and against a
+    re-parsed copy, over one and over two output streams, where the
+    loop pushes its outputs."""
     yield "otp", C.otp_star_lhs(), C.otp_star_rhs()
     rng = random.Random(11)
     for sw, outs in ((1, (B,)), (0, (B, B)), (1, (B, B))):
@@ -174,6 +185,7 @@ def _twin_loops():
         yield name + "-nf", loop(body), loop(nf_to_term(normalize(body)))
         yield name + "-seq-id", loop(body), loop(
             seq(body, Id(bools(len(outs) + sw))))
+        yield name + "-reparsed", loop(body), _reparsed(loop(body))
 
 
 @pytest.mark.parametrize("f, g", [p[1:] for p in _twin_loops()],
@@ -192,14 +204,29 @@ def test_the_one_time_pads_two_loops_build_each_row_once():
     # The two bodies give one row in a different order of outputs; each
     # level row of one loop is the other's, one object.  (At size 0 a
     # loop is the identity wiring, which makes its row as it is read.)
+    # Each loop's rows are read on its own: a comparison would make the
+    # two loops one.
     f, g = C.otp_star_lhs(), C.otp_star_rhs()
     series = Series()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 14 wires at k = 7
         for k in range(1, 9):
-            n_in, fn, gn = series._pair(f, g, k)
-            for x in range(1 << n_in):
-                assert semantics._row(fn, x) is semantics._row(gn, x), k
+            _, f_rows = series.rows(f, k)
+            _, g_rows = series.rows(g, k)
+            assert series.node(f) is not series.node(g)
+            for a, b in zip(f_rows, g_rows, strict=True):
+                assert a is b, k
+
+
+def _count_row_builds(monkeypatch) -> list:
+    """The list of calls that build a row: to ``_mix``, and to
+    ``_concat`` for a row whose parts cannot collide."""
+    calls = []
+    for name in ("_mix", "_concat"):
+        build = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name, lambda *args, build=build: (
+            calls.append(args) or build(*args)))
+    return calls
 
 
 def test_a_key_guess_series_builds_each_distinct_row_once(monkeypatch):
@@ -208,18 +235,8 @@ def test_a_key_guess_series_builds_each_distinct_row_once(monkeypatch):
     # only with the flag set.  The loops that discard the guesses and
     # draw the fresh keys have one row per level.  So sizes 0..8 mix
     # (2 + ... + 2^7) + 7 + 2^8 + 8 + 8 = 533 rows, where building every
-    # input's row mixes 1,282.  A row is built by _mix or, when its
-    # parts cannot collide, by _concat.
-    calls = []
-
-    def counted(build):
-        def built(*args):
-            calls.append(args)
-            return build(*args)
-        return built
-
-    for name in ("_mix", "_concat"):
-        monkeypatch.setattr(semantics, name, counted(getattr(semantics, name)))
+    # input's row mixes 1,282.
+    calls = _count_row_builds(monkeypatch)
     series = distance_series(C.keyguess_lhs(), C.keyguess_rhs(), 0, 8)
     assert series.pairs[-1] == (8, Fraction(1, 2**8))
     assert len(calls) == 533
@@ -435,11 +452,6 @@ def test_a_negative_size_bound_is_refused(ask):
 # One node per shape: a size-free term is compiled once per series
 # however many objects spell it.
 
-def _reparsed(term):
-    """A structurally equal copy of a term that shares no object with it."""
-    return parse_circuit(f"main = {pretty_term(term)}\n")
-
-
 def test_a_term_and_its_reparsed_copy_compile_to_one_root_node(monkeypatch):
     rng = random.Random(23)
     for _ in range(10):
@@ -498,3 +510,82 @@ def test_loops_over_copies_of_one_body_keep_their_maps():
                 assert series.map(t, k) == _unrolled(t, k), k
         bodies = {series.nodes[id(t.body)][1] for t in loops}
         assert len(bodies) == 1
+
+
+# ---------------------------------------------------------------------------
+# Loops of one signature with equal bodies are one loop: compared, they
+# share one ``_Loop`` and so one level node at every size.
+
+@pytest.mark.parametrize("f, g", [p[1:] for p in _twin_loops()],
+                         ids=[p[0] for p in _twin_loops()])
+def test_loops_with_equal_bodies_are_one_loop(f, g):
+    series = assert_series_agrees(f, g, range(7), _unrolled)
+    for k in range(1, 7):
+        _, fn, gn = series._pair(f, g, k)
+        assert fn is gn, k
+    assert series.loops[id(g)][1] is series.loops[id(f)][1]
+
+
+def test_the_one_time_pads_loops_read_no_level_row(monkeypatch):
+    calls = _count_row_builds(monkeypatch)
+    f, g = C.otp_star_lhs(), C.otp_star_rhs()
+    series = Series()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 14 wires and more warn
+        for k in range(11):
+            assert series.distance(f, g, k) == 0
+            assert series.difference(f, g, k) is None
+    assert calls == []
+    loop = series.loops[id(f)][1]
+    assert len(loop.levels) == 11
+    assert not any(level.memo for level in loop.levels)
+
+
+def _last_input_only():
+    """A delay line, and one that clears its state where both the state
+    and the input are 1: bodies that differ only at their last input."""
+    step = seq(par(copy_gen(B), Id(B)), par(Id(B), C.not_gate(), Id(B)),
+               par(Id(B), C.and_gate()))
+    return TauStar(B, (B,), (B,), Id(bools(2))), TauStar(B, (B,), (B,), step)
+
+
+def _mutant_loops():
+    """Pairs of loops that must not become one."""
+    fair, third = coin(Fraction(1, 2)), coin(Fraction(1, 3))
+    yield ("coin-bias", C.otp_star_lhs(),
+           TauStar(UNIT, (B,), (bools(2),), par(third, Id(B))))
+    yield ("coin-bias-reparsed", TauStar(UNIT, (B,), (bools(2),),
+                                         par(fair, Id(B))),
+           TauStar(UNIT, (B,), (bools(2),), par(third, Id(B))))
+    yield ("last-input", *_last_input_only())
+    # One body, one type, but the empty input stream on either side:
+    # the signatures differ, so the loops stay two, equal all the same.
+    body = seq(par(third, Id(B)), C.xor_gate())
+    yield ("stream-split", TauStar(UNIT, (B, UNIT), (B,), body),
+           TauStar(UNIT, (UNIT, B), (B,), body))
+
+
+@pytest.mark.parametrize("f, g", [m[1:] for m in _mutant_loops()],
+                         ids=[m[0] for m in _mutant_loops()])
+def test_loops_one_edit_apart_stay_two(f, g):
+    series = assert_series_agrees(f, g, range(7), _unrolled)
+    for k in range(1, 7):
+        _, fn, gn = series._pair(f, g, k)
+        assert fn is not gn, k
+    assert list(series.alike.values()) == [False]
+
+
+@pytest.mark.parametrize("f, g, read", [
+    (C.otp_star_rhs(), TauStar(UNIT, (B,), (bools(2),),
+                               par(coin(Fraction(1, 3)), Id(B))), 1),
+    (*_last_input_only(), 4),
+    (C.otp_star_lhs(), C.otp_star_rhs(), 2),
+])
+def test_a_body_check_stops_at_the_first_row_that_differs(f, g, read):
+    # The first size at which both roots are levels compares the bodies
+    # input by input, before any level row is read.
+    series = Series()
+    series._at(typecheck(f), 1)
+    a, b = (series.owners[series.node(t)][1] for t in (f, g))
+    series._alike(a, b)
+    assert len(a.step.memo) == len(b.step.memo) == read

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import re
 import sys
@@ -12,6 +14,7 @@ from circuitgen import random_circuit
 from pbc import (
     B,
     BOOL,
+    BoolAtom,
     Gen,
     Id,
     Par,
@@ -89,6 +92,21 @@ def test_every_object_passes_the_word_check_unchanged(obj):
 def test_non_words_are_refused(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_the_boolean_wire_is_one_object():
+    # Compared and hashed by identity, so every way to get one must
+    # give BOOL itself.
+    word = (BOOL, *star(bools(2)), BoolAtom())
+    assert BoolAtom() is BOOL and repr(BOOL) == "BoolAtom()"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(word, protocol))
+        assert again == word and again[0] is BOOL
+        assert again[1].inner[1] is BOOL
+    assert copy.deepcopy(word)[2] is copy.copy(BOOL) is BOOL
+    assert hash(Id(bools(3))) == hash(Id(parse_object("B^3")))
+    with pytest.raises(AttributeError):
+        BOOL.width = 1
 
 
 def test_object_surface_forms():
