@@ -109,34 +109,21 @@ def _frac_str(x: Fraction, decimal: bool) -> str:
     return f"{text}\t{_dec(x)}" if decimal else text
 
 
+def _add_columns(text: str, cols: list) -> str:
+    """Each of ``cols`` appended to its line of ``text``, from the first."""
+    lines = text.splitlines()
+    return "\n".join([line + col for line, col in zip(lines, cols)]
+                     + lines[len(cols):]) + "\n"
+
+
 def _tsv(f: StochMap, decimal: bool) -> str:
+    """``map_to_tsv``, with the rounded weights, in its order, when
+    ``decimal``."""
     text = map_to_tsv(f)
     if not decimal:
         return text
-    lines = text.splitlines()
-    out = [lines[0] + "\tprob_dec"]
-    for line in lines[1:]:
-        prob = Fraction(line.rsplit("\t", 1)[1])
-        out.append(f"{line}\t{_dec(prob)}")
-    return "\n".join(out) + "\n"
-
-
-def _csv_with_decimal(text: str) -> str:
-    """Append rounded columns to the data rows of a series CSV."""
-    out = []
-    for line in text.splitlines():
-        if line.startswith("k,"):
-            out.append(line + ",d_dec,scaled_dec")
-            continue
-        fields = line.split(",")
-        if len(fields) == 5 and fields[0].isdigit():
-            _, dn, dd, sn, sd = fields
-            d = Fraction(int(dn), int(dd))
-            s = Fraction(int(sn), int(sd))
-            out.append(f"{line},{_dec(d)},{_dec(s)}")
-        else:
-            out.append(line)
-    return "\n".join(out) + "\n"
+    return _add_columns(text, ["\tprob_dec"] + [
+        f"\t{_dec(row[o])}" for row in f.rows for o in sorted(row)])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +196,9 @@ def _cmd_series(args) -> int:
     report = negligibility_report(series, args.a, _parse_fraction(args.eps))
     text = report_to_csv(report)
     if args.decimal:
-        text = _csv_with_decimal(text)
+        text = _add_columns(text, [",d_dec,scaled_dec"] + [
+            f",{_dec(d)},{_dec(scaled)}" for (_, d), (_, scaled)
+            in zip(report.series.pairs, report.scaled)])
     sys.stdout.write(text)
     return 0 if report.verdict == CONSISTENT else 1
 

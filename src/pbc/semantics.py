@@ -213,7 +213,7 @@ def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
     smaller row sums it: its numerators less the other row's, both
     scaled to the least common denominator s, where positive.  The sum
     runs over ints and a single Fraction is built at the end.  One row
-    object on both sides, as loops built through one table give, is at
+    object on both sides, as two terms over one loop give, is at
     distance 0 at once.
     """
     if a is b or da == db and a == b:
@@ -286,7 +286,8 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # never mutated once made, so one row object may stand in many memos: a
 # stage hands out its child's dict as its own row, and a loop level's row
 # is built once per recipe, the body row and the continuation rows it
-# mixes, and shared by every input and loop with that recipe (``_Loop``).
+# mixes, and shared by every input of the loop with that recipe
+# (``_Loop``).
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -507,30 +508,28 @@ class _Loop:
     equal at every size: tau^0 is the identity on both; pop and push at
     level n are fixed by the signature and n, so if the two levels n are
     one map, so are the two levels n + 1, each built from the same
-    parts.  ``Series`` uses this to let such loops share one ``_Loop``.
+    parts.  ``Series`` uses this to build such loops once (``_alike``).
 
-    A level row is fully determined by its recipe: the body row at the
-    popped element, the continuation rows it mixes, and the push, which
-    the level, the state width and the output streams fix.  ``rows``
-    maps each recipe to its finished row, and a kernel looks its recipe
-    up before it mixes, so loops that share the table, and inputs of
-    one loop, build each row once.  A recipe names each continuation
-    row by ``id``, so every such row must stay alive while its key
-    does: level rows are the table's own values, and level 0, the
-    identity ``tau0``, is the series' one node per state width, which
-    also lets loops of one shape start from the same rows.  A row is
-    never mutated once made, so it may stand in many memos.  A row whose
-    parts cannot collide is concatenated (``_concat``), not mixed.
+    A level row is fully determined by its recipe: the level n, which
+    fixes the push, the body row at the popped element and the
+    continuation rows it mixes.  ``rows`` maps each recipe to its
+    finished row, and a kernel looks its recipe up before it mixes, so
+    the inputs of one loop build each row once.  A recipe names each
+    continuation row by ``id``, so every such row must stay alive while
+    its key does, and it does, within the loop: level rows are the
+    table's own values, and level 0 keeps its rows in its memo.  A
+    row is never mutated once made, so it may stand in many memos.  A
+    row whose parts cannot collide is concatenated (``_concat``), not
+    mixed.
     """
 
-    __slots__ = ("body", "step", "sig", "sw", "a", "outs", "in_words",
-                 "out_words", "cap", "rows", "levels")
+    __slots__ = ("step", "sw", "a", "outs", "in_words", "out_words", "cap",
+                 "rows", "levels")
 
-    def __init__(self, body: _Node, sw: int, ins: tuple, outs: tuple,
-                 cap: int, tau0: _Node, rows: dict):
-        self.body = body  # as compiled; ``step`` memoizes its rows
+    def __init__(self, body: _Node, sig: tuple, cap: int):
+        sw, ins, outs = sig
+        # ``step`` memoizes the body's rows.
         self.step = body if body.memo is not None else _as_kernel(body)
-        self.sig = sw, ins, outs
         self.sw, self.a, self.outs = sw, sum(ins), outs
         # Pop and push are the wiring tau_k_expand uses, over Boolean
         # words; with at most one nonempty stream they are the identity.
@@ -539,8 +538,8 @@ class _Loop:
         self.out_words = (tuple(bools(w) for w in outs)
                           if sum(1 for w in outs if w) > 1 else None)
         self.cap = cap
-        self.rows = rows  # recipe -> row, shared with the table's loops
-        self.levels = [tau0]
+        self.rows = {}  # recipe -> row
+        self.levels = [_as_kernel(_wiring(sw, tuple(range(sw))))]
 
     def level(self, k: int) -> _Node:
         """The node of tau^k."""
@@ -565,7 +564,6 @@ class _Loop:
         r_mask = (1 << r_bits) - 1
         s_mask = (1 << sw) - 1
         c_bits = (n - 1) * b + sw
-        head = n, sw, self.outs  # what fixes the push
 
         def kernel(v):
             y = pop(v) if pop else v
@@ -584,7 +582,7 @@ class _Loop:
                 recipe.append((hi, m, id(row)))
             # Sorted: one map's rows may list their outputs in any order.
             recipe.sort()
-            key = (head, den, *recipe)
+            key = (n, den, *recipe)
             row = rows.get(key)
             if row is None:
                 # Continuation outputs lie below 2^c_bits, so parts of
@@ -597,6 +595,16 @@ class _Loop:
             return row
 
         self.levels.append(_Node(sw + n * a, n * b + sw, kernel=kernel))
+
+
+def _alike(loop: _Loop, body: _Node) -> bool:
+    """Whether a loop's body and another body of its signature denote
+    one map, so the two loops are one (see ``_Loop``).  The rows are
+    compared input by input, up to the first that differs.  Every body
+    input is an input of level 1, so this reads no more body rows than
+    a scan of the two loops at size 1 would."""
+    return not any(_tv(*_row(loop.step, x), *_row(body, x))
+                   for x in range(1 << body.n_in))
 
 
 def _stages(fs: list) -> tuple:
@@ -642,17 +650,18 @@ class Series:
     size-free keeps its ``_Loop``.  Every other node is rebuilt at each
     size: a loop over a body that loops too gets fresh levels, even when
     its type is star-free, because the inner loop's value depends on the
-    size.  The kept loops build their level rows through one table of
-    the series, so each row is built once per recipe (see ``_Loop``);
-    a loop rebuilt at each size has a table of its own, dropped with
-    it.  Over increasing sizes k = 0, 1, ..., K a series costs about
-    as much as its largest size.  Comparisons read the compiled roots
-    one input row at a time as ``(den, {output: numerator})``; they
-    build no map and no Fraction per entry.  Two roots that are levels
-    of kept loops of one signature are first checked for bodies of one
-    map, once per pair (``_alike``); if they are, the second loop's
-    term is re-pointed to the first's ``_Loop``, so both are one node,
-    equal with no level row read, at that size and every later one.
+    size.  A kept loop is found by its signature and body node, where
+    it is built, bare or inside a larger term.  A loop met for the
+    first time is compared with the kept loops of its signature, body
+    row by body row up to the first that differs (``_alike``); if one
+    has a body of the same map, it is that loop, so two bare loops of
+    one map are one node, equal with no level row read, at every size.
+    Each loop builds its level rows through a table of its own, once
+    per recipe (see ``_Loop``), dropped with the loop.  Over increasing
+    sizes k = 0, 1, ..., K a series costs about as much as its largest
+    size.  Comparisons read the compiled roots one input row at a time
+    as ``(den, {output: numerator})``; they build no map and no
+    Fraction per entry.
 
     The size k is None for terms of a fixed size, which parametric
     terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
@@ -665,11 +674,7 @@ class Series:
         self.k = None  # the size starred objects are read at, or None
         self.nodes: dict = {}  # id(term) -> (term, node, size-free)
         self.shapes: dict = {}  # shape -> node, for size-free terms
-        self.loops: dict = {}  # id(term) -> (term, _Loop), size-free bodies
-        self.owners: dict = {}  # level node -> (term, _Loop) of such loops
-        self.alike: dict = {}  # (_Loop, _Loop) -> whether they are equal
-        self.tau0: dict = {}  # state width -> the identity level tau^0
-        self.recipes: dict = {}  # recipe -> row, loops over size-free bodies
+        self.loops: dict = {}  # signature -> {body node: _Loop}, size-free
         self.cap = 1  # largest support a kernel may have; set per question
         self._warned = False
 
@@ -777,30 +782,27 @@ class Series:
         return nodes[0], free
 
     def _tau(self, term: TauStar) -> _Node:
+        """A loop's level at the size.  A loop over a size-free body is
+        found by its signature and body node.  A body node met for the
+        first time is compared with the bodies of the kept loops of its
+        signature, and is given the loop of the one of the same map, if
+        any, else a new ``_Loop``."""
         k = self.k
         sw = width(term.state, k)
         if k == 0:
             return _wiring(sw, tuple(range(sw)))
-        ins = tuple(width(o, k) for o in term.inputs)
-        outs = tuple(width(o, k) for o in term.outputs)
+        sig = (sw, tuple(width(o, k) for o in term.inputs),
+               tuple(width(o, k) for o in term.outputs))
         _, body, free = self.nodes[id(term.body)]
-        kept = self.loops.get(id(term)) if free else None
-        if kept is None:
-            tau0 = self.tau0.get(sw)
-            if tau0 is None:
-                tau0 = self.tau0[sw] = _as_kernel(
-                    _wiring(sw, tuple(range(sw))))
-            # A loop rebuilt at each size keeps its rows in a table of its
-            # own, dropped with it, so the series' table holds no row of
-            # a size left behind.
-            kept = (term, _Loop(body, sw, ins, outs, self.cap, tau0,
-                                self.recipes if free else {}))
-            if free:
-                self.loops[id(term)] = kept
-        node = kept[1].level(k)
-        if free:
-            self.owners[node] = kept
-        return node
+        if not free:
+            return _Loop(body, sig, self.cap).level(k)
+        loops = self.loops.setdefault(sig, {})
+        loop = loops.get(body)
+        if loop is None:
+            loop = loops[body] = next(
+                (old for old in dict.fromkeys(loops.values())
+                 if _alike(old, body)), None) or _Loop(body, sig, self.cap)
+        return loop.level(k)
 
     def _gen(self, term: Gen) -> _Node:
         if term.kind == COIN:
@@ -963,40 +965,15 @@ class Series:
 
     def _pair(self, f: Term, g: Term, k: int | None):
         """The input width of two terms of one type at size k, and their
-        roots.  Two roots that are levels of kept loops of one signature
-        with equal bodies become one: the second loop's term is
-        re-pointed to the first's ``_Loop``, so from then on both terms
-        compile to one level node."""
+        roots."""
         n_in = self._at(same_type(f, g), k)
-        fn, gn = self.node(f), self.node(g)
-        if fn is not gn:
-            a, b = self.owners.get(fn), self.owners.get(gn)
-            if a is not None and b is not None and self._alike(a[1], b[1]):
-                self.loops[id(b[0])] = b[0], a[1]
-                gn = fn
-        return n_in, fn, gn
-
-    def _alike(self, a: _Loop, b: _Loop) -> bool:
-        """Whether two loops have one signature and bodies of one map, so
-        one map at every size (see ``_Loop``), decided once per pair.
-        One body node is one map, and no row is read; else the bodies'
-        rows are compared input by input, up to the first that differs.
-        Every body input is an input of level 1, so this reads no more
-        rows than a scan of two bare loops at size 1 would."""
-        key = a, b
-        same = self.alike.get(key)
-        if same is None:
-            same = self.alike[key] = a.sig == b.sig and (
-                a.body is b.body
-                or not any(_tv(*_row(a.step, x), *_row(b.step, x))
-                           for x in range(1 << a.body.n_in)))
-        return same
+        return n_in, self.node(f), self.node(g)
 
     def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
         """The hom distance of two terms of one type at size k: the
         largest total variation distance over the input rows; the scan
         stops at a row of distance 1, the largest there is.  Two terms
-        of one node, as two loops with equal bodies become, are at
+        of one node, as two bare loops with equal bodies are, are at
         distance 0, and no row of theirs is read."""
         n_in, fn, gn = self._pair(f, g, k)
         best = ZERO

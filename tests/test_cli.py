@@ -211,10 +211,20 @@ def test_eval_tsv(capsys):
 
 
 def test_eval_decimal_adds_a_column(capsys):
-    code, out, _ = run(capsys, "eval", OTP_R, "--decimal")
-    assert code == 0
-    assert out.splitlines()[0] == "in\tout\tprob\tprob_dec"
-    assert out.splitlines()[1] == "0\t00\t1/2\t0.5"
+    for path in (OTP_L, OTP_R):
+        assert run(capsys, "eval", path, "--decimal") == (0, (
+            "in\tout\tprob\tprob_dec\n"
+            "0\t00\t1/2\t0.5\n"
+            "0\t10\t1/2\t0.5\n"
+            "1\t01\t1/2\t0.5\n"
+            "1\t11\t1/2\t0.5\n"), ""), path
+    # At size 3, eight outcomes of weight 1/8: three coins, then the
+    # all-ones flag or the constant 0.
+    for path, last in ((ALL1_L, "1111"), (ALL1_R, "1110")):
+        outs = [format(x << 1, "04b") for x in range(7)] + [last]
+        assert run(capsys, "eval", path, "--k", "3", "--decimal") == (
+            0, "".join(["in\tout\tprob\tprob_dec\n"]
+                       + [f"-\t{o}\t1/8\t0.125\n" for o in outs]), ""), path
 
 
 def test_eval_instantiates_at_a_single_size(capsys):
@@ -454,6 +464,16 @@ def test_series_decimal_golden(capsys):
         "verdict=ConsistentWithNegligible\n"
         "witness_N=2\n"
         "fitted_rate=-0.6931471805599453\n"))
+    assert run(capsys, "series", OTP_L, OTP_R, "--k", "0..3",
+               "--decimal") == (0, (
+        "k,d_num,d_den,scaled_num,scaled_den,d_dec,scaled_dec\n"
+        "0,0,1,0,1,0.0,0.0\n"
+        "1,0,1,0,1,0.0,0.0\n"
+        "2,0,1,0,1,0.0,0.0\n"
+        "3,0,1,0,1,0.0,0.0\n"
+        "verdict=ConsistentWithNegligible\n"
+        "witness_N=0\n"
+        "fitted_rate=none\n"), "")
 
 
 def test_series_prints_inf_for_a_scaled_value_above_the_float_range(
@@ -465,6 +485,8 @@ def test_series_prints_inf_for_a_scaled_value_above_the_float_range(
     rows = [line.split(",") for line in out.splitlines()[1:8]]
     assert [r[-1] for r in rows[5:]] == ["1.210184973390412e+278", "inf"]
     assert rows[6][-2] == "0.015625"
+    golden = DATA / "golden" / "series_all1_k0-6_a400_decimal.csv"
+    assert out == golden.read_text()
 
 
 def test_series_is_byte_deterministic(capsys):

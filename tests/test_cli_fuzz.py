@@ -6,7 +6,8 @@ Whatever the source, a command exits 0, 1 or 2 and never reports an
 internal error; a file that checks is equal to itself, at distance zero
 from itself at every size.  Loops over random ``circuitgen`` bodies,
 against a copy, a respelling or another body, get the verdicts and
-distances of the reference unrolling from ``eq`` and ``dist``.
+distances of the reference unrolling from ``eq`` and ``dist``, bare or
+behind or ahead of one shared ``circuitgen`` stage on the state.
 """
 
 import io
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from circuitgen import random_circuit
 from pbc import (
-    Id, PBCSyntaxError, TauStar, bools, hom_distance, instantiate,
-    parse_circuit, pretty_term, seq, star_equiv_bounded,
+    Id, PBCSyntaxError, TauStar, bools, hom_distance, instantiate, par,
+    parse_circuit, pretty_term, seq, star, star_equiv_bounded, tensor,
 )
 from pbc.cli import main
 from pbc.semantics import bit_string
@@ -213,7 +214,9 @@ def _respell(body, dom, cod, how):
 @st.composite
 def loop_pairs(draw):
     """The texts of two loops of one signature over ``circuitgen``
-    bodies: one body against itself, respelled, or against another."""
+    bodies: one body against itself, respelled, or against another.
+    Both loops stand bare, or both in one pipeline, behind or ahead of
+    one shared ``circuitgen`` stage on the state."""
     sw = draw(st.integers(0, 2))
     ins = draw(st.lists(st.integers(0, 1), max_size=2))
     outs = draw(st.lists(st.integers(0, 1), max_size=2))
@@ -224,12 +227,21 @@ def loop_pairs(draw):
         return random_circuit(rng, dom, cod, max_gens=rng.randint(0, 6),
                               max_wires=5, max_den=4)
 
-    def loop(t):
-        return pretty_term(TauStar(bools(sw), tuple(map(bools, ins)),
-                                   tuple(map(bools, outs)), t))
     first = body()
     how = draw(st.sampled_from(["copy", "seq-id", "id-seq", "other"]))
     second = body() if how == "other" else _respell(first, dom, cod, how)
+    where = draw(st.sampled_from(["bare", "before", "after"]))
+    stage = random_circuit(rng, sw, sw, max_gens=rng.randint(0, 4),
+                           max_wires=5, max_den=4)
+
+    def loop(t):
+        t = TauStar(bools(sw), tuple(map(bools, ins)),
+                    tuple(map(bools, outs)), t)
+        if where == "before":
+            t = seq(par(stage, Id(tensor(*map(star, t.inputs)))), t)
+        elif where == "after":
+            t = seq(t, par(Id(tensor(*map(star, t.outputs))), stage))
+        return pretty_term(t)
     return loop(first), loop(second)
 
 

@@ -176,7 +176,8 @@ def test_evaluating_at_a_size_leaves_no_reference_cycles():
             star_equiv_bounded(f, g, k)
             assert gc.collect() == 0, pretty_term(f)
         # One series over the key-guess and one-time pad pairs, whose
-        # loops share one row table, and a nested loop with its own.
+        # loops each keep a row table, and a nested loop, rebuilt with
+        # its table at each size.
         series = Series()
         for f, g, k in pairs[1:3] + pairs[4:]:
             for size in range(k + 1):

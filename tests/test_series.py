@@ -5,10 +5,10 @@ the size-free nodes and the levels of loops over size-free bodies, and
 compares the roots one integer row at a time.  Its distances and
 equality verdicts must be those of ``hom_distance`` and row equality on
 fresh ``denote`` maps at every size, and those of a fresh series when
-one series answers questions about terms of many types.  Loops build
-each level row once per recipe, so loops whose bodies are different
-terms of one map share their rows; their maps must still be the
-reference unrolling's.
+one series answers questions about terms of many types.  Loops of one
+signature whose bodies are different terms of one map are one loop,
+bare or inside larger terms; their maps must still be the reference
+unrolling's.
 """
 
 import random
@@ -191,8 +191,8 @@ def _twin_loops():
 @pytest.mark.parametrize("f, g", [p[1:] for p in _twin_loops()],
                          ids=[p[0] for p in _twin_loops()])
 def test_loops_of_one_map_share_rows_and_keep_their_maps(f, g):
-    # One series holds both loops, so they build their rows through one
-    # table; each map is still its own reference unrolling.
+    # One series holds both loops, so they are one loop and build their
+    # rows once; each map is still its own reference unrolling.
     series = Series()
     for k in range(7):
         for t in (f, g):
@@ -201,11 +201,11 @@ def test_loops_of_one_map_share_rows_and_keep_their_maps(f, g):
 
 
 def test_the_one_time_pads_two_loops_build_each_row_once():
-    # The two bodies give one row in a different order of outputs; each
-    # level row of one loop is the other's, one object.  (At size 0 a
-    # loop is the identity wiring, which makes its row as it is read.)
-    # Each loop's rows are read on its own: a comparison would make the
-    # two loops one.
+    # The two bodies give one row in a different order of outputs, so
+    # the second loop, where it is built, is the first: each level row
+    # of one is the other's, one object, though each loop's rows are
+    # read on their own, with no comparison asked.  (At size 0 a loop
+    # is the identity wiring, which makes its row as it is read.)
     f, g = C.otp_star_lhs(), C.otp_star_rhs()
     series = Series()
     with warnings.catch_warnings():
@@ -213,9 +213,15 @@ def test_the_one_time_pads_two_loops_build_each_row_once():
         for k in range(1, 9):
             _, f_rows = series.rows(f, k)
             _, g_rows = series.rows(g, k)
-            assert series.node(f) is not series.node(g)
+            assert series.node(f) is series.node(g)
             for a, b in zip(f_rows, g_rows, strict=True):
                 assert a is b, k
+
+
+def _kept_loops(series) -> set:
+    """The distinct ``_Loop``s a series keeps, over size-free bodies."""
+    return {loop for by_body in series.loops.values()
+            for loop in by_body.values()}
 
 
 def _count_row_builds(monkeypatch) -> list:
@@ -495,9 +501,9 @@ def test_terms_one_edit_apart_get_distinct_nodes(f, g):
 
 
 def test_loops_over_copies_of_one_body_keep_their_maps():
-    # The copies of a body are one node, so the loops share it and the
-    # series' row table, whatever state and streams they thread; each
-    # loop's map is still its own reference unrolling.
+    # The copies of a body are one node, so the loops share it, whatever
+    # state and streams they thread; each loop's map is still its own
+    # reference unrolling.
     rng = random.Random(29)
     for _ in range(5):
         body = random_circuit(rng, 2, 2, max_gens=6, max_wires=4, max_den=4)
@@ -513,8 +519,9 @@ def test_loops_over_copies_of_one_body_keep_their_maps():
 
 
 # ---------------------------------------------------------------------------
-# Loops of one signature with equal bodies are one loop: compared, they
-# share one ``_Loop`` and so one level node at every size.
+# Loops of one signature with equal bodies are one loop: where the second
+# is built it becomes the first's ``_Loop``, and so one level node at
+# every size.
 
 @pytest.mark.parametrize("f, g", [p[1:] for p in _twin_loops()],
                          ids=[p[0] for p in _twin_loops()])
@@ -523,7 +530,7 @@ def test_loops_with_equal_bodies_are_one_loop(f, g):
     for k in range(1, 7):
         _, fn, gn = series._pair(f, g, k)
         assert fn is gn, k
-    assert series.loops[id(g)][1] is series.loops[id(f)][1]
+    assert len(_kept_loops(series)) == 1
 
 
 def test_the_one_time_pads_loops_read_no_level_row(monkeypatch):
@@ -536,7 +543,7 @@ def test_the_one_time_pads_loops_read_no_level_row(monkeypatch):
             assert series.distance(f, g, k) == 0
             assert series.difference(f, g, k) is None
     assert calls == []
-    loop = series.loops[id(f)][1]
+    (loop,) = _kept_loops(series)
     assert len(loop.levels) == 11
     assert not any(level.memo for level in loop.levels)
 
@@ -572,7 +579,40 @@ def test_loops_one_edit_apart_stay_two(f, g):
     for k in range(1, 7):
         _, fn, gn = series._pair(f, g, k)
         assert fn is not gn, k
-    assert list(series.alike.values()) == [False]
+    assert len(_kept_loops(series)) == 2
+
+
+def _wrapped(t):
+    """A loop inside a larger term: a size-free map draws its state,
+    one coin(1/3) per wire, and the input streams pass through."""
+    draw = par(*[coin(Fraction(1, 3)) for _ in t.state])
+    return seq(par(draw, Id(tensor(*map(star, t.inputs)))), t)
+
+
+def test_loops_inside_larger_terms_are_one_loop():
+    # The loop is met where it is built, not only as a compared root, so
+    # the two pipelines share one ``_Loop`` though their roots are two
+    # nodes; each map is still its reference unrolling.
+    rng = random.Random(31)
+    for _ in range(3):
+        body = random_circuit(rng, 2, 2, max_gens=6, max_wires=4, max_den=4)
+        nf = nf_to_term(normalize(body))
+        f, g = (_wrapped(TauStar(B, (B,), (B,), t)) for t in (body, nf))
+        series = assert_series_agrees(f, g, range(7), _unrolled)
+        for k in range(7):
+            for t in (f, g):
+                assert series.map(t, k) == _unrolled(t, k), k
+        assert series.node(f) is not series.node(g)
+        assert series.node(body) is not series.node(nf)
+        assert len(_kept_loops(series)) == 1
+
+
+@pytest.mark.parametrize("f, g", [m[1:] for m in _mutant_loops()],
+                         ids=[m[0] for m in _mutant_loops()])
+def test_loops_one_edit_apart_stay_two_inside_larger_terms(f, g):
+    series = assert_series_agrees(_wrapped(f), _wrapped(g), range(7),
+                                  _unrolled)
+    assert len(_kept_loops(series)) == 2
 
 
 @pytest.mark.parametrize("f, g, read", [
@@ -581,11 +621,21 @@ def test_loops_one_edit_apart_stay_two(f, g):
     (*_last_input_only(), 4),
     (C.otp_star_lhs(), C.otp_star_rhs(), 2),
 ])
-def test_a_body_check_stops_at_the_first_row_that_differs(f, g, read):
-    # The first size at which both roots are levels compares the bodies
-    # input by input, before any level row is read.
+def test_a_body_check_stops_at_the_first_row_that_differs(
+        monkeypatch, f, g, read):
+    # The second loop, where it is built, compares its body with the
+    # first's input by input, before any level row is read: one row of
+    # each body per input.
     series = Series()
     series._at(typecheck(f), 1)
-    a, b = (series.owners[series.node(t)][1] for t in (f, g))
-    series._alike(a, b)
-    assert len(a.step.memo) == len(b.step.memo) == read
+    series.node(f)
+    rows = []
+    row = semantics._row
+
+    def counted(node, x):
+        rows.append(x)
+        return row(node, x)
+
+    monkeypatch.setattr(semantics, "_row", counted)
+    series.node(g)
+    assert rows == [x for x in range(read) for _ in "fg"]
