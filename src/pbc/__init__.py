@@ -60,7 +60,6 @@ from .semantics import (
     Distribution,
     StochMap,
     WireLimitError,
-    apply_map,
     bernoulli,
     compose_maps,
     denote,
@@ -71,7 +70,6 @@ from .semantics import (
     map_to_tsv,
     tensor_maps,
     tv_distance,
-    tv_distance_overlap,
 )
 from .iteration import (
     K_TEST,
@@ -138,8 +136,8 @@ __all__ = [
     "seq", "par", "typecheck", "pretty_term", "permute_blocks",
     # semantics
     "Distribution", "StochMap", "dirac", "bernoulli", "distribution",
-    "compose_maps", "tensor_maps", "identity_map", "apply_map",
-    "tv_distance", "tv_distance_overlap", "hom_distance", "denote",
+    "compose_maps", "tensor_maps", "identity_map",
+    "tv_distance", "hom_distance", "denote",
     "map_to_tsv", "WireLimitError", "HARD_WIRE_LIMIT", "SOFT_WIRE_LIMIT",
     # iteration
     "TupleSpec", "dot_power", "push_term", "pop_term", "tau_k_expand",

@@ -97,7 +97,6 @@ class EqualityReport:
     """Outcome of a demo whose claim is exact equality at every size."""
 
     series: DecaySeries
-    exact: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,7 +306,7 @@ def lemma_demo(name: str, k_max: int = 10, p=None):
                                  0, hi, "otp_lhs", "otp_rhs")
         if any(d != 0 for _, d in series.pairs):
             raise PBCError("one-time pad drifted under iteration")
-        return EqualityReport(series, True)
+        return EqualityReport(series)
 
     if demo is None:
         raise PBCError(f"unknown demo: {name!r}")

@@ -28,8 +28,8 @@ from .terms import (
 __all__ = [
     "Distribution", "StochMap",
     "dirac", "bernoulli", "distribution",
-    "compose_maps", "tensor_maps", "identity_map", "apply_map",
-    "tv_distance", "tv_distance_overlap", "hom_distance",
+    "compose_maps", "tensor_maps", "identity_map",
+    "tv_distance", "hom_distance",
     "Series", "denote", "map_to_tsv", "bit_string", "WireLimitError",
     "HARD_WIRE_LIMIT", "SOFT_WIRE_LIMIT",
 ]
@@ -189,17 +189,6 @@ def tensor_maps(f: StochMap, g: StochMap) -> StochMap:
     return StochMap(n, f.out_arity + g.out_arity, tuple(rows))
 
 
-def apply_map(f: StochMap, arg) -> Distribution:
-    """Push a distribution (or a single input int) through a map."""
-    if isinstance(arg, int):
-        arg = dirac(arg)
-    out: Distribution = {}
-    for value, p in arg.items():
-        for result, q in f.rows[value].items():
-            out[result] = out.get(result, ZERO) + p * q
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Distances.
 
@@ -233,21 +222,13 @@ def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
 def tv_distance(v: Distribution, w: Distribution) -> Fraction:
     """Total variation distance, as the mass one distribution puts above
     the other.  Each distribution's weights must sum to 1, as they do
-    in every row of a map, or it raises ValueError;
-    ``tv_distance_overlap`` assumes the same."""
+    in every row of a map, or it raises ValueError."""
     scale = math.lcm(*{p.denominator for d in (v, w) for p in d.values()})
     a = {k: p.numerator * (scale // p.denominator) for k, p in v.items()}
     b = {k: p.numerator * (scale // p.denominator) for k, p in w.items()}
     if sum(a.values()) != scale or sum(b.values()) != scale:
         raise ValueError("distribution weights do not sum to 1")
     return _tv(scale, a, scale, b)
-
-
-def tv_distance_overlap(v: Distribution, w: Distribution) -> Fraction:
-    """Total variation distance as one minus the overlapping mass."""
-    common = set(v) & set(w)
-    overlap = sum((min(v[k], w[k]) for k in common), ZERO)
-    return ONE - overlap
 
 
 def hom_distance(f: StochMap, g: StochMap) -> Fraction:
@@ -624,6 +605,16 @@ def _stages(fs: list) -> tuple:
     return out, conds
 
 
+def _size_free(leaf: Term) -> bool:
+    """Whether a leaf has one node at every size: a generator, or wiring
+    over star-free objects."""
+    if isinstance(leaf, Id):
+        return is_star_free(leaf.obj)
+    if isinstance(leaf, Swap):
+        return is_star_free(leaf.left + leaf.right)
+    return True
+
+
 def _fractions(den: int, row: dict, weights: dict) -> dict:
     """A row with Fraction weights.  ``weights`` holds one Fraction per
     (denominator, numerator), shared by every row read through it."""
@@ -639,29 +630,30 @@ class Series:
     explicit stack, at one size at a time, for a run of sizes.
 
     A question takes its type from the terms it is asked about, so one
-    series may answer questions of many types.  A node is size-free when
-    its subterm has only star-free objects and no loop.  A size-free
-    node is compiled once per shape (``_shared``): every term that
-    spells it, one object or many, shares the node, and so its memo,
-    across every question, and two terms of one node are equal without
-    a row read.  Any other node is shared by the occurrences of one
-    term object.  A size-free node is the same at every size, so moving
-    to another size keeps it, memo and all, and a loop whose body is
-    size-free keeps its ``_Loop``.  Every other node is rebuilt at each
-    size: a loop over a body that loops too gets fresh levels, even when
-    its type is star-free, because the inner loop's value depends on the
-    size.  A kept loop is found by its signature and body node, where
-    it is built, bare or inside a larger term.  A loop met for the
-    first time is compared with the kept loops of its signature, body
-    row by body row up to the first that differs (``_alike``); if one
-    has a body of the same map, it is that loop, so two bare loops of
-    one map are one node, equal with no level row read, at every size.
-    Each loop builds its level rows through a table of its own, once
-    per recipe (see ``_Loop``), dropped with the loop.  Over increasing
-    sizes k = 0, 1, ..., K a series costs about as much as its largest
-    size.  Comparisons read the compiled roots one input row at a time
-    as ``(den, {output: numerator})``; they build no map and no
-    Fraction per entry.
+    series may answer questions of many types.  A term is found by its
+    shape at the size (``node``): every term that spells one shape, one
+    object or many, shares its node, and so its memo, across every
+    question, and two terms of one node are equal without a row read.  A
+    node is size-free when its subterm has only star-free objects and no
+    loop; a size-free node is the same at every size, so its shape is
+    kept, memo and all, when the series moves to another size, and every
+    other shape is dropped.  A loop is found by its signature and body
+    node (``_tau``), where it is built, bare or inside a larger term,
+    and a loop whose body is size-free keeps its ``_Loop`` from one size
+    to the next.  A loop met for the first time is compared with the
+    kept loops of its signature, body row by body row up to the first
+    that differs (``_alike``); if one has a body of the same map, it is
+    that loop.  So two loops of one map are one node at every size, and
+    so are equal terms around them: a parametric file and its copy are
+    one node, equal with no row read.  A loop over a body that loops too
+    gets fresh levels at each size, even when its type is star-free,
+    because the inner loop's value depends on the size.  Each loop
+    builds its level rows through a table of its own, once per recipe
+    (see ``_Loop``), dropped with the loop.  Over increasing sizes
+    k = 0, 1, ..., K a series costs about as much as its largest size.
+    Comparisons read the compiled roots one input row at a time as
+    ``(den, {output: numerator})``; they build no map and no Fraction
+    per entry.
 
     The size k is None for terms of a fixed size, which parametric
     terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
@@ -674,6 +666,7 @@ class Series:
         self.k = None  # the size starred objects are read at, or None
         self.nodes: dict = {}  # id(term) -> (term, node, size-free)
         self.shapes: dict = {}  # shape -> node, for size-free terms
+        self.sized: dict = {}  # shape -> node at size k, for the others
         self.loops: dict = {}  # signature -> {body node: _Loop}, size-free
         self.cap = 1  # largest support a kernel may have; set per question
         self._warned = False
@@ -697,75 +690,64 @@ class Series:
         if k != self.k:
             self.k = k
             self.nodes = {key: e for key, e in self.nodes.items() if e[2]}
+            self.sized = {}
         return n_in
 
     def node(self, root: Term) -> _Node:
-        todo = [(root, None)]
+        """The node of a term at the size, compiled bottom up and found by
+        its shape.  A leaf's shape is the leaf itself; a Seq's or Par's is
+        its former, its parts' nodes, held as objects, so no ``id`` can be
+        reused, and where each conditional starts, with its word.  A loop
+        is found by ``_tau``."""
+        nodes, todo = self.nodes, [(root, None)]
         while todo:
             term, parts = todo.pop()
-            if id(term) in self.nodes:
+            if id(term) in nodes:
                 continue
-            if parts is None and isinstance(term, (Seq, Par, TauStar)):
-                parts = (_stages(factors(term)) if type(term) is Seq
-                         else (factors(term) if type(term) is Par
-                               else (term.body,), ()))
+            cls = term.__class__
+            if parts is None and cls in (Seq, Par, TauStar):
+                parts = (_stages(factors(term)) if cls is Seq
+                         else (factors(term), ()) if cls is Par
+                         else ((term.body,), ()))
                 todo.append((term, parts))
                 todo.extend((t, None) for t in parts[0])
+                continue
+            if cls is TauStar:
+                node, free = self._tau(term), False
             else:
-                self.nodes[id(term)] = (term, *self._shared(term, parts))
-        return self.nodes[id(root)][1]
+                if parts is None:
+                    shape, free = term, _size_free(term)
+                else:
+                    built = [nodes[id(t)] for t in parts[0]]
+                    free = all(f for _, _, f in built)
+                    parts = [node for _, node, _ in built], parts[1]
+                    shape = (cls, *parts[0],
+                             *[(i, phi.at) for i, phi in parts[1]])
+                table = self.shapes if free else self.sized
+                node = table.get(shape)
+                if node is None:
+                    node = table[shape] = self._build(term, parts)
+            nodes[id(term)] = term, node, free
+        return nodes[id(root)][1]
 
-    def _shared(self, term: Term, parts) -> tuple:
-        """``_build``, run once per shape of a size-free term.
-
-        A leaf's shape is the leaf itself; a Seq's or Par's is its
-        former, its parts' nodes, held as objects, so no ``id`` can be
-        reused, and where each conditional starts, with its word.  A
-        loop, and a term that is not size-free, is built per object."""
-        cls = term.__class__
-        if parts is None:
-            shape = term
-        elif cls is TauStar:
-            return self._build(term, parts)
-        else:
-            parts = [self.nodes[id(t)] for t in parts[0]], parts[1]
-            built, conds = parts
-            for _, _, free in built:
-                if not free:
-                    return self._build(term, parts)
-            shape = (cls, *[node for _, node, _ in built],
-                     *[(i, phi.at) for i, phi in conds])
-        node = self.shapes.get(shape)
-        if node is not None:
-            return node, True
-        node, free = self._build(term, parts)
-        if free:
-            self.shapes[shape] = node
-        return node, free
-
-    def _build(self, term: Term, parts) -> tuple:
-        """The node of a term whose parts are built, and whether it is
-        size-free.  A Seq's or Par's parts are its subterms' entries of
-        ``nodes`` and its conditionals.  A conditional whose arms
-        are not of its width runs as written: its stage, then its if."""
+    def _build(self, term: Term, parts) -> _Node:
+        """The node of a term other than a loop whose parts are built.  A
+        Seq's or Par's parts are its subterms' nodes, a list this may
+        change, and its conditionals.  A conditional whose arms are not
+        of its width runs as written: its stage, then its if."""
         k = self.k
         if isinstance(term, Id):
             n = width(term.obj, k)
-            return _wiring(n, tuple(range(n))), is_star_free(term.obj)
+            return _wiring(n, tuple(range(n)))
         if isinstance(term, Swap):
             wl, wr = width(term.left, k), width(term.right, k)
-            return (_wiring(wl + wr,
-                            tuple(range(wr, wr + wl)) + tuple(range(wr))),
-                    is_star_free(term.left) and is_star_free(term.right))
+            return _wiring(wl + wr,
+                           tuple(range(wr, wr + wl)) + tuple(range(wr)))
         if isinstance(term, Gen):
-            return self._gen(term), True
-        if isinstance(term, TauStar):
-            return self._tau(term), False
+            return self._gen(term)
         if not isinstance(term, (Seq, Par)):
             raise PBCError(f"not a term: {term!r}")
-        built, conds = parts
-        free = all(f for _, _, f in built)
-        nodes = [n for _, n, _ in built]
+        nodes, conds = parts
         for i, phi in reversed(conds):  # right to left: i stays put
             c, m, d = nodes[i:i + 3]
             cond = self._cond(c, m, d, width(phi.at))
@@ -773,13 +755,13 @@ class Series:
                               else [self._par(self._par(c, m), d),
                                     self._gen(phi)])
         if isinstance(term, Seq):
-            return self._seq(nodes), free
+            return self._seq(nodes)
         # Pairwise into a balanced tree: a chain of n factors nests log n
         # deep, so its functions and the driver's stack stay shallow.
         while len(nodes) > 1:
             pairs = [self._par(f, g) for f, g in zip(nodes[::2], nodes[1::2])]
             nodes = pairs + nodes[2 * len(pairs):]
-        return nodes[0], free
+        return nodes[0]
 
     def _tau(self, term: TauStar) -> _Node:
         """A loop's level at the size.  A loop over a size-free body is
@@ -789,8 +771,9 @@ class Series:
         any, else a new ``_Loop``."""
         k = self.k
         sw = width(term.state, k)
-        if k == 0:
-            return _wiring(sw, tuple(range(sw)))
+        if k == 0:  # the identity on the state, one node per width
+            return self.sized.setdefault((TauStar, sw),
+                                         _wiring(sw, tuple(range(sw))))
         sig = (sw, tuple(width(o, k) for o in term.inputs),
                tuple(width(o, k) for o in term.outputs))
         _, body, free = self.nodes[id(term.body)]
@@ -963,24 +946,23 @@ class Series:
         return StochMap(len(rows).bit_length() - 1, n_out, tuple(
             _fractions(den, row, weights) for den, row in rows))
 
-    def _pair(self, f: Term, g: Term, k: int | None):
-        """The input width of two terms of one type at size k, and their
-        roots."""
+    def _scan(self, f: Term, g: Term, k: int | None):
+        """The rows of two terms of one type at size k, input by input,
+        as ``(input, input width, row of f, row of g)``; none when the
+        two are one node, whose rows are one and need no reading."""
         n_in = self._at(same_type(f, g), k)
-        return n_in, self.node(f), self.node(g)
+        fn, gn = self.node(f), self.node(g)
+        if fn is not gn:
+            for x in range(1 << n_in):
+                yield x, n_in, _row(fn, x), _row(gn, x)
 
     def distance(self, f: Term, g: Term, k: int | None = None) -> Fraction:
         """The hom distance of two terms of one type at size k: the
         largest total variation distance over the input rows; the scan
-        stops at a row of distance 1, the largest there is.  Two terms
-        of one node, as two bare loops with equal bodies are, are at
-        distance 0, and no row of theirs is read."""
-        n_in, fn, gn = self._pair(f, g, k)
+        stops at a row of distance 1, the largest there is."""
         best = ZERO
-        if fn is gn:
-            return best
-        for x in range(1 << n_in):
-            d = _tv(*_row(fn, x), *_row(gn, x))
+        for _, _, a, b in self._scan(f, g, k):
+            d = _tv(*a, *b)
             if d > best:
                 best = d
                 if d == ONE:
@@ -990,14 +972,8 @@ class Series:
     def difference(self, f: Term, g: Term, k: int | None = None):
         """The first input where two terms of one type part ways at size
         k, as ``(input, input width, row of f, row of g)`` with Fraction
-        weights; None when they denote the same map, as two terms of
-        one node do without reading a row."""
-        n_in, fn, gn = self._pair(f, g, k)
-        if fn is gn:
-            return None
-        for x in range(1 << n_in):
-            da, a = _row(fn, x)
-            db, b = _row(gn, x)
+        weights; None when they denote the same map."""
+        for x, n_in, (da, a), (db, b) in self._scan(f, g, k):
             if _tv(da, a, db, b):
                 return x, n_in, _fractions(da, a, {}), _fractions(db, b, {})
         return None

@@ -4,13 +4,34 @@ This is the recursion ``pbc.denote`` used before it became a forward
 evaluator: every subterm is materialized as a full stochastic map and
 glued with the public ``compose_maps``, ``tensor_maps`` and
 ``identity_map``, with a normalized Fraction on every multiply.  It is
-slow and kept only as the yardstick the evaluator is checked against.
+slow and kept only as the yardstick the evaluator is checked against,
+as are ``apply_map`` and ``tv_distance_overlap``, second formulas for a
+map's push-forward and for the total variation distance.
 """
+
+from fractions import Fraction
 
 from pbc import (
     COIN, COPY, DISCARD, PHI, Gen, Id, Par, PBCError, Seq, StochMap, Swap,
     bernoulli, compose_maps, dirac, identity_map, tensor_maps, width,
 )
+
+
+def apply_map(f: StochMap, arg) -> dict:
+    """Push a distribution (or a single input int) through a map."""
+    if isinstance(arg, int):
+        arg = dirac(arg)
+    out = {}
+    for value, p in arg.items():
+        for result, q in f.rows[value].items():
+            out[result] = out.get(result, 0) + p * q
+    return out
+
+
+def tv_distance_overlap(v: dict, w: dict) -> Fraction:
+    """Total variation distance as one minus the overlapping mass."""
+    common = set(v) & set(w)
+    return 1 - sum((min(v[k], w[k]) for k in common), Fraction(0))
 
 
 def _mask(n: int) -> int:

@@ -40,7 +40,6 @@ from pbc import (
     tensor,
     tensor_maps,
     tv_distance,
-    tv_distance_overlap,
 )
 from pbc.combinators import (
     all_1,
@@ -68,6 +67,7 @@ from pbc.combinators import (
 from pbc.semantics import stoch_map
 
 from circuitgen import random_circuit
+from reference import tv_distance_overlap
 from test_iteration import _parallel_fusion_pair
 from test_proofs import _decorated
 from test_semantics import random_dist, random_map

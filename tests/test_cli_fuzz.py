@@ -6,8 +6,9 @@ Whatever the source, a command exits 0, 1 or 2 and never reports an
 internal error; a file that checks is equal to itself, at distance zero
 from itself at every size.  Loops over random ``circuitgen`` bodies,
 against a copy, a respelling or another body, get the verdicts and
-distances of the reference unrolling from ``eq`` and ``dist``, bare or
-behind or ahead of one shared ``circuitgen`` stage on the state.
+distances of the reference unrolling from ``eq`` and ``dist``, bare,
+behind or ahead of one shared ``circuitgen`` stage on the state, or
+chained with a second loop that reads their output streams.
 """
 
 import io
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 
 from circuitgen import random_circuit
 from pbc import (
-    Id, PBCSyntaxError, TauStar, bools, hom_distance, instantiate, par,
-    parse_circuit, pretty_term, seq, star, star_equiv_bounded, tensor,
+    Id, PBCSyntaxError, Swap, TauStar, bools, hom_distance, instantiate,
+    par, parse_circuit, pretty_term, seq, star, star_equiv_bounded, tensor,
 )
 from pbc.cli import main
 from pbc.semantics import bit_string
@@ -211,38 +212,52 @@ def _respell(body, dom, cod, how):
     return body  # "copy": the same text, parsed anew
 
 
+_HOWS = ["copy", "seq-id", "id-seq", "other"]
+
+
 @st.composite
 def loop_pairs(draw):
     """The texts of two loops of one signature over ``circuitgen``
     bodies: one body against itself, respelled, or against another.
     Both loops stand bare, or both in one pipeline, behind or ahead of
-    one shared ``circuitgen`` stage on the state."""
+    one shared ``circuitgen`` stage on the state, or each followed by a
+    second loop on the state that reads its output streams, whose
+    bodies are drawn the same way."""
     sw = draw(st.integers(0, 2))
     ins = draw(st.lists(st.integers(0, 1), max_size=2))
     outs = draw(st.lists(st.integers(0, 1), max_size=2))
     rng = random.Random(draw(st.integers(0, 10**6)))
-    dom, cod = sw + sum(ins), sum(outs) + sw
 
-    def body():
-        return random_circuit(rng, dom, cod, max_gens=rng.randint(0, 6),
-                              max_wires=5, max_den=4)
+    def bodies(dom, cod):
+        def body():
+            return random_circuit(rng, dom, cod, max_gens=rng.randint(0, 6),
+                                  max_wires=5, max_den=4)
+        first = body()
+        how = draw(st.sampled_from(_HOWS))
+        return first, (body() if how == "other"
+                       else _respell(first, dom, cod, how))
 
-    first = body()
-    how = draw(st.sampled_from(["copy", "seq-id", "id-seq", "other"]))
-    second = body() if how == "other" else _respell(first, dom, cod, how)
-    where = draw(st.sampled_from(["bare", "before", "after"]))
+    def iterate(ins, outs, body):
+        return TauStar(bools(sw), tuple(map(bools, ins)),
+                       tuple(map(bools, outs)), body)
+
+    cod = sum(outs) + sw
+    pair = [iterate(ins, outs, t) for t in bodies(sw + sum(ins), cod)]
+    where = draw(st.sampled_from(["bare", "before", "after", "chain"]))
+    if where == "chain":
+        outs2 = draw(st.lists(st.integers(0, 1), max_size=2))
+        turn = Swap(tensor(*map(star, pair[0].outputs)), bools(sw))
+        pair = [seq(t, turn, iterate(outs, outs2, t2)) for t, t2
+                in zip(pair, bodies(cod, sum(outs2) + sw))]
     stage = random_circuit(rng, sw, sw, max_gens=rng.randint(0, 4),
                            max_wires=5, max_den=4)
-
-    def loop(t):
-        t = TauStar(bools(sw), tuple(map(bools, ins)),
-                    tuple(map(bools, outs)), t)
-        if where == "before":
-            t = seq(par(stage, Id(tensor(*map(star, t.inputs)))), t)
-        elif where == "after":
-            t = seq(t, par(Id(tensor(*map(star, t.outputs))), stage))
-        return pretty_term(t)
-    return loop(first), loop(second)
+    if where == "before":
+        streams = Id(tensor(*map(star, pair[0].inputs)))
+        pair = [seq(par(stage, streams), t) for t in pair]
+    elif where == "after":
+        streams = Id(tensor(*map(star, pair[0].outputs)))
+        pair = [seq(t, par(streams, stage)) for t in pair]
+    return tuple(map(pretty_term, pair))
 
 
 def _reference(s, t, k_max):

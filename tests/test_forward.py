@@ -33,11 +33,10 @@ from pbc import (
     star,
     tensor,
     tv_distance,
-    tv_distance_overlap,
     typecheck,
 )
 from pbc import combinators as C
-from reference import reference_denote
+from reference import reference_denote, tv_distance_overlap
 
 
 def assert_same_map(term):

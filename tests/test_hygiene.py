@@ -141,3 +141,13 @@ def test_the_benchmark_tracer_finds_every_name_it_reads():
     missing = [f"{module}.{name}" for module, name in wanted
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"the tracer reads names that are gone: {missing}"
+
+
+@pytest.mark.parametrize("module", ["pbc"] + [
+    f"pbc.{path.stem}" for path in MODULES], ids=str)
+def test_every_exported_name_exists(module):
+    # A name moved out of a module but left in its __all__ breaks
+    # ``from pbc import *`` only for the caller that tries it.
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names what is gone: {missing}"

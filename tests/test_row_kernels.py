@@ -31,13 +31,12 @@ from pbc import (
     seq,
     star,
     tv_distance,
-    tv_distance_overlap,
 )
 from pbc import combinators as C
 from pbc import semantics
 from pbc.cli import main
 from pbc.semantics import Series
-from reference import reference_denote
+from reference import reference_denote, tv_distance_overlap
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 

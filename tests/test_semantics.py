@@ -13,7 +13,6 @@ from pbc import (
     StochMap,
     Swap,
     WireLimitError,
-    apply_map,
     bernoulli,
     bools,
     coin,
@@ -31,9 +30,9 @@ from pbc import (
     seq,
     tensor_maps,
     tv_distance,
-    tv_distance_overlap,
 )
 from pbc.combinators import and_gate, not_gate, xor_gate
+from reference import apply_map, tv_distance_overlap
 
 
 def random_dist(rng: random.Random, n_bits: int, max_weight: int = 12):

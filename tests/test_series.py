@@ -7,12 +7,14 @@ equality verdicts must be those of ``hom_distance`` and row equality on
 fresh ``denote`` maps at every size, and those of a fresh series when
 one series answers questions about terms of many types.  Loops of one
 signature whose bodies are different terms of one map are one loop,
-bare or inside larger terms; their maps must still be the reference
-unrolling's.
+bare or inside larger terms, and every other term is found by its
+shape at the size, so equal terms around one loop are one node; their
+maps must still be the reference unrolling's.
 """
 
 import random
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,7 +59,7 @@ from pbc import semantics
 from pbc.cli import main
 from pbc.parser import parse_circuit
 from pbc.semantics import Series
-from pbc.terms import phi_case
+from pbc.terms import phi_case, same_type
 from reference import reference_denote
 from test_forward import _demo_pairs
 
@@ -464,12 +466,18 @@ def test_a_term_and_its_reparsed_copy_compile_to_one_root_node(monkeypatch):
         f = _reparsed(random_circuit(rng, 2, 4, max_gens=20, max_wires=8))
         g = _reparsed(f)
         series = Series()
-        _, fn, gn = series._pair(f, g, None)
+        fn, gn = _roots(series, f, g, None)
         assert f is not g and fn is gn
     # One node answers without reading a row.
     monkeypatch.setattr(semantics, "_row", None)
     assert series.distance(f, g) == 0
     assert series.difference(f, g) is None
+
+
+def _roots(series, f, g, k):
+    """The root nodes of two terms of one type at size k."""
+    series._at(same_type(f, g), k)
+    return series.node(f), series.node(g)
 
 
 def _mutants():
@@ -527,10 +535,35 @@ def test_loops_over_copies_of_one_body_keep_their_maps():
                          ids=[p[0] for p in _twin_loops()])
 def test_loops_with_equal_bodies_are_one_loop(f, g):
     series = assert_series_agrees(f, g, range(7), _unrolled)
-    for k in range(1, 7):
-        _, fn, gn = series._pair(f, g, k)
+    for k in range(7):
+        fn, gn = _roots(series, f, g, k)
         assert fn is gn, k
     assert len(_kept_loops(series)) == 1
+
+
+@pytest.mark.parametrize("term, k", [
+    (C.keyguess_lhs(), 10),
+    (C.all_1(Fraction(1, 2)), 14),
+    (C.vn_lhs(Fraction(3, 4)), 80),
+], ids=["keyguess", "all1", "vonneumann"])
+def test_a_parametric_file_and_its_copy_build_no_row(
+        monkeypatch, capsys, tmp_path, term, k):
+    # Every term of the copy is found by its shape at each size, so the
+    # two roots are one node: no row is built, where compiling the parts
+    # that depend on the size once per term object builds 2,055, 27 and
+    # 241 rows.
+    paths = [str(tmp_path / f"{side}.pbc") for side in ("file", "copy")]
+    for path in paths:
+        Path(path).write_text(f"main = {pretty_term(term)}\n")
+    calls = _count_row_builds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 14 wires and more warn
+        assert main(["eq", *paths, "--k", str(k)]) == 0
+        assert capsys.readouterr().out == f"EQUAL (every size k = 0..{k})\n"
+        assert main(["dist", *paths, "--k", f"0..{k}"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{size}\t0/1\n" for size in range(k + 1))
+    assert calls == []
 
 
 def test_the_one_time_pads_loops_read_no_level_row(monkeypatch):
@@ -577,7 +610,7 @@ def _mutant_loops():
 def test_loops_one_edit_apart_stay_two(f, g):
     series = assert_series_agrees(f, g, range(7), _unrolled)
     for k in range(1, 7):
-        _, fn, gn = series._pair(f, g, k)
+        fn, gn = _roots(series, f, g, k)
         assert fn is not gn, k
     assert len(_kept_loops(series)) == 2
 
@@ -591,8 +624,9 @@ def _wrapped(t):
 
 def test_loops_inside_larger_terms_are_one_loop():
     # The loop is met where it is built, not only as a compared root, so
-    # the two pipelines share one ``_Loop`` though their roots are two
-    # nodes; each map is still its reference unrolling.
+    # the two pipelines share one ``_Loop``, and so, in one context, one
+    # root node, though their bodies are two nodes; each map is still
+    # its reference unrolling.
     rng = random.Random(31)
     for _ in range(3):
         body = random_circuit(rng, 2, 2, max_gens=6, max_wires=4, max_den=4)
@@ -602,17 +636,58 @@ def test_loops_inside_larger_terms_are_one_loop():
         for k in range(7):
             for t in (f, g):
                 assert series.map(t, k) == _unrolled(t, k), k
-        assert series.node(f) is not series.node(g)
+        assert series.node(f) is series.node(g)
         assert series.node(body) is not series.node(nf)
         assert len(_kept_loops(series)) == 1
+
+
+@pytest.mark.parametrize("f, g", [p[1:] for p in _twin_loops()],
+                         ids=[p[0] for p in _twin_loops()])
+def test_equal_contexts_around_one_loop_are_one_node(f, g):
+    # A term is found by its shape at the size: around one kept loop,
+    # equal contexts are one node at every size, whose map is the
+    # reference unrolling of either term.
+    f, g = _wrapped(f), _wrapped(g)
+    series = assert_series_agrees(f, g, range(7), _unrolled)
+    for k in range(7):
+        fn, gn = _roots(series, f, g, k)
+        assert fn is gn, k
+        for t in (f, g):
+            assert series.map(t, k) == _unrolled(t, k), k
+    assert len(_kept_loops(series)) == 1
 
 
 @pytest.mark.parametrize("f, g", [m[1:] for m in _mutant_loops()],
                          ids=[m[0] for m in _mutant_loops()])
 def test_loops_one_edit_apart_stay_two_inside_larger_terms(f, g):
-    series = assert_series_agrees(_wrapped(f), _wrapped(g), range(7),
-                                  _unrolled)
+    f, g = _wrapped(f), _wrapped(g)
+    series = assert_series_agrees(f, g, range(7), _unrolled)
+    for k in range(1, 7):
+        fn, gn = _roots(series, f, g, k)
+        assert fn is not gn, k
     assert len(_kept_loops(series)) == 2
+
+
+def test_a_node_of_one_size_is_freed_at_the_next():
+    # Nodes that depend on the size are found by their shape at that
+    # size only: moving on drops them, where the kept loop's levels
+    # and the size-free nodes stay.  A node's functions are held by the
+    # node and by the nodes built over it, so they die with them.
+    draw, streams = coin(Fraction(1, 3)), Id(star(B))
+    loop = TauStar(B, (B,), (B,), seq(C.xor_gate(), copy_gen(B)))
+    f = seq(par(draw, streams), loop)
+    g = _reparsed(f)
+    series = Series()
+    for k in range(1, 5):
+        assert series.distance(f, g, k) == 0
+        kept = series.node(draw), series.node(loop)
+        dead = (weakref.ref(series.node(f).kernel),
+                weakref.ref(series.node(streams).function()))
+        assert series.distance(f, g, k + 1) == 0
+        assert [ref() for ref in dead] == [None, None], k
+        (kept_loop,) = _kept_loops(series)
+        assert kept == (series.node(draw), kept_loop.levels[k]), k
+
 
 
 @pytest.mark.parametrize("f, g, read", [
