@@ -19,6 +19,7 @@ certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,18 +153,24 @@ def _tree_term(tree: WeightedTree, n: int, words: dict) -> Term:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _prewiring(in_arity: int) -> Term:
+    """The wiring in front of a case split, one term per arity: it moves
+    the last input bit between two copies of the others."""
+    lead = bools(in_arity - 1)
+    return seq(
+        par(copy_gen(lead), Id(bools(1))),
+        par(Id(lead), Swap(lead, bools(1))),
+    )
+
+
 def case_term(in_arity: int, out_arity: int, on1: Term, on0: Term) -> Term:
     """The case shape over two branch terms, split on the last input bit.
 
     It groups as prewiring ; (branches ; phi) so that a congruence step
     can address the branch-and-choice core as one subterm.
     """
-    lead = bools(in_arity - 1)
-    prewiring = seq(
-        par(copy_gen(lead), Id(bools(1))),
-        par(Id(lead), Swap(lead, bools(1))),
-    )
-    return Seq(prewiring, phi_case(on1, on0, bools(out_arity)))
+    return Seq(_prewiring(in_arity), phi_case(on1, on0, bools(out_arity)))
 
 
 def nf_to_term(nf: NormalForm) -> Term:

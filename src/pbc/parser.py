@@ -138,6 +138,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.bindings: dict = {}
+        self.wirings: dict = {}  # (Id or Swap, *words) -> its one term
 
     # -- token plumbing ----------------------------------------------------
 
@@ -262,7 +263,7 @@ class _Parser:
             raise self.error("expected a term")
         if name == "id":
             self.pos += 1
-            return Id(self.angle_object())
+            return self.wiring(Id, self.angle_object())
         if name == "swap":
             self.pos += 1
             self.expect("<")
@@ -270,7 +271,7 @@ class _Parser:
             self.expect(",")
             right = self.object_()
             self.expect(">")
-            return Swap(left, right)
+            return self.wiring(Swap, left, right)
         if name in _GENERATORS:
             self.pos += 1
             obj = self.angle_object()
@@ -301,6 +302,14 @@ class _Parser:
         else:
             raise self.error(f"unknown identifier {name!r}")
         self.pos += 1
+        return term
+
+    def wiring(self, cls, *words) -> Term:
+        """The one ``id`` or ``swap`` term of these words in the source."""
+        key = (cls, *words)
+        term = self.wirings.get(key)
+        if term is None:
+            term = self.wirings[key] = cls(*words)
         return term
 
     def object_list(self) -> tuple:

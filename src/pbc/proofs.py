@@ -304,7 +304,14 @@ def _bridge(f: Term, core: Derivation, g: Term) -> Derivation:
 
 
 def _dist_term(dist: dict, out_arity: int, words: dict) -> Term:
-    return _tree_term(_build_spine(dist), out_arity, words)
+    """The spine term of a row, built once per ``words`` table for rows
+    of equal content; its key, a tuple of pairs, is never an output
+    word's ``(value, n)``."""
+    key = tuple(sorted(dist.items()))
+    term = words.get(key)
+    if term is None:
+        term = words[key] = _tree_term(_build_spine(dist), out_arity, words)
+    return term
 
 
 def _common(a: tuple, b: tuple) -> tuple:

@@ -63,25 +63,27 @@ def _wire_limit() -> int:
     return limit
 
 
-def _check_width(n: int, what: str, warn: bool = True) -> bool:
-    """Enforce the wire limit on an n-wire map.  Whether n reaches the
-    soft limit, where it warns unless ``warn`` is false."""
+def _check_width(n: int, what: str) -> None:
+    """Enforce the wire limit on an n-wire map."""
     limit = _wire_limit()
     if n > limit:
         raise WireLimitError(
             f"{what} needs {n} wires, above the limit of {limit} "
             "(set PBC_MAX_WIRES to raise it)")
+
+
+def _warn_width(n: int, what: str) -> bool:
+    """Warn that an n-wire map is read if n reaches the soft limit;
+    whether it did."""
     if n < SOFT_WIRE_LIMIT:
         return False
-    if warn:
-        # Name the first caller outside this package, which is what
-        # warn's skip_file_prefixes does from Python 3.12 on.
-        level, frame = 1, sys._getframe()
-        while frame and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
-            f"{what} uses {n} wires; expect slow exact arithmetic",
-            stacklevel=level)
+    # Name the first caller outside this package, which is what warn's
+    # skip_file_prefixes does from Python 3.12 on.
+    level, frame = 1, sys._getframe()
+    while frame and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(f"{what} uses {n} wires; expect slow exact arithmetic",
+                  stacklevel=level)
     return True
 
 
@@ -174,7 +176,9 @@ def compose_maps(f: StochMap, g: StochMap) -> StochMap:
 def tensor_maps(f: StochMap, g: StochMap) -> StochMap:
     """Parallel composition: independent product, f on the left wires."""
     n = f.in_arity + g.in_arity
-    _check_width(max(n, f.out_arity + g.out_arity), "a tensor")
+    wide = max(n, f.out_arity + g.out_arity)
+    _check_width(wide, "a tensor")
+    _warn_width(wide, "a tensor")
     rows = []
     for i in range(1 << f.in_arity):
         frow = f.rows[i]
@@ -399,8 +403,10 @@ def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
     ``push``, when given, applied to them.
 
     The rows are brought to one common denominator, so every weight is
-    an int product and no gcd runs per entry.  A lone part with no
-    ``hi`` or ``push`` is its row: a row of support one is ``(1, {v: 1})``.
+    an int product and no gcd runs per entry; the mixture is then divided
+    by the gcd of its denominator and numerators, so a chain of mixtures
+    does not multiply its denominators up.  A lone part with no ``hi`` or
+    ``push`` is its row: a row of support one is ``(1, {v: 1})``.
     """
     if len(parts) == 1 and parts[0][1] == 0 and push is None:
         return parts[0][2]
@@ -419,7 +425,11 @@ def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
             raise _support_error(len(out), cap)
     if len(out) == 1:
         return 1, dict.fromkeys(out, 1)
-    return den * scale, out
+    den *= scale
+    g = math.gcd(den, *out.values())
+    if g == 1:
+        return den, out
+    return den // g, {y: m // g for y, m in out.items()}
 
 
 def _concat(den: int, parts: list, cap: int, push=None) -> tuple:
@@ -605,14 +615,26 @@ def _stages(fs: list) -> tuple:
     return out, conds
 
 
-def _size_free(leaf: Term) -> bool:
-    """Whether a leaf has one node at every size: a generator, or wiring
-    over star-free objects."""
-    if isinstance(leaf, Id):
-        return is_star_free(leaf.obj)
-    if isinstance(leaf, Swap):
-        return is_star_free(leaf.left + leaf.right)
-    return True
+def _leaf_shape(leaf: Term) -> tuple:
+    """A leaf's shape, and whether it has one node at every size.
+
+    The shape is a plain tuple headed by the leaf's kind, so leaves of
+    two kinds never share one, and it holds only words and ints: a
+    coin's bias is its numerator and denominator, so no Fraction is
+    hashed.  A generator is size-free; wiring is over star-free words.
+    """
+    cls = leaf.__class__
+    if cls is Gen:
+        if leaf.kind == COIN:
+            p = leaf.p
+            return (COIN, p.numerator, p.denominator), True
+        return (leaf.kind, leaf.at), True
+    if cls is Id:
+        return (Id, leaf.obj), is_star_free(leaf.obj)
+    if cls is Swap:
+        left, right = leaf.left, leaf.right
+        return (Swap, left, right), is_star_free(left + right)
+    raise PBCError(f"not a term: {leaf!r}")
 
 
 def _fractions(den: int, row: dict, weights: dict) -> dict:
@@ -659,7 +681,7 @@ class Series:
     terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
     bounds a question's type at every size, and every distribution met
     on the way to at most 2^limit outcomes.  A type of 14 wires or more
-    warns once per series.
+    warns once per series, when the question's rows are first read.
     """
 
     def __init__(self):
@@ -669,7 +691,14 @@ class Series:
         self.sized: dict = {}  # shape -> node at size k, for the others
         self.loops: dict = {}  # signature -> {body node: _Loop}, size-free
         self.cap = 1  # largest support a kernel may have; set per question
+        self.width = 0  # the wires of the question's type; set per question
         self._warned = False
+
+    def _read(self) -> None:
+        """Before the question's rows are read: warn, once per series,
+        that its type is at the soft wire limit or above."""
+        if not self._warned:
+            self._warned = _warn_width(self.width, "the map")
 
     def _at(self, judgement: TypeJudgement, k: int | None) -> int:
         """Move to size k, dropping the nodes that depend on the size;
@@ -684,9 +713,8 @@ class Series:
         if k is not None and k < 0:
             raise ValueError(f"negative size {k}")
         n_in = width(judgement.domain, k)
-        n = max(n_in, width(judgement.codomain, k))
-        if _check_width(n, "the map", warn=not self._warned):
-            self._warned = True
+        self.width = max(n_in, width(judgement.codomain, k))
+        _check_width(self.width, "the map")
         if k != self.k:
             self.k = k
             self.nodes = {key: e for key, e in self.nodes.items() if e[2]}
@@ -695,10 +723,11 @@ class Series:
 
     def node(self, root: Term) -> _Node:
         """The node of a term at the size, compiled bottom up and found by
-        its shape.  A leaf's shape is the leaf itself; a Seq's or Par's is
-        its former, its parts' nodes, held as objects, so no ``id`` can be
-        reused, and where each conditional starts, with its word.  A loop
-        is found by ``_tau``."""
+        its shape.  A term object met before is found by its ``id``.  A
+        leaf's shape is its kind and values (``_leaf_shape``); a Seq's or
+        Par's is its former, its parts' nodes, held as objects, so no
+        ``id`` can be reused, and where each conditional starts, with its
+        word.  A loop is found by ``_tau``."""
         nodes, todo = self.nodes, [(root, None)]
         while todo:
             term, parts = todo.pop()
@@ -710,13 +739,13 @@ class Series:
                          else (factors(term), ()) if cls is Par
                          else ((term.body,), ()))
                 todo.append((term, parts))
-                todo.extend((t, None) for t in parts[0])
+                todo.extend((t, None) for t in parts[0] if id(t) not in nodes)
                 continue
             if cls is TauStar:
                 node, free = self._tau(term), False
             else:
                 if parts is None:
-                    shape, free = term, _size_free(term)
+                    shape, free = _leaf_shape(term)
                 else:
                     built = [nodes[id(t)] for t in parts[0]]
                     free = all(f for _, _, f in built)
@@ -745,8 +774,6 @@ class Series:
                            tuple(range(wr, wr + wl)) + tuple(range(wr)))
         if isinstance(term, Gen):
             return self._gen(term)
-        if not isinstance(term, (Seq, Par)):
-            raise PBCError(f"not a term: {term!r}")
         nodes, conds = parts
         for i, phi in reversed(conds):  # right to left: i stays put
             c, m, d = nodes[i:i + 3]
@@ -937,6 +964,7 @@ class Series:
         input in input order, each ``(den, {output: numerator})``."""
         n_in = self._at(typecheck(term), k)
         node = self.node(term)
+        self._read()
         return node.n_out, [_row(node, x) for x in range(1 << n_in)]
 
     def map(self, term: Term, k: int | None = None) -> StochMap:
@@ -953,6 +981,7 @@ class Series:
         n_in = self._at(same_type(f, g), k)
         fn, gn = self.node(f), self.node(g)
         if fn is not gn:
+            self._read()
             for x in range(1 << n_in):
                 yield x, n_in, _row(fn, x), _row(gn, x)
 

@@ -19,6 +19,7 @@ enforces this, which keeps pretty printing and parsing mutually inverse.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,11 +70,22 @@ class Id:
     obj: Object
 
 
+class _Weak:
+    """A slotted base whose instances a weak table may hold."""
+
+    __slots__ = ("__weakref__",)
+
+
+# A leaf's ``_type``, like a composite's, is the judgement ``typecheck``
+# found for it, kept on the object: the builders share generators, so
+# one leaf object may stand in many terms.
 @dataclass(frozen=True, slots=True)
-class Gen:
+class Gen(_Weak):
     kind: str
     at: Object = UNIT
     p: Fraction | None = None
+    _type: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.kind not in GENERATORS:
@@ -103,6 +115,8 @@ def exact_rational(p) -> Fraction:
 class Swap:
     left: Object
     right: Object
+    _type: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
 
 def _composite_eq(self, other):
@@ -241,22 +255,44 @@ class TypeJudgement:
         return f"{obj_to_str(self.domain)} -> {obj_to_str(self.codomain)}"
 
 
+# The generators the builders below made that are still alive, one per
+# exact value, so that equal generators a program builds are one object,
+# which a compile cache finds by identity; one built with ``Gen`` is
+# still equal to it.  The table is weak: it holds no generator that no
+# term holds, so it cannot outgrow the terms alive.
+_GENERATORS_ALIVE = weakref.WeakValueDictionary()
+
+
+def _generator(kind: str, at: Object, num=None, den=None) -> Gen:
+    """The generator of a kind at a word; a coin's bias comes as its
+    numerator and denominator, so the table hashes no Fraction."""
+    key = kind, at, num, den
+    gen = _GENERATORS_ALIVE.get(key)
+    if gen is None:
+        gen = _GENERATORS_ALIVE[key] = Gen(
+            kind, at, None if den is None else Fraction(num, den))
+    return gen
+
+
 def copy_gen(obj: Object) -> Gen:
-    return Gen(COPY, obj)
+    return _generator(COPY, obj)
 
 
 def discard_gen(obj: Object) -> Gen:
-    return Gen(DISCARD, obj)
+    return _generator(DISCARD, obj)
 
 
 def coin(p) -> Gen:
-    return Gen(COIN, UNIT, p)
+    # Exact first: a float bias is refused even where an equal Fraction
+    # is kept, since 0.5 == Fraction(1, 2) and both hash alike.
+    p = exact_rational(p)
+    return _generator(COIN, UNIT, p.numerator, p.denominator)
 
 
 def phi_gen(obj: Object) -> Gen:
     """The conditional at an object: picks the first block when the middle
     Boolean is 1, the last block when it is 0."""
-    return Gen(PHI, obj)
+    return _generator(PHI, obj)
 
 
 def phi_p(obj: Object, p) -> Term:
@@ -264,10 +300,13 @@ def phi_p(obj: Object, p) -> Term:
     return phi_mix(Id(obj), Id(obj), obj, p)
 
 
+_ID_B = Id(B)  # the chooser wire of every case split
+
+
 def phi_case(c: Term, d: Term, at: Object) -> Term:
     """The conditional over two branches: ``(c x id<B> x d) ; if<at>``
     runs ``c`` when the middle Boolean is 1, ``d`` when it is 0."""
-    return Seq(par(c, Id(B), d), phi_gen(at))
+    return Seq(par(c, _ID_B, d), phi_gen(at))
 
 
 def phi_mix(c: Term, d: Term, at: Object, p) -> Term:
@@ -322,8 +361,9 @@ def typecheck(term: Term) -> TypeJudgement:
 
     One post-order loop over an explicit stack, so a chain of any length
     checks without recursion; subterms are checked left to right.  A
-    composite keeps its judgement, so a later visit, from this call or
-    any other, reads it instead of walking the composite again.
+    composite, a generator or a swap keeps its judgement, so a later
+    visit, from this call or any other, reads it instead of walking or
+    judging the term again.
     """
     judged: list[tuple] = []  # (domain, codomain, iterates) per subterm
     todo: list = [term]
@@ -375,6 +415,12 @@ def typecheck(term: Term) -> TypeJudgement:
                      tensor(*map(star, outs), state), True)
             object.__setattr__(t, "_type", j)
             judged[-1] = j
+        elif cls is Gen or cls is Swap:
+            j = t._type
+            if j is None:
+                j = (*_leaf_type(t), False)
+                object.__setattr__(t, "_type", j)
+            judged.append(j)
         else:
             judged.append((*_leaf_type(t), False))
     return TypeJudgement(*judged[0])

@@ -5,16 +5,19 @@ each run through ``check``, ``eval``, ``eq``, ``dot``, ``normalize``,
 Whatever the source, a command exits 0, 1 or 2 and never reports an
 internal error; a file that checks is equal to itself, at distance zero
 from itself at every size.  Loops over random ``circuitgen`` bodies,
-against a copy, a respelling or another body, get the verdicts and
-distances of the reference unrolling from ``eq`` and ``dist``, bare,
-behind or ahead of one shared ``circuitgen`` stage on the state, or
-chained with a second loop that reads their output streams.
+against a copy, a respelling, a near miss or another body, get the
+verdicts and distances of the reference unrolling from ``eq`` and
+``dist``, bare, behind or ahead of one shared ``circuitgen`` stage on
+the state, or chained with a second loop that reads their output
+streams.
 """
 
 import io
 import random
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +26,10 @@ from hypothesis import strategies as st
 from circuitgen import random_circuit
 from pbc import (
     Id, PBCSyntaxError, Swap, TauStar, bools, hom_distance, instantiate,
-    par, parse_circuit, pretty_term, seq, star, star_equiv_bounded, tensor,
+    par, parse_circuit, parse_term, pretty_term, seq, star,
+    star_equiv_bounded, tensor,
 )
+from pbc.combinators import not_gate
 from pbc.cli import main
 from pbc.semantics import bit_string
 from reference import reference_denote
@@ -212,18 +217,40 @@ def _respell(body, dom, cod, how):
     return body  # "copy": the same text, parsed anew
 
 
-_HOWS = ["copy", "seq-id", "id-seq", "other"]
+def _near_miss(body, cod, rng):
+    """The body with one output bit negated, or, a quarter of the time
+    or when it has no output, one coin's bias changed; the body itself
+    if it has neither."""
+    text = pretty_term(body)
+    coins = list(re.finditer(r"coin\(([^)]*)\)", text))
+    if coins and not (cod and rng.random() < 0.75):
+        m = rng.choice(coins)
+        p = Fraction(m[1])
+        q = 1 - p if p != Fraction(1, 2) else Fraction(1, 4)
+        return parse_term(f"{text[:m.start()]}coin({q}){text[m.end():]}")
+    if cod:
+        i = rng.randrange(cod)
+        return seq(body, par(Id(bools(i)), not_gate(),
+                             Id(bools(cod - i - 1))))
+    return body
+
+
+# Near misses first and thrice, and a state wire unless drawn otherwise:
+# most other pairs are equal, and a fault that merges unequal loops or
+# shapes shows only on a pair that is not.
+_HOWS = ["near", "near", "near", "copy", "seq-id", "id-seq", "other"]
 
 
 @st.composite
 def loop_pairs(draw):
     """The texts of two loops of one signature over ``circuitgen``
-    bodies: one body against itself, respelled, or against another.
+    bodies: one body against itself, respelled, one edit away, or
+    against another.
     Both loops stand bare, or both in one pipeline, behind or ahead of
     one shared ``circuitgen`` stage on the state, or each followed by a
     second loop on the state that reads its output streams, whose
     bodies are drawn the same way."""
-    sw = draw(st.integers(0, 2))
+    sw = draw(st.sampled_from([1, 2, 0]))
     ins = draw(st.lists(st.integers(0, 1), max_size=2))
     outs = draw(st.lists(st.integers(0, 1), max_size=2))
     rng = random.Random(draw(st.integers(0, 10**6)))
@@ -234,6 +261,8 @@ def loop_pairs(draw):
                                   max_wires=5, max_den=4)
         first = body()
         how = draw(st.sampled_from(_HOWS))
+        if how == "near":
+            return first, _near_miss(first, cod, rng)
         return first, (body() if how == "other"
                        else _respell(first, dom, cod, how))
 
@@ -280,17 +309,25 @@ def _reference(s, t, k_max):
     return verdict, "".join(dists)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(loop_pairs())
 def test_loops_over_generated_bodies_get_the_reference_verdicts(
-        tmp_path_factory, pair):
-    paths = [str(tmp_path_factory.mktemp("loops") / f"{side}.pbc")
-             for side in ("f", "g")]
-    for path, text in zip(paths, pair):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"main = {text}\n")
-    s, t = (parse_circuit(f"main = {text}\n") for text in pair)
-    (code, line), dists = _reference(s, t, 3)
-    assert _run("eq", *paths, "--k", "3") == (code, line, ""), pair
-    assert _run("dist", *paths, "--k", "0..3") == (0, dists, ""), pair
-    assert bool(star_equiv_bounded(s, t, 3)) == (code == 0), pair
+        tmp_path_factory):
+    codes = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(loop_pairs())
+    def check(pair):
+        paths = [str(tmp_path_factory.mktemp("loops") / f"{side}.pbc")
+                 for side in ("f", "g")]
+        for path, text in zip(paths, pair):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"main = {text}\n")
+        s, t = (parse_circuit(f"main = {text}\n") for text in pair)
+        (code, line), dists = _reference(s, t, 3)
+        assert _run("eq", *paths, "--k", "3") == (code, line, ""), pair
+        assert _run("dist", *paths, "--k", "0..3") == (0, dists, ""), pair
+        assert bool(star_equiv_bounded(s, t, 3)) == (code == 0), pair
+        codes.append(code)
+
+    check()
+    # A fault that merges unequal loops shows only on unequal pairs.
+    assert 3 * sum(codes) >= len(codes), (sum(codes), len(codes))

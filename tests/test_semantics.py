@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from circuitgen import random_circuit
 from pbc import (
     B,
+    Gen,
     Id,
     StochMap,
     Swap,
+    UNIT,
     WireLimitError,
     bernoulli,
     bools,
@@ -26,13 +28,17 @@ from pbc import (
     identity_map,
     map_to_tsv,
     par,
+    parse_circuit,
     phi_gen,
     seq,
     tensor_maps,
     tv_distance,
+    typecheck,
 )
 from pbc.combinators import and_gate, not_gate, xor_gate
-from reference import apply_map, tv_distance_overlap
+from pbc.semantics import Series
+from pbc.terms import same_type
+from reference import apply_map, reference_denote, tv_distance_overlap
 
 
 def random_dist(rng: random.Random, n_bits: int, max_weight: int = 12):
@@ -123,6 +129,47 @@ def test_conditional_picks_first_block_on_one():
 def test_swap_reorders_words():
     f = denote(Swap(bools(2), B))
     assert f.rows[0b101] == dirac(0b110)
+
+
+def test_leaves_of_different_kinds_never_share_a_node():
+    # Every kind of leaf at one word: each has its own shape, so its own
+    # node and map, whatever was compiled before it in the series.
+    w = bools(2)
+    leaves = [Id(w), copy_gen(w), discard_gen(w), phi_gen(w), Swap(B, B),
+              Swap(UNIT, w), coin(Fraction(1, 2)), coin(0)]
+    series = Series()
+    for t in leaves + leaves[::-1]:
+        assert series.map(t) == reference_denote(t), t
+    nodes = [series.node(t) for t in leaves]
+    assert len(set(map(id, nodes))) == len(leaves)
+
+
+def test_a_leaf_built_anew_compiles_to_the_shared_leafs_node():
+    series = Series()
+    for shared, fresh in [
+            (coin(Fraction(1, 3)), Gen("coin", UNIT, Fraction(1, 3))),
+            (copy_gen(B), Gen("copy", B)),
+            (discard_gen(bools(2)), Gen("discard", bools(2))),
+            (phi_gen(B), Gen("phi", B)),
+            (parse_circuit("main = id<B^2>\n"), Id(bools(2))),
+            (parse_circuit("main = swap<B, B^2>\n"), Swap(B, bools(2)))]:
+        assert fresh is not shared and fresh == shared
+        series._at(same_type(shared, fresh), None)
+        assert series.node(fresh) is series.node(shared)
+
+
+def test_compiling_coins_hashes_no_fraction(monkeypatch):
+    term = parse_circuit(
+        "let mix = (id<B> x coin(1/3) x coin(2/7)) ; if<B>\n"
+        "main = coin(1/5) ; mix ; (id<B> x coin(1/3)) ; (mix x mix)\n")
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda p: calls.append(p) or fraction_hash(p))
+    series = Series()
+    series._at(typecheck(term), None)
+    series.node(term)
+    assert calls == []
 
 
 def test_gate_tables():

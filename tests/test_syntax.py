@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from pbc import (
     copy_gen,
     decide_equal,
     denote,
+    discard_gen,
     distance_series,
     is_star_free,
     nf_to_term,
@@ -314,6 +316,11 @@ def test_a_kept_judgement_is_invisible():
     assert judged == fresh and hash(judged) == hash(fresh)
     assert repr(judged) == repr(fresh)
     assert pretty_term(judged) == pretty_term(fresh)
+    # A generator keeps its judgement too, and is still the same value.
+    gen, fresh_gen = phi_gen(bools(2)), Gen("phi", bools(2))
+    typecheck(gen)
+    assert gen == fresh_gen and hash(gen) == hash(fresh_gen)
+    assert repr(gen) == "Gen(kind='phi', at=(BoolAtom(), BoolAtom()), p=None)"
     match judged:
         case Seq(first, second):
             assert (first, second) == (fresh.first, fresh.second)
@@ -527,3 +534,29 @@ def test_coin_bias_is_stored_as_a_fraction():
         assert coin(bias).p == Fraction(1, 3)
         assert isinstance(Gen("coin", UNIT, bias).p, Fraction)
     assert coin(1).p == Fraction(1) and isinstance(coin(1).p, Fraction)
+
+
+def test_a_float_bias_is_refused_where_an_equal_coin_is_shared():
+    # The float equals the kept bias and hashes alike, so a table looked
+    # up before the bias is made exact would hand it the kept coin.
+    kept = coin(Fraction(1, 2))
+    assert 0.5 == kept.p and hash(0.5) == hash(kept.p)
+    with pytest.raises(TypeError, match="float"):
+        coin(0.5)
+    assert coin("1/2") is coin(Fraction(2, 4)) is kept
+
+
+def test_equal_leaves_are_one_object_while_a_term_holds_them():
+    for build in (copy_gen, discard_gen, phi_gen):
+        assert build(B) is build(bools(1))
+        assert build(B) is not build(bools(2))
+    # A generator no term holds is dropped from the builders' table.
+    dropped = weakref.ref(coin(Fraction(1, 999983)))
+    assert dropped() is None
+    # The parser keeps one id and swap per word within a file, and no
+    # table across files.
+    source = "main = (id<B> x swap<B, B>) ; (swap<B, B> x id<B>)\n"
+    t = parse_circuit(source)
+    assert t.first.left is t.second.right
+    assert t.first.right is t.second.left
+    assert parse_circuit(source).first.left is not t.first.left
