@@ -138,7 +138,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.bindings: dict = {}
-        self.wirings: dict = {}  # (Id or Swap, *words) -> its one term
+        self.shared: dict = {}  # (Id, Swap or gate builder, *words) -> term
 
     # -- token plumbing ----------------------------------------------------
 
@@ -263,7 +263,7 @@ class _Parser:
             raise self.error("expected a term")
         if name == "id":
             self.pos += 1
-            return self.wiring(Id, self.angle_object())
+            return self.one(Id, self.angle_object())
         if name == "swap":
             self.pos += 1
             self.expect("<")
@@ -271,7 +271,7 @@ class _Parser:
             self.expect(",")
             right = self.object_()
             self.expect(">")
-            return self.wiring(Swap, left, right)
+            return self.one(Swap, left, right)
         if name in _GENERATORS:
             self.pos += 1
             obj = self.angle_object()
@@ -298,18 +298,19 @@ class _Parser:
         if name in self.bindings:
             term = self.bindings[name]
         elif name in _BUILTINS:
-            term = _BUILTINS[name]()
+            term = self.one(_BUILTINS[name])
         else:
             raise self.error(f"unknown identifier {name!r}")
         self.pos += 1
         return term
 
-    def wiring(self, cls, *words) -> Term:
-        """The one ``id`` or ``swap`` term of these words in the source."""
-        key = (cls, *words)
-        term = self.wirings.get(key)
+    def one(self, make, *words) -> Term:
+        """The one ``id`` or ``swap`` term of these words, or the one term
+        of a builtin gate, in the source."""
+        key = (make, *words)
+        term = self.shared.get(key)
         if term is None:
-            term = self.wirings[key] = cls(*words)
+            term = self.shared[key] = make(*words)
         return term
 
     def object_list(self) -> tuple:

@@ -196,7 +196,7 @@ def tensor_maps(f: StochMap, g: StochMap) -> StochMap:
 # ---------------------------------------------------------------------------
 # Distances.
 
-def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
+def _tv(da: int, a, db: int, b, memo: tuple | None = None) -> Fraction:
     """Total variation distance of two integer rows: numerators over the
     denominators ``da`` and ``db``, each row's numerators summing to its
     denominator.
@@ -208,8 +208,28 @@ def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
     runs over ints and a single Fraction is built at the end.  One row
     object on both sides, as two terms over one loop give, is at
     distance 0 at once.
+
+    ``memo``, one per scan, holds the rows the scan has met, by ``id``,
+    and the part sums of each (``_walk``).  A row kept as its parts
+    (``_Cat``) that meets a row met before is walked part by part
+    instead; the first meeting, and every call without a memo, flattens
+    it and scans.
     """
-    if a is b or da == db and a == b:
+    if a is b:
+        return ZERO
+    if memo is not None:
+        met, sums = memo
+        if b.__class__ is _Cat and b.flat is None and id(a) in met:
+            da, a, db, b = db, b, da, a
+        if a.__class__ is _Cat and a.flat is None and id(b) in met:
+            return _walk(da, a, db, _plain(b), sums.setdefault(id(b), {}))
+        # Kept alive, so that each id stays its row's.
+        met[id(a)], met[id(b)] = a, b
+    if a.__class__ is _Cat:
+        a = a.plain()
+    if b.__class__ is _Cat:
+        b = b.plain()
+    if da == db and a == b:
         return ZERO
     if len(b) < len(a):
         da, a, db, b = db, b, da, a
@@ -221,6 +241,43 @@ def _tv(da: int, a: dict, db: int, b: dict) -> Fraction:
     ma, mb = s // da, s // db
     return Fraction(sum([e for y, n in a.items()
                          if (e := n * ma - get(y, 0) * mb) > 0]), s)
+
+
+def _walk(da: int, a: _Cat, db: int, b: dict, sums: dict) -> Fraction:
+    """``_tv`` of a row kept as its parts and a plain row, summed part by
+    part on an explicit stack.
+
+    Part ``(n, hi, row)`` reached with multiplier m and offset ``off``
+    adds the excess of ``m * n * row[y]`` over ``b[y | off | hi]`` at
+    every y, both over the common denominator.  ``sums`` holds the
+    excess of each part by (part, multiplier, b's multiplier, offset),
+    for this ``b`` alone: the continuation rows many inputs of a loop
+    share are summed once per place they stand.
+    """
+    s = math.lcm(da, db)
+    mb = s // db
+    get = b.get
+    stack = [(iter(a.parts), s // da, 0, [0], None)]
+    while True:
+        parts, m, off, acc, key = stack[-1]
+        for n, hi, row in parts:
+            mn, at = m * n, off | hi
+            part = id(row), mn, mb, at
+            e = sums.get(part)
+            if e is None:
+                if row.__class__ is _Cat and row.flat is None:
+                    stack.append((iter(row.parts), mn, at, [0], part))
+                    break
+                e = sums[part] = sum([
+                    d for y, v in _plain(row).items()
+                    if (d := v * mn - get(y | at, 0) * mb) > 0])
+            acc[0] += e
+        else:
+            stack.pop()
+            if not stack:
+                return Fraction(acc[0], s)
+            sums[key] = acc[0]
+            stack[-1][3][0] += acc[0]
 
 
 def tv_distance(v: Distribution, w: Distribution) -> Fraction:
@@ -272,7 +329,8 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # stage hands out its child's dict as its own row, and a loop level's row
 # is built once per recipe, the body row and the continuation rows it
 # mixes, and shared by every input of the loop with that recipe
-# (``_Loop``).
+# (``_Loop``).  A row concatenated from such rows keeps them as its parts
+# (``_Cat``) and reads as a dict only when first asked to.
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -432,30 +490,108 @@ def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
     return den // g, {y: m // g for y, m in out.items()}
 
 
+# A concatenation of fewer entries is copied into a dict: walking parts
+# that small costs more than scanning them.
+_CAT_FLOOR = 64
+
+
+class _Cat:
+    """A row concatenated from parts whose outputs cannot collide, kept
+    as its parts: ``(n, hi, row)`` is ``row`` with its numerators times n
+    and ``hi`` or-ed into its outputs, and ``row`` may be another
+    ``_Cat``.  ``len`` is the size it was given; every other read sees
+    the dict of its entries, part by part in order, built on first use
+    and kept (``plain``).  Like every row it is never changed, so it may
+    stand in many rows' parts and many memos.
+    """
+
+    __slots__ = ("parts", "size", "flat")
+
+    def __init__(self, parts: tuple, size: int):
+        self.parts = parts
+        self.size = size
+        self.flat = None  # the entries as a dict, once built
+
+    def plain(self) -> dict:
+        """The entries as a dict, built once: the leaf rows are found on
+        an explicit stack, then read in one pass."""
+        if self.flat is None:
+            leaves, todo = [], [(1, 0, self)]
+            while todo:
+                m, at, row = todo.pop()
+                if row.__class__ is _Cat:
+                    if row.flat is None:
+                        todo += [(m * n, at | hi, part)
+                                 for n, hi, part in reversed(row.parts)]
+                        continue
+                    row = row.flat
+                leaves.append((m, at, row))
+            # Most rows scale no part, and skip the multiply.
+            self.flat = ({y | at: v for _, at, row in leaves
+                          for y, v in row.items()}
+                         if all(m == 1 for m, _, _ in leaves) else
+                         {y | at: v * m
+                          for m, at, row in leaves for y, v in row.items()})
+        return self.flat
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return iter(self.plain())
+
+    def __contains__(self, y):
+        return y in self.plain()
+
+    def __getitem__(self, y):
+        return self.plain()[y]
+
+    def __eq__(self, other):
+        return self.plain() == _plain(other)
+
+    def get(self, y, default=None):
+        return self.plain().get(y, default)
+
+    def keys(self):
+        return self.plain().keys()
+
+    def values(self):
+        return self.plain().values()
+
+    def items(self):
+        return self.plain().items()
+
+
+def _plain(row) -> dict:
+    """A row as a dict."""
+    return row.plain() if row.__class__ is _Cat else row
+
+
 def _concat(den: int, parts: list, cap: int, push=None) -> tuple:
     """``_mix`` of parts whose outputs, after ``hi`` and ``push``, are
     pairwise disjoint: the same row, with the same entries in the same
-    order, built a part at a time with no lookup per entry."""
+    order, and no lookup per entry.  Without ``push``, a row of
+    ``_CAT_FLOOR`` entries or more is kept as its parts (``_Cat``), and
+    no entry is copied.  The support is summed part by part, so it is
+    refused at the part where it passes the cap, as ``_mix`` refuses
+    it."""
     if len(parts) == 1 and parts[0][1] == 0 and push is None:
         return parts[0][2]
     scale = math.lcm(*{d for _, _, (d, _) in parts})
-    out: dict = {}
+    kept, size = [], 0
     for n, hi, (d, row) in parts:
-        if d != scale:
-            n *= scale // d
-        if push is not None:
-            out.update({push(y | hi): n * m for y, m in row.items()})
-        elif n != 1:
-            out.update({y | hi: n * m for y, m in row.items()})
-        elif hi:
-            out.update({y | hi: m for y, m in row.items()})
-        else:
-            out.update(row)
-        if len(out) > cap:
-            raise _support_error(len(out), cap)
-    if len(out) == 1:
-        return 1, dict.fromkeys(out, 1)
-    return den * scale, out
+        size += len(row)
+        if size > cap:
+            raise _support_error(size, cap)
+        kept.append((n * (scale // d), hi, row))
+    if size == 1:
+        ((_, hi, row),) = kept
+        (y,) = row
+        return 1, {push(y | hi) if push else y | hi: 1}
+    row = _Cat(tuple(kept), size)
+    if push is not None:
+        return den * scale, {push(y): m for y, m in row.plain().items()}
+    return den * scale, row if size >= _CAT_FLOOR else row.plain()
 
 
 def _compose(nodes: list) -> _Node:
@@ -511,7 +647,10 @@ class _Loop:
     table's own values, and level 0 keeps its rows in its memo.  A
     row is never mutated once made, so it may stand in many memos.  A
     row whose parts cannot collide is concatenated (``_concat``), not
-    mixed.
+    mixed, and, from ``_CAT_FLOOR`` entries on, kept as its parts: the
+    continuation rows, no entry copied.  So the key-guess loop's row for
+    a guess string holds the one row of every input whose flag has
+    cleared, and each level adds a part, not a copy, to each row.
     """
 
     __slots__ = ("step", "sw", "a", "outs", "in_words", "out_words", "cap",
@@ -675,7 +814,10 @@ class Series:
     k = 0, 1, ..., K a series costs about as much as its largest size.
     Comparisons read the compiled roots one input row at a time as
     ``(den, {output: numerator})``; they build no map and no Fraction
-    per entry.
+    per entry.  A distance scan keeps the rows it has met, and a row
+    kept as its parts that meets one of them again is walked part by
+    part, each shared part summed once per place (``_walk``); ``rows``,
+    ``map`` and ``difference`` hand out plain dicts.
 
     The size k is None for terms of a fixed size, which parametric
     terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
@@ -965,7 +1107,9 @@ class Series:
         n_in = self._at(typecheck(term), k)
         node = self.node(term)
         self._read()
-        return node.n_out, [_row(node, x) for x in range(1 << n_in)]
+        rows = [_row(node, x) for x in range(1 << n_in)]
+        return node.n_out, [(r[0], r[1].plain()) if r[1].__class__ is _Cat
+                            else r for r in rows]
 
     def map(self, term: Term, k: int | None = None) -> StochMap:
         """The stochastic map of a term at size k."""
@@ -989,9 +1133,9 @@ class Series:
         """The hom distance of two terms of one type at size k: the
         largest total variation distance over the input rows; the scan
         stops at a row of distance 1, the largest there is."""
-        best = ZERO
+        best, memo = ZERO, ({}, {})
         for _, _, a, b in self._scan(f, g, k):
-            d = _tv(*a, *b)
+            d = _tv(*a, *b, memo)
             if d > best:
                 best = d
                 if d == ONE:

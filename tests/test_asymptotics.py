@@ -213,14 +213,17 @@ def test_extractor_demo_follows_the_closed_form():
 
 
 def test_keyguess_demo_halves_each_step():
-    # By default the demo runs every size up to its cap of 10.
+    # By default the demo runs every size up to 10, and it runs up to
+    # its cap of 12 when asked for more.
     report = lemma_demo("keyguess")
     pairs = dict(report.series.pairs)
     assert list(pairs) == list(range(11))
-    for k in range(1, 11):
-        assert pairs[k] == Fraction(1, 2) ** k
     assert report.verdict == CONSISTENT
-    assert dict(lemma_demo("keyguess", k_max=12).series.pairs) == pairs
+    capped = dict(lemma_demo("keyguess", k_max=14).series.pairs)
+    assert list(capped) == list(range(13))
+    for k in range(1, 13):
+        assert capped[k] == Fraction(1, 2) ** k
+    assert {k: capped[k] for k in pairs} == pairs
 
 
 def test_demo_rejects_bad_parameters():

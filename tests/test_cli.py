@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from circuitgen import random_circuit
 from pbc import (
     B, Id, Par, Seq, Swap, bools, cli, coin, copy_gen, discard_gen, par,
-    pretty_term, seq, terms,
+    parse_circuit, pretty_term, seq, terms,
 )
 from pbc import combinators as C
 from pbc.cli import main
 from pbc.cli import main as pbc_command
 from pbc.dot import emit_dot
+from pbc.semantics import Series
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -57,6 +59,35 @@ def test_eq_judges_each_leaf_once(capsys, monkeypatch):
     # copy<B>, if<B> and the not gate's coin(0) and coin(1); and two
     # swaps, the file's and the xor gate's.
     assert len(judged) == len(set(map(id, judged))) == 7
+
+
+def test_a_builtin_gate_is_one_term_per_file(capsys, tmp_path):
+    # 300 uses of xor are one term, as 300 uses of a name bound to it
+    # are, so compiling the file visits a handful of term objects.
+    uses = " ; copy<B> ; xor" * 299
+    paths = {}
+    for name, text in (("gates", f"main = id<B^2> ; xor{uses}\n"),
+                       ("bound", f"let g = xor\nmain = id<B^2> ; g"
+                                 f"{uses.replace('xor', 'g')}\n")):
+        paths[name] = tmp_path / f"{name}.pbc"
+        paths[name].write_text(text)
+    term = parse_circuit(paths["gates"].read_text())
+    seen, todo = {}, [term]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            if isinstance(t, Seq):
+                todo += (t.first, t.second)
+            elif isinstance(t, Par):
+                todo += (t.left, t.right)
+    assert sum(t == C.xor_gate() for t in seen.values()) == 1
+    series = Series()
+    series.node(term)
+    assert len(series.nodes) < 20
+    files = (str(paths["gates"]), str(paths["bound"]))
+    assert run(capsys, "eq", *files) == (0, "EQUAL\n", "")
+    assert run(capsys, "dist", *files) == (0, "0/1\n", "")
 
 
 def test_check_locates_type_errors(capsys):
@@ -588,25 +619,28 @@ def test_demo_golden_at_the_benchmark_sizes(capsys, name, k):
         0, golden, 1 if name == "all1" else 0)
 
 
-@pytest.mark.parametrize("name", ["keyguess", "otp"])
-def test_demo_golden_at_the_cap(capsys, name):
-    golden = (DATA / "golden" / f"demo_{name}_k10.txt").read_bytes()
-    # The pad reaches 14 wires at k = 7, but its two loops are one node,
-    # so no row is read and nothing warns.
+@pytest.mark.parametrize("name, cap", [("keyguess", 12), ("otp", 10)],
+                         ids=["keyguess", "otp"])
+def test_demo_golden_at_the_cap(capsys, name, cap):
+    golden = (DATA / "golden" / f"demo_{name}_k{cap}.txt").read_bytes()
+    # Key-guess is 13 wires wide at its cap, below the soft limit.  The
+    # pad reaches 14 wires at k = 7, but its two loops are one node, so
+    # no row is read and nothing warns.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, "demo", name, "--k", "10")
+        code, out, err = run(capsys, "demo", name, "--k", str(cap))
     assert (code, out.encode(), err, caught) == (0, golden, "", [])
 
 
-@pytest.mark.parametrize("name", ["keyguess", "otp"])
-def test_a_capped_demo_says_where_it_stops(capsys, name):
+@pytest.mark.parametrize("name, cap", [("keyguess", 12), ("otp", 10)],
+                         ids=["keyguess", "otp"])
+def test_a_capped_demo_says_where_it_stops(capsys, name, cap):
     # Stdout and the exit code are those of the sizes it runs.
-    golden = (DATA / "golden" / f"demo_{name}_k10.txt").read_text()
+    golden = (DATA / "golden" / f"demo_{name}_k{cap}.txt").read_text()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = run(capsys, "demo", name, "--k", "12")
-    assert got == (0, golden, f"pbc: {name} stops at size 10\n")
+        got = run(capsys, "demo", name, "--k", str(cap + 2))
+    assert got == (0, golden, f"pbc: {name} stops at size {cap}\n")
 
 
 def test_eq_on_the_pad_over_streams_golden(capsys, tmp_path):
@@ -775,13 +809,31 @@ def _coins(tmp_path, n):
     return str(path)
 
 
+def _peak_mb(code: str) -> tuple:
+    """Run code in a process of its own: its stdout's words, then its
+    peak RSS in MB.  Linux hands getrusage the larger peak of the
+    process that forked it, here the test run's, so the peak is read
+    from the process's own high-water mark where /proc has it."""
+    proc = _python("-c", textwrap.dedent(code) + textwrap.dedent("""
+        import resource, sys
+        try:
+            with open("/proc/self/status") as status:
+                print(next(int(line.split()[1]) >> 10 for line in status
+                           if line.startswith("VmHWM:")))
+        except OSError:
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(rss >> (20 if sys.platform == "darwin" else 10))
+        """))
+    assert proc.returncode == 0, proc.stderr
+    *out, mb = proc.stdout.split()
+    return (*out, int(mb))
+
+
 def test_the_ten_coin_certificate_checks_under_300_mb():
     # Ten fair coins against coin(1/3) and nine: every normal-form spine
     # level mixes in a coin, and mixture rows are divided by their gcd,
-    # so the check peaks near 130 MB, where unreduced rows took 1.27 GB
-    # (max RSS from getrusage, in a process of its own).
-    proc = _python("-c", """if True:
-        import resource, sys
+    # so the check peaks near 130 MB, where unreduced rows took 1.27 GB.
+    bound, max_rss_mb = _peak_mb("""
         from fractions import Fraction
         from pbc import (check_derivation, coin, par,
                          synthesize_tight_derivation)
@@ -790,12 +842,24 @@ def test_the_ten_coin_certificate_checks_under_300_mb():
             par(*[coin(half)] * 10),
             par(coin(Fraction(1, 3)), *[coin(half)] * 9))
         print(check_derivation(d))
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(rss >> (20 if sys.platform == "darwin" else 10))""")
-    assert proc.returncode == 0, proc.stderr
-    bound, max_rss_mb = proc.stdout.split()
+        """)
     assert bound == "1/6"
-    assert int(max_rss_mb) < 300
+    assert max_rss_mb < 300
+
+
+def test_the_key_guess_series_to_twelve_runs_under_150_mb():
+    # Each flag-set row of a key-guess level is kept as the rows it
+    # concatenates, which every input shares, so sizes 0..12 peak near
+    # 32 MB, where copying every level row took 1.1 GB.
+    halves, sizes, max_rss_mb = _peak_mb("""
+        from fractions import Fraction
+        from pbc import combinators as C, distance_series
+        series = distance_series(C.keyguess_lhs(), C.keyguess_rhs(), 0, 12)
+        print(all(d == Fraction(1, 2) ** k for k, d in series.pairs),
+              len(series.pairs))
+        """)
+    assert (halves, sizes) == ("True", "13")
+    assert max_rss_mb < 150
 
 
 def test_normalize_twelve_fair_coins_prints_the_uniform_spine(capsys,

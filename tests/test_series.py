@@ -216,8 +216,8 @@ def test_the_one_time_pads_two_loops_build_each_row_once():
             _, f_rows = series.rows(f, k)
             _, g_rows = series.rows(g, k)
             assert series.node(f) is series.node(g)
-            for a, b in zip(f_rows, g_rows, strict=True):
-                assert a is b, k
+            for (da, a), (db, b) in zip(f_rows, g_rows, strict=True):
+                assert da == db and a is b, k
 
 
 def _kept_loops(series) -> set:
