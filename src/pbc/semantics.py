@@ -196,7 +196,7 @@ def tensor_maps(f: StochMap, g: StochMap) -> StochMap:
 # ---------------------------------------------------------------------------
 # Distances.
 
-def _tv(da: int, a, db: int, b, memo: tuple | None = None) -> Fraction:
+def _tv(da: int, a, db: int, b, memo: dict | None = None) -> Fraction:
     """Total variation distance of two integer rows: numerators over the
     denominators ``da`` and ``db``, each row's numerators summing to its
     denominator.
@@ -209,75 +209,124 @@ def _tv(da: int, a, db: int, b, memo: tuple | None = None) -> Fraction:
     object on both sides, as two terms over one loop give, is at
     distance 0 at once.
 
-    ``memo``, one per scan, holds the rows the scan has met, by ``id``,
-    and the part sums of each (``_walk``).  A row kept as its parts
-    (``_Cat``) that meets a row met before is walked part by part
-    instead; the first meeting, and every call without a memo, flattens
-    it and scans.
+    Two rows kept as their parts (``_Cat``) of one split are compared
+    part against part (``_excess``), and not flattened.  ``memo``, one
+    per scan, holds the sums of the pairs of parts met so far; without
+    it each call starts a memo of its own.
     """
     if a is b:
         return ZERO
-    if memo is not None:
-        met, sums = memo
-        if b.__class__ is _Cat and b.flat is None and id(a) in met:
-            da, a, db, b = db, b, da, a
-        if a.__class__ is _Cat and a.flat is None and id(b) in met:
-            return _walk(da, a, db, _plain(b), sums.setdefault(id(b), {}))
-        # Kept alive, so that each id stays its row's.
-        met[id(a)], met[id(b)] = a, b
-    if a.__class__ is _Cat:
-        a = a.plain()
-    if b.__class__ is _Cat:
-        b = b.plain()
+    s = math.lcm(da, db)
+    ma, mb = s // da, s // db
+    if a.__class__ is _Cat and b.__class__ is _Cat and a.split == b.split:
+        memo = {} if memo is None else memo
+        return Fraction(_excess(ma, a, mb, b, memo), s)
+    a, b = _plain(a), _plain(b)
     if da == db and a == b:
         return ZERO
     if len(b) < len(a):
-        da, a, db, b = db, b, da, a
+        a, ma, b, mb = b, mb, a, ma
     get = b.get
-    if da == db:
+    if ma == mb:
         return Fraction(sum([e for y, n in a.items()
                              if (e := n - get(y, 0)) > 0]), da)
-    s = math.lcm(da, db)
-    ma, mb = s // da, s // db
     return Fraction(sum([e for y, n in a.items()
                          if (e := n * ma - get(y, 0) * mb) > 0]), s)
 
 
-def _walk(da: int, a: _Cat, db: int, b: dict, sums: dict) -> Fraction:
-    """``_tv`` of a row kept as its parts and a plain row, summed part by
-    part on an explicit stack.
+def _excess(ma: int, a: _Cat, mb: int, b: _Cat, memo: dict) -> int:
+    """The mass rope a, times ma, puts above rope b of its split, times
+    mb: the sum over every output of ``ma * a[z] - mb * b[z]`` where
+    positive, summed part against part on an explicit stack.
 
-    Part ``(n, hi, row)`` reached with multiplier m and offset ``off``
-    adds the excess of ``m * n * row[y]`` over ``b[y | off | hi]`` at
-    every y, both over the common denominator.  ``sums`` holds the
-    excess of each part by (part, multiplier, b's multiplier, offset),
-    for this ``b`` alone: the continuation rows many inputs of a loop
-    share are summed once per place they stand.
+    A pair of parts is ``(ma, sa, ata, A, ta, mb, sb, atb, B)``: row A,
+    whose numerators sum to ta, read as ``{(y << sa) | ata: v * ma}``,
+    and row B likewise, without its total (see ``_paired``).
+
+    - One row at one place adds ``ma - mb`` times its total, if
+      positive.
+    - Two ropes of one absolute split, ``_Cat.split`` plus the shift,
+      are paired part by part in turn.
+    - Any other pair is flattened and scanned over A's entries.
+
+    ``memo`` holds the sum of each pair of parts met, by the rows' ids,
+    the multipliers divided by their gcd, the shifts and the offsets,
+    with the two rows, so that each id stays its row's while the memo
+    lives.  So a part that many rows share is summed once per place.
     """
-    s = math.lcm(da, db)
-    mb = s // db
-    get = b.get
-    stack = [(iter(a.parts), s // da, 0, [0], None)]
+    inner, whole = _paired(ma, 0, 0, a, mb, 0, 0, b)
+    stack = [(iter(inner), [whole], None, 1)]
     while True:
-        parts, m, off, acc, key = stack[-1]
-        for n, hi, row in parts:
-            mn, at = m * n, off | hi
-            part = id(row), mn, mb, at
-            e = sums.get(part)
-            if e is None:
-                if row.__class__ is _Cat and row.flat is None:
-                    stack.append((iter(row.parts), mn, at, [0], part))
-                    break
-                e = sums[part] = sum([
-                    d for y, v in _plain(row).items()
-                    if (d := v * mn - get(y | at, 0) * mb) > 0])
-            acc[0] += e
+        pairs, acc, key, scale = stack[-1]
+        for ma, sa, ata, ra, ta, mb, sb, atb, rb in pairs:
+            if ra is rb and sa == sb and ata == atb:
+                if ma > mb:
+                    acc[0] += (ma - mb) * ta
+                continue
+            g = math.gcd(ma, mb)
+            if g != 1:
+                ma //= g
+                mb //= g
+            k = (id(ra), id(rb), ma, mb, sa, sb, ata, atb)
+            known = memo.get(k)
+            if known is not None:
+                acc[0] += known[0] * g
+                continue
+            if (ra.__class__ is _Cat and rb.__class__ is _Cat
+                    and ra.split + sa == rb.split + sb):
+                inner, whole = _paired(ma, sa, ata, ra, mb, sb, atb, rb)
+                stack.append((iter(inner), [whole], (k, ra, rb), g))
+                break
+            if sa == sb and ata == atb:  # compared where they stand
+                sa = ata = sb = atb = 0
+            get = _placed(rb, sb, atb, memo).get
+            e = sum([e for y, v in _placed(ra, sa, ata, memo).items()
+                     if (e := v * ma - get(y, 0) * mb) > 0])
+            memo[k] = e, ra, rb
+            acc[0] += e * g
         else:
             stack.pop()
             if not stack:
-                return Fraction(acc[0], s)
-            sums[key] = acc[0]
-            stack[-1][3][0] += acc[0]
+                return acc[0]
+            (k, ra, rb), e = key, acc[0]
+            memo[k] = e, ra, rb
+            stack[-1][1][0] += e * scale
+
+
+def _paired(ma: int, sa: int, ata: int, a: _Cat,
+            mb: int, sb: int, atb: int, b: _Cat) -> tuple:
+    """The pairs of parts of two placed ropes of one absolute split p,
+    matched by head, the output bits at and above p, with those bits
+    cleared from both offsets; and the mass of a's parts whose head b
+    lacks.  A part of b whose head a lacks puts nothing of a above b."""
+    p = a.split + sa
+    low = (1 << p) - 1
+    heads = {}
+    for n, s, hi, row, _ in b.parts:
+        at = (hi << sb) | atb
+        heads[at >> p] = mb * n, sb + s, at & low, row
+    inner, whole = [], 0
+    for n, s, hi, row, d in a.parts:
+        at = (hi << sa) | ata
+        other = heads.get(at >> p)
+        if other is None:
+            whole += ma * n * d
+        else:
+            inner.append((ma * n, sa + s, at & low, row, d, *other))
+    return inner, whole
+
+
+def _placed(row, s: int, at: int, memo: dict) -> dict:
+    """A row as a dict at its place, ``{(y << s) | at: v}``, built once
+    per memo."""
+    row = _plain(row)
+    if not s and not at:
+        return row
+    key = id(row), s, at
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = {(y << s) | at: v for y, v in row.items()}, row
+    return known[0]
 
 
 def tv_distance(v: Distribution, w: Distribution) -> Fraction:
@@ -330,7 +379,11 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # is built once per recipe, the body row and the continuation rows it
 # mixes, and shared by every input of the loop with that recipe
 # (``_Loop``).  A row concatenated from such rows keeps them as its parts
-# (``_Cat``) and reads as a dict only when first asked to.
+# (``_Cat``, a rope), each with the shift and the high bits it is placed
+# at, and reads as a dict only when first asked to.  A tensor with a
+# point on one side places the other side's rope anew, part by part,
+# instead of copying its entries, and a distance between two ropes pairs
+# their parts (``_excess``).
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -497,41 +550,45 @@ _CAT_FLOOR = 64
 
 class _Cat:
     """A row concatenated from parts whose outputs cannot collide, kept
-    as its parts: ``(n, hi, row)`` is ``row`` with its numerators times n
-    and ``hi`` or-ed into its outputs, and ``row`` may be another
-    ``_Cat``.  ``len`` is the size it was given; every other read sees
-    the dict of its entries, part by part in order, built on first use
-    and kept (``plain``).  Like every row it is never changed, so it may
-    stand in many rows' parts and many memos.
+    as its parts, a rope: ``(n, s, hi, row, d)`` is ``row``, whose
+    numerators sum to d, read as ``{(y << s) | hi: v * n}``, and ``row``
+    may be another ``_Cat``.  Every part's row, so placed, lies below
+    bit ``split`` once the bits of ``hi`` at and above it are cleared,
+    and those bits, the part's head, differ from part to part.  ``len``
+    is the size it was given; every other read sees the dict of its
+    entries, part by part in order, built on first use and kept
+    (``plain``).  Like every row it is never changed, so it may stand in
+    many rows' parts and many memos.
     """
 
-    __slots__ = ("parts", "size", "flat")
+    __slots__ = ("parts", "size", "split", "flat")
 
-    def __init__(self, parts: tuple, size: int):
+    def __init__(self, parts: tuple, size: int, split: int):
         self.parts = parts
         self.size = size
+        self.split = split
         self.flat = None  # the entries as a dict, once built
 
     def plain(self) -> dict:
         """The entries as a dict, built once: the leaf rows are found on
         an explicit stack, then read in one pass."""
         if self.flat is None:
-            leaves, todo = [], [(1, 0, self)]
+            leaves, todo = [], [(1, 0, 0, self)]
             while todo:
-                m, at, row = todo.pop()
+                m, s, at, row = todo.pop()
                 if row.__class__ is _Cat:
                     if row.flat is None:
-                        todo += [(m * n, at | hi, part)
-                                 for n, hi, part in reversed(row.parts)]
+                        todo += [(m * n, s + ps, at | (hi << s), part)
+                                 for n, ps, hi, part, _ in reversed(row.parts)]
                         continue
                     row = row.flat
-                leaves.append((m, at, row))
-            # Most rows scale no part, and skip the multiply.
-            self.flat = ({y | at: v for _, at, row in leaves
+                leaves.append((m, s, at, row))
+            # Most rows scale and shift no part, and skip both.
+            self.flat = ({y | at: v for _, _, at, row in leaves
                           for y, v in row.items()}
-                         if all(m == 1 for m, _, _ in leaves) else
-                         {y | at: v * m
-                          for m, at, row in leaves for y, v in row.items()})
+                         if all(m == 1 and not s for m, s, _, _ in leaves)
+                         else {(y << s) | at: v * m for m, s, at, row in leaves
+                               for y, v in row.items()})
         return self.flat
 
     def __len__(self):
@@ -567,14 +624,15 @@ def _plain(row) -> dict:
     return row.plain() if row.__class__ is _Cat else row
 
 
-def _concat(den: int, parts: list, cap: int, push=None) -> tuple:
+def _concat(den: int, parts: list, cap: int, split: int, push=None) -> tuple:
     """``_mix`` of parts whose outputs, after ``hi`` and ``push``, are
-    pairwise disjoint: the same row, with the same entries in the same
-    order, and no lookup per entry.  Without ``push``, a row of
-    ``_CAT_FLOOR`` entries or more is kept as its parts (``_Cat``), and
-    no entry is copied.  The support is summed part by part, so it is
-    refused at the part where it passes the cap, as ``_mix`` refuses
-    it."""
+    pairwise disjoint, each part's row lying below bit ``split`` and
+    each ``hi`` a distinct multiple of ``2^split``: the same row, with
+    the same entries in the same order, and no lookup per entry.
+    Without ``push``, a row of ``_CAT_FLOOR`` entries or more is kept as
+    its parts (``_Cat``), and no entry is copied.  The support is summed
+    part by part, so it is refused at the part where it passes the cap,
+    as ``_mix`` refuses it."""
     if len(parts) == 1 and parts[0][1] == 0 and push is None:
         return parts[0][2]
     scale = math.lcm(*{d for _, _, (d, _) in parts})
@@ -583,12 +641,12 @@ def _concat(den: int, parts: list, cap: int, push=None) -> tuple:
         size += len(row)
         if size > cap:
             raise _support_error(size, cap)
-        kept.append((n * (scale // d), hi, row))
+        kept.append((n * (scale // d), 0, hi, row, d))
     if size == 1:
-        ((_, hi, row),) = kept
+        ((_, _, hi, row, _),) = kept
         (y,) = row
         return 1, {push(y | hi) if push else y | hi: 1}
-    row = _Cat(tuple(kept), size)
+    row = _Cat(tuple(kept), size, split)
     if push is not None:
         return den * scale, {push(y): m for y, m in row.plain().items()}
     return den * scale, row if size >= _CAT_FLOOR else row.plain()
@@ -648,9 +706,10 @@ class _Loop:
     row is never mutated once made, so it may stand in many memos.  A
     row whose parts cannot collide is concatenated (``_concat``), not
     mixed, and, from ``_CAT_FLOOR`` entries on, kept as its parts: the
-    continuation rows, no entry copied.  So the key-guess loop's row for
-    a guess string holds the one row of every input whose flag has
-    cleared, and each level adds a part, not a copy, to each row.
+    continuation rows, no entry copied, split at the width of the
+    continuation outputs.  So the key-guess loop's row for a guess
+    string holds the one row of every input whose flag has cleared, and
+    each level adds a part, not a copy, to each row.
     """
 
     __slots__ = ("step", "sw", "a", "outs", "in_words", "out_words", "cap",
@@ -719,7 +778,7 @@ class _Loop:
                 # distinct stream heads, as their hi tells, are disjoint.
                 # A loop that emits nothing has one head.
                 rows[key] = row = (
-                    _concat(den, parts, cap, push)
+                    _concat(den, parts, cap, c_bits, push)
                     if b and len({h for _, h, _ in parts}) == len(parts)
                     else _mix(den, parts, cap, push))
             return row
@@ -814,10 +873,11 @@ class Series:
     k = 0, 1, ..., K a series costs about as much as its largest size.
     Comparisons read the compiled roots one input row at a time as
     ``(den, {output: numerator})``; they build no map and no Fraction
-    per entry.  A distance scan keeps the rows it has met, and a row
-    kept as its parts that meets one of them again is walked part by
-    part, each shared part summed once per place (``_walk``); ``rows``,
-    ``map`` and ``difference`` hand out plain dicts.
+    per entry.  Two rows kept as their parts are compared part against
+    part, and a scan (``distance``, ``difference``) keeps the sum of
+    every pair of parts it has compared, so a part that many rows share
+    is summed once per place (``_excess``); ``rows``, ``map`` and
+    ``difference`` hand out plain dicts.
 
     The size k is None for terms of a fixed size, which parametric
     terms are not.  The wire limit (PBC_MAX_WIRES, default 20 wires)
@@ -1085,14 +1145,24 @@ class Series:
             else:
                 row = g_rows.get(v)
                 dg, kg = row if row is not None else (yield g, v)
+            # A point beside a rope places the rope's parts anew.
             if len(kf) == 1:
                 (u,) = kf
                 if not u:
                     return dg, kg
                 hi = u << g_out
+                if kg.__class__ is _Cat:
+                    return dg, _Cat(tuple(
+                        (n, s, hi | at, row, d)
+                        for n, s, at, row, d in kg.parts), kg.size, kg.split)
                 return dg, {hi | v: m for v, m in kg.items()}
             if len(kg) == 1:
                 (lo,) = kg
+                if kf.__class__ is _Cat:
+                    return df, _Cat(tuple(
+                        (n, s + g_out, (at << g_out) | lo, row, d)
+                        for n, s, at, row, d in kf.parts),
+                        kf.size, kf.split + g_out)
                 return df, {(u << g_out) | lo: n for u, n in kf.items()}
             if len(kf) * len(kg) > cap:
                 raise _support_error(len(kf) * len(kg), cap)
@@ -1133,7 +1203,7 @@ class Series:
         """The hom distance of two terms of one type at size k: the
         largest total variation distance over the input rows; the scan
         stops at a row of distance 1, the largest there is."""
-        best, memo = ZERO, ({}, {})
+        best, memo = ZERO, {}
         for _, _, a, b in self._scan(f, g, k):
             d = _tv(*a, *b, memo)
             if d > best:
@@ -1146,8 +1216,9 @@ class Series:
         """The first input where two terms of one type part ways at size
         k, as ``(input, input width, row of f, row of g)`` with Fraction
         weights; None when they denote the same map."""
+        memo = {}
         for x, n_in, (da, a), (db, b) in self._scan(f, g, k):
-            if _tv(da, a, db, b):
+            if _tv(da, a, db, b, memo):
                 return x, n_in, _fractions(da, a, {}), _fractions(db, b, {})
         return None
 

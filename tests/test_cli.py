@@ -862,6 +862,23 @@ def test_the_key_guess_series_to_twelve_runs_under_150_mb():
     assert max_rss_mb < 150
 
 
+def test_the_all_ones_series_to_nineteen_runs_under_60_mb():
+    # Size 19 is 20 wires, the default limit.  Both sides' rows are
+    # ropes of one split, the right side's placed beside its 0, so the
+    # scan pairs them part by part and flattens no row: the series peaks
+    # near 18 MB, where copying and flattening the rows took 217 MB.
+    halves, sizes, max_rss_mb = _peak_mb("""
+        from fractions import Fraction
+        from pbc import combinators as C, distance_series
+        half = Fraction(1, 2)
+        series = distance_series(C.all_1(half), C.all_1_rhs(half), 0, 19)
+        print(all(d == half ** k for k, d in series.pairs),
+              len(series.pairs))
+        """)
+    assert (halves, sizes) == ("True", "20")
+    assert max_rss_mb < 60
+
+
 def test_normalize_twelve_fair_coins_prints_the_uniform_spine(capsys,
                                                               tmp_path):
     code = pbc_command(["normalize", _coins(tmp_path, 12)])

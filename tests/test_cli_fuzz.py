@@ -8,8 +8,8 @@ from itself at every size.  Loops over random ``circuitgen`` bodies,
 against a copy, a respelling, a near miss or another body, get the
 verdicts and distances of the reference unrolling from ``eq`` and
 ``dist``, bare, behind or ahead of one shared ``circuitgen`` stage on
-the state, or chained with a second loop that reads their output
-streams.
+the state, chained with a second loop that reads their output streams,
+or each the body of an outer loop.
 """
 
 import io
@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 
 from circuitgen import random_circuit
 from pbc import (
-    Id, PBCSyntaxError, Swap, TauStar, bools, hom_distance, instantiate,
-    par, parse_circuit, parse_term, pretty_term, seq, star,
+    Id, PBCSyntaxError, Swap, TauStar, bools, coin, hom_distance,
+    instantiate, par, parse_circuit, parse_term, pretty_term, seq, star,
     star_equiv_bounded, tensor,
 )
-from pbc.combinators import not_gate
+from pbc import semantics
+from pbc.combinators import not_gate, xor_gate
 from pbc.cli import main
 from pbc.semantics import bit_string
 from reference import reference_denote
@@ -245,14 +246,20 @@ _HOWS = ["near", "near", "near", "copy", "seq-id", "id-seq", "other"]
 def loop_pairs(draw):
     """The texts of two loops of one signature over ``circuitgen``
     bodies: one body against itself, respelled, one edit away, or
-    against another.
+    against another; and the largest size to compare them at.
     Both loops stand bare, or both in one pipeline, behind or ahead of
     one shared ``circuitgen`` stage on the state, or each followed by a
     second loop on the state that reads its output streams, whose
-    bodies are drawn the same way."""
+    bodies are drawn the same way, or each is the body of an outer loop
+    of its state, whose streams are its streams at every step.  A
+    nested loop at size k reads k^2 elements of each stream, so it has
+    at most one stream each way and is compared up to size 2."""
+    where = draw(st.sampled_from(["bare", "before", "after", "chain",
+                                  "nest"]))
     sw = draw(st.sampled_from([1, 2, 0]))
-    ins = draw(st.lists(st.integers(0, 1), max_size=2))
-    outs = draw(st.lists(st.integers(0, 1), max_size=2))
+    most = 1 if where == "nest" else 2
+    ins = draw(st.lists(st.integers(0, 1), max_size=most))
+    outs = draw(st.lists(st.integers(0, 1), max_size=most))
     rng = random.Random(draw(st.integers(0, 10**6)))
 
     def bodies(dom, cod):
@@ -271,8 +278,17 @@ def loop_pairs(draw):
                        tuple(map(bools, outs)), body)
 
     cod = sum(outs) + sw
-    pair = [iterate(ins, outs, t) for t in bodies(sw + sum(ins), cod)]
-    where = draw(st.sampled_from(["bare", "before", "after", "chain"]))
+    pair = bodies(sw + sum(ins), cod)
+    if where == "nest" and sum(outs):
+        # The emitted bit flipped by a coin of bias 1/4, so that the
+        # inner loop's rows, and the outer loop's, have many outcomes.
+        flip = par(seq(par(Id(bools(1)), coin("1/4")), xor_gate()),
+                   Id(bools(sw)))
+        pair = [seq(t, flip) for t in pair]
+    pair = [iterate(ins, outs, t) for t in pair]
+    if where == "nest":
+        pair = [TauStar(bools(sw), tuple(map(star, t.inputs)),
+                        tuple(map(star, t.outputs)), t) for t in pair]
     if where == "chain":
         outs2 = draw(st.lists(st.integers(0, 1), max_size=2))
         turn = Swap(tensor(*map(star, pair[0].outputs)), bools(sw))
@@ -286,7 +302,7 @@ def loop_pairs(draw):
     elif where == "after":
         streams = Id(tensor(*map(star, pair[0].outputs)))
         pair = [seq(t, par(streams, stage)) for t in pair]
-    return tuple(map(pretty_term, pair))
+    return (*map(pretty_term, pair), 2 if where == "nest" else 3)
 
 
 def _reference(s, t, k_max):
@@ -311,23 +327,38 @@ def _reference(s, t, k_max):
 
 def test_loops_over_generated_bodies_get_the_reference_verdicts(
         tmp_path_factory):
-    codes = []
+    codes, nested = [], []
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(loop_pairs())
-    def check(pair):
+    def check(drawn):
+        *pair, k = drawn
         paths = [str(tmp_path_factory.mktemp("loops") / f"{side}.pbc")
                  for side in ("f", "g")]
         for path, text in zip(paths, pair):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(f"main = {text}\n")
         s, t = (parse_circuit(f"main = {text}\n") for text in pair)
-        (code, line), dists = _reference(s, t, 3)
-        assert _run("eq", *paths, "--k", "3") == (code, line, ""), pair
-        assert _run("dist", *paths, "--k", "0..3") == (0, dists, ""), pair
-        assert bool(star_equiv_bounded(s, t, 3)) == (code == 0), pair
+        (code, line), dists = _reference(s, t, k)
+        walks = []
+        with pytest.MonkeyPatch.context() as mp:
+            if k == 2:
+                # A nested loop's rows are ropes of ropes from 2 entries
+                # on, so the distances pair their parts at these sizes.
+                mp.setattr(semantics, "_CAT_FLOOR", 2)
+                walk = semantics._excess
+                mp.setattr(semantics, "_excess", lambda *args: (
+                    walks.append(args) or walk(*args)))
+            assert _run("eq", *paths, "--k", str(k)) == (code, line, ""), pair
+            assert _run("dist", *paths, "--k", f"0..{k}") == (
+                0, dists, ""), pair
+            assert bool(star_equiv_bounded(s, t, k)) == (code == 0), pair
         codes.append(code)
+        if k == 2:
+            nested.append(bool(walks))
 
     check()
     # A fault that merges unequal loops shows only on unequal pairs.
     assert 3 * sum(codes) >= len(codes), (sum(codes), len(codes))
+    # Nested pairs are drawn, and some pair their rows part by part.
+    assert len(nested) >= 15 and sum(nested) >= 3, nested

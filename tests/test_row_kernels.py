@@ -5,9 +5,11 @@ integer row puts above the other; it must be half their L1 distance.
 ``semantics._concat`` builds a loop row whose parts cannot collide by
 concatenating them; it must build the row ``semantics._mix`` builds
 from the same parts: the same denominator, the same entries, in the
-same order.  A distance scan walks a row kept as its parts
-(``semantics._walk``) where it meets a row it has met before; it must
-give the distance of the reference maps.
+same order.  A tensor with a point on one side places a row kept as its
+parts anew; it must read out as the reference map.  A distance between
+two rows kept as their parts pairs them part against part
+(``semantics._excess``); it must give the distance of the flattened
+rows and of the reference maps.
 """
 
 import random
@@ -46,7 +48,7 @@ from pbc import (
 from pbc import combinators as C
 from pbc import semantics
 from pbc.cli import main
-from pbc.semantics import Series
+from pbc.semantics import Series, _Node, map_to_tsv
 from reference import reference_denote, tv_distance_overlap
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -153,8 +155,8 @@ def checked_concat():
     built = []
     concat, mix = semantics._concat, semantics._mix
 
-    def checked(den, parts, cap, push=None):
-        row = concat(den, parts, cap, push)
+    def checked(den, parts, cap, split, push=None):
+        row = concat(den, parts, cap, split, push)
         want = mix(den, parts, cap, push)
         # The same entries in the same order; only _mix divides by the
         # gcd of the row.
@@ -232,18 +234,58 @@ def test_the_support_guard_applies_to_concatenated_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Rows kept as their parts, and distances that walk them.
+# Rows kept as their parts, placed anew beside a point.
+
+def _points_beside_coins():
+    """Terms whose rows, from 64 entries on, are a coin loop's rows kept
+    as their parts and placed beside a point: on the right, as the
+    all-ones limit and key-guess's right side place them, and on the
+    left."""
+    coins = TauStar(UNIT, (), (B,), coin("1/2"))
+    return [C.all_1_rhs(Fraction(1, 2)), par(coin(1), coins),
+            par(coins, coin(1)), par(coin(1), coins, coin(0))]
+
+
+@pytest.mark.parametrize("term", _points_beside_coins(), ids=pretty_term)
+def test_ropes_placed_beside_a_point_read_out_as_the_reference_map(
+        capsys, tmp_path, term):
+    path = tmp_path / "t.pbc"
+    path.write_text(f"main = {pretty_term(term)}\n")
+    series = Series()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 14 wires and more warn
+        for k in range(11):
+            want = reference_denote(instantiate(k, term))
+            _, rows = series.rows(term, k)
+            assert [semantics._fractions(den, row, {}) for den, row in rows
+                    ] == list(want.rows), k
+            if k >= 6:  # 64 entries: the root row is a placed rope
+                _, row = semantics._row(series.node(term), 0)
+                assert row.__class__ is semantics._Cat
+            assert main(["eval", str(path), "--k", str(k)]) == 0
+            assert capsys.readouterr().out == map_to_tsv(want), k
+
+
+# ---------------------------------------------------------------------------
+# Distances that pair two rows kept as their parts.
 
 def _count_walks(monkeypatch, floor=None) -> list:
-    """The list of the row distances taken by walking a row's parts; with
-    ``floor`` given, every concatenation of that many entries or more is
-    kept as its parts."""
-    walks, walk = [], semantics._walk
-    monkeypatch.setattr(semantics, "_walk", lambda *args: (
-        walks.append(args[1]) or walk(*args)))
+    """The list of the scan memos of the row distances taken by pairing
+    two rows' parts, one entry per such distance; with ``floor`` given,
+    every concatenation of that many entries or more is kept as its
+    parts."""
+    walks, walk = [], semantics._excess
+    monkeypatch.setattr(semantics, "_excess", lambda *args: (
+        walks.append(args[-1]) or walk(*args)))
     if floor is not None:
         monkeypatch.setattr(semantics, "_CAT_FLOOR", floor)
     return walks
+
+
+def _pair_sums(memo: dict) -> int:
+    """How many pairs of placed rows a scan memo has summed: its keys of
+    two row ids, two multipliers, two shifts and two offsets."""
+    return sum(1 for key in memo if len(key) == 8)
 
 
 def _reference_distance(f, g, k):
@@ -264,43 +306,129 @@ def test_key_guess_distances_walk_the_shared_rows(monkeypatch, floor):
     f, g = C.keyguess_lhs(), C.keyguess_rhs()
     series = Series()
     for k in range(11):
+        before = len(walks)
         d = series.distance(f, g, k)
         assert d == Fraction(1, 2**k) == _scanned_distance(f, g, k), k
         if k <= 7:
             assert d == _reference_distance(f, g, k), k
-    # At size k every input but the first walks its flag-set row, which
-    # is kept as its parts from 64 entries on, or from 2 with the floor
-    # lowered.
-    assert len(walks) == sum((1 << k) - 1 for k in range(
+        if floor and k:
+            # Summed once each and kept, beneath the 2^k inputs' rows
+            # paired with the right side's one row: the 2^j flag-set
+            # rows of each level j < k, and the one flag-cleared row of
+            # each level, which every input's row holds.
+            assert _pair_sums(walks[-1]) == 2 ** k - 1 + k, k
+            assert all(m is walks[-1] for m in walks[before:]), k
+    # At size k every input's flag-set row is kept as its parts from 64
+    # entries on, or from 2 with the floor lowered, and so is the right
+    # side's one row, the coin loop's placed beside a 0: every input
+    # pairs the two, the first one too.
+    assert len(walks) == sum(1 << k for k in range(
         6 if floor is None else 1, 11))
 
 
 def test_a_walk_sums_each_part_at_its_place_against_its_own_row(
         monkeypatch):
-    # One part row, [1, 2] over 3, stands in three rows kept as their
-    # parts: A1 and A2 hold it at offset 2, times 1 and 3, and A3 at
-    # offset 0.  Walked against B1 and then A1 against B2, in one scan,
-    # each row's distance is the one its plain entries give.
+    # One part row, [1, 2] over 3, stands in every rope below, at two
+    # heads and at several multipliers, and in two of them placed anew
+    # beside a point.  Paired in one scan memo, in both orders, each
+    # distance is the one the plain entries give.
     walks = _count_walks(monkeypatch, 2)
     part, point = (3, {0: 1, 1: 2}), (1, {0: 1})
     recipes = {"A1": [(1, 2, part), (3, 0, point)],
                "A2": [(3, 2, part), (1, 0, point)],
-               "A3": [(1, 0, part), (3, 2, point)]}
-
-    def row(name):
-        return semantics._concat(4, recipes[name], 1 << 20)
+               "A3": [(1, 0, part), (3, 2, point)],
+               "B1": [(2, 2, part), (2, 0, part)],
+               "B2": [(1, 4, part), (3, 0, point)]}  # a head A lacks
+    rows = {name: semantics._concat(4, parts, 1 << 20, 1)
+            for name, parts in recipes.items()}
+    for name in ("A1", "B1"):  # placed beside the point 1, on the right
+        beside = Series()._par(_Node(0, 3, memo={0: rows[name]}),
+                               _Node(0, 1, det=lambda x: 1))
+        rows[name + "p"] = semantics._row(beside, 0)
+    assert rows["A1p"][1].__class__ is semantics._Cat
+    # A1p's parts at their new place, 2y + 1 under heads of split 2, as
+    # rows of their own: paired with A1p, each part meets a row it is
+    # scanned against at two places.
+    rows["C"] = semantics._concat(2, [(1, 4, (3, {1: 1, 3: 2})),
+                                      (1, 0, (1, {1: 1}))], 1 << 20, 2)
 
     def want(a, b):
-        return _half_l1(_weights(a)[1], _weights(b)[1])
+        return _half_l1(_weights(dict(a[1]))[1], _weights(dict(b[1]))[1])
 
-    b1, b2 = {2: 4, 3: 4, 0: 4}, {0: 6, 1: 6}
-    memo = {}, {}
-    for b in (b1, b2):  # the first meetings, which scan
-        assert semantics._tv(*point, 12, b, memo) == want(point[1], b)
-    for name, b in (("A1", b1), ("A2", b1), ("A3", b1), ("A1", b2)):
-        a = row(name)[1].plain()  # another row of the same parts
-        assert semantics._tv(*row(name), 12, b, memo) == want(a, b), name
-    assert len(walks) == 4
+    memo, pairs = {}, 0
+    for a, b in [("A1", "B1"), ("A2", "B1"), ("A3", "B1"), ("A1", "B2"),
+                 ("A2", "B2"), ("A1p", "B1p"), ("A1", "A2"),
+                 ("A1p", "C")]:
+        for x, y in ((a, b), (b, a)):
+            assert semantics._tv(*rows[x], *rows[y], memo) == want(
+                rows[x], rows[y]), (x, y)
+            pairs += 1
+    assert len(walks) == pairs
+
+
+def _random_ropes(data) -> list:
+    """Random rows as ``(den, row, width)``: a few dicts, then ropes
+    built by ``_concat`` from rows drawn among those before, so parts
+    are shared, at random splits, heads, multipliers and denominators,
+    each placed anew beside a point on the left or the right, or not."""
+    draw = data.draw
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.integers(0, 2))
+        row = draw(st.dictionaries(st.integers(0, (1 << w) - 1),
+                                   st.integers(1, 4), min_size=1))
+        pool.append((sum(row.values()), row, w))
+    for _ in range(draw(st.integers(1, 6))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                              max_size=3))
+        split = max(pool[i][2] for i in picks) + draw(st.integers(0, 1))
+        heads = draw(st.lists(st.integers(0, 3), min_size=len(picks),
+                              max_size=len(picks), unique=True))
+        ns = draw(st.lists(st.integers(1, 3), min_size=len(picks),
+                           max_size=len(picks)))
+        den, row = semantics._concat(
+            sum(ns), [(n, h << split, pool[i][:2])
+                      for n, h, i in zip(ns, heads, picks)], 1 << 30, split)
+        w = split + 2
+        side, v = draw(st.sampled_from(["", "left", "right"])), draw(
+            st.integers(0, 1))
+        if side:  # beside the one-bit point v
+            point = _Node(0, 1, det=lambda x: v)
+            rope = _Node(0, w, memo={0: (den, row)})
+            den, row = semantics._row(Series()._par(
+                *((point, rope) if side == "left" else (rope, point))), 0)
+            w += 1
+        pool.append((den, row, w))
+    return pool
+
+
+def test_paired_walks_of_random_ropes_are_the_flattened_distances():
+    kinds = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "_CAT_FLOOR", 2)
+            pool = _random_ropes(data)
+        memo = {}  # one scan's, over every pair
+        for da, a, _ in pool:
+            for db, b, _ in pool:
+                plain_a, plain_b = dict(a), dict(b)
+                want = _half_l1(_weights(plain_a)[1], _weights(plain_b)[1])
+                assert semantics._tv(da, a, db, b, memo) == want
+                assert semantics._tv(da, plain_a, db, plain_b) == want
+                if a.__class__ is b.__class__ is semantics._Cat:
+                    kinds.append(
+                        "fallback" if a.split != b.split else "matched"
+                        if {hi >> a.split for _, _, hi, _, _ in a.parts}
+                        == {hi >> b.split for _, _, hi, _, _ in b.parts}
+                        else "unmatched")
+
+    check()
+    # Pairs of ropes with one split and one set of heads, with heads the
+    # other lacks, and with two splits, which are flattened.
+    assert min(map(kinds.count, ("matched", "unmatched", "fallback"))) >= 20
 
 
 def _emitting_loop(sw, extra, ins, rng) -> TauStar:
@@ -356,17 +484,17 @@ def test_walked_distances_of_random_loops_are_the_reference_distances():
     assert sum(walked) >= len(walked) // 3
 
 
-def _undecided() -> TauStar:
-    """A loop that emits a fair bit a step while its flag is set, and
-    clears the flag with the first 0: its level k row from the set flag
-    has support k + 1, each row the next one down and a point."""
-    body = seq(par(Id(B), coin("1/2")), C.and_gate(), copy_gen(B))
+def _undecided(p="1/2") -> TauStar:
+    """A loop that emits a bit of bias p a step while its flag is set,
+    and clears the flag with the first 0: its level k row from the set
+    flag has support k + 1, each row the next one down and a point."""
+    body = seq(par(Id(B), coin(p)), C.and_gate(), copy_gen(B))
     return TauStar(B, (), (B,), body)
 
 
-def _zeros(out: Term) -> Term:
-    """All zeros from a flag, ``out`` emitting each step's zeros: one row
-    object for every input."""
+def _beside_zero(out: Term) -> Term:
+    """A flag discarded, and the streams of a loop over ``out`` beside a
+    0 for the state: one row object for every input."""
     return seq(C.discard_at(B), par(TauStar(UNIT, (), (
         typecheck(out).codomain,), out), coin(0)))
 
@@ -374,16 +502,22 @@ def _zeros(out: Term) -> Term:
 def test_a_loop_whose_body_loops_walks_rows_of_concatenated_body_rows(
         monkeypatch):
     # Each outer step runs the undecided loop for k steps and emits its
-    # k bits as one block, so the outer body's row is a concatenation.
+    # k bits as one block, so the outer body's row is a concatenation,
+    # and so are the outer level rows.  Against all zeros, a point, they
+    # are flattened and scanned; against k fair bits a step, whose rows
+    # are ropes of one split with theirs, they are paired.
     walks = _count_walks(monkeypatch, 2)
     inner = _undecided()
     outer = TauStar(B, (), (star(B),), inner)
-    g = _zeros(TauStar(UNIT, (), (B,), coin(0)))
+    zeros = _beside_zero(TauStar(UNIT, (), (B,), coin(0)))
+    coins = _beside_zero(TauStar(UNIT, (), (B,), coin("1/2")))
     series = Series()
     for k in range(4):
-        d = series.distance(outer, g, k)
-        assert d == _reference_distance(outer, g, k), k
+        d = series.distance(outer, zeros, k)
+        assert d == _reference_distance(outer, zeros, k), k
         assert d == (Fraction(1, 2) if k else 1), k
+        assert series.distance(outer, coins, k) == _reference_distance(
+            outer, coins, k), k
     assert walks
     # At size 3 the outer body's row from the set flag has 4 entries,
     # kept as its parts.
@@ -393,18 +527,20 @@ def test_a_loop_whose_body_loops_walks_rows_of_concatenated_body_rows(
 
 def test_a_thousand_levels_deep_row_evaluates_and_walks(monkeypatch, capsys,
                                                        tmp_path):
-    # The row from the set flag at size 1000 nests its rows 1000 deep;
-    # flattening and walking it run on explicit stacks.
+    # The rows from the set flag at size 1000 nest their rows 1000 deep;
+    # flattening them and pairing the rows of two biases run on explicit
+    # stacks.  The bias 1/3 puts 2/3 on the first 0 where 1/2 puts 1/2,
+    # and less on every other output.
     monkeypatch.setenv("PBC_MAX_WIRES", "1001")
     walks = _count_walks(monkeypatch)
     paths = []
-    for name, term in (("f", _undecided()), ("g", _zeros(coin(0)))):
+    for name, term in (("f", _undecided()), ("g", _undecided("1/3"))):
         paths.append(tmp_path / f"{name}.pbc")
         paths[-1].write_text(f"main = {pretty_term(term)}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 1001 wires
         assert main(["dist", *map(str, paths), "--k", "1000"]) == 0
-        assert capsys.readouterr().out == "1/2\n"
+        assert capsys.readouterr().out == "1/6\n"
         assert len(walks) == 1
         assert main(["eval", str(paths[0]), "--k", "1000"]) == 0
     lines = capsys.readouterr().out.splitlines()
