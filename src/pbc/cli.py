@@ -30,7 +30,7 @@ from .asymptotics import (
 )
 from .dot import emit_dot
 from .iteration import K_TEST, EqualUpTo, star_equiv_bounded
-from .normalform import decide_equal, nf_pretty, normalize
+from .normalform import _rows_pretty, decide_equal
 from .parser import parse_circuit
 from .semantics import Series, StochMap, bit_string, denote, map_to_tsv
 from .terms import PBCError, same_type, typecheck
@@ -149,7 +149,8 @@ def _cmd_normalize(args) -> int:
             f"{args.file}: normalize takes fixed-size terms, not one of "
             f"parametric type {judgement}; to instantiate it at a size, "
             "use eval --k K")
-    print(nf_pretty(normalize(term)))
+    # nf_pretty(normalize(term)), printed from the integer rows.
+    print(_rows_pretty(*Series().rows(term)))
     return 0
 
 

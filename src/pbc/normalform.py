@@ -11,8 +11,9 @@ evaluator's rows, integer numerators over a denominator per input, with
 a Fraction built only for each spine weight; two maps have equal forms
 exactly when they are equal.
 Normal forms are canonical, so ``decide_equal`` compares the two maps
-themselves; forms are built only to be shown (``pbc normalize``) and
-as the terms inside certificates.  One fold over the rows, bottom up
+themselves; forms are built only to be shown and as the terms inside
+certificates, and ``pbc normalize`` prints one from the rows without
+building it (``_rows_pretty``).  One fold over the rows, bottom up
 (``_fold_cases``), builds a form, its term and, in ``proofs``, a tight
 certificate.
 """
@@ -20,6 +21,7 @@ certificate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from .objects import bools
 from .terms import (
     Id, Seq, Swap, Term, coin, copy_gen, par, phi_case, phi_mix, seq,
 )
-from .semantics import Series, StochMap, bit_string
+from .semantics import Series, StochMap
 
 __all__ = [
     "Leaf", "Node", "Tree", "Case", "NormalForm", "WeightedTree",
@@ -192,23 +194,71 @@ def decide_equal(f: Term, g: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Plain-text rendering for golden tests.
 
+def _case_lines(root, split, leaf) -> str:
+    """The lines of a case tree: ``split(node)`` is a case's branches
+    ``(on_last_1, on_last_0)``, None at a leaf, whose lines ``leaf(node,
+    indent)`` gives.  Each branch follows its ``last=`` heading, one
+    indent deeper, and last=1 comes first."""
+    out: list[str] = []
+    todo = [(root, "", ())]  # a node, its indent and the lines heading it
+    while todo:
+        node, indent, heading = todo.pop()
+        out += heading
+        branches = split(node)
+        if branches is None:
+            out += leaf(node, indent)
+            continue
+        on1, on0 = branches
+        inner = indent + "  "
+        todo += ((on0, inner, (f"{indent}last=0:",)),
+                 (on1, inner, (f"{indent}last=1:",)))
+    return "\n".join(out)
+
+
+def _ket(n: int):
+    """The format of a spine line over n output wires, called with its
+    indent, its head's weight, if any, and its head, which it prints as
+    ``semantics.bit_string`` does."""
+    return ("{}{}|" + ("{:0%db}" % n if n else "-") + ">").format
+
+
 def nf_pretty(nf: NormalForm) -> str:
     """Indented case tree; spine nodes carry their conditional weight,
     the closing line takes whatever mass remains."""
-    out: list[str] = []
-    todo = [(nf, "", ())]  # a form, its indent and the lines heading it
-    while todo:
-        nf, indent, heading = todo.pop()
-        out += heading
-        if isinstance(nf, Case):
-            inner = indent + "  "
-            todo += ((nf.on_last_0, inner, (f"{indent}last=0:",)),
-                     (nf.on_last_1, inner, (f"{indent}last=1:",)))
-            continue
-        tree = nf.tree
+    ket = _ket(nf.out_arity)
+
+    def leaf(nf: Tree, indent: str) -> list:
+        tree, lines = nf.tree, []
         while isinstance(tree, Node):
-            out.append(
-                f"{indent}{tree.p} |{bit_string(tree.head, nf.out_arity)}>")
+            lines.append(ket(indent, f"{tree.p} ", tree.head))
             tree = tree.rest
-        out.append(f"{indent}|{bit_string(tree.value, nf.out_arity)}>")
-    return "\n".join(out)
+        lines.append(ket(indent, "", tree.value))
+        return lines
+
+    return _case_lines(
+        nf, lambda nf: (nf.on_last_1, nf.on_last_0)
+        if isinstance(nf, Case) else None, leaf)
+
+
+def _rows_pretty(n_out: int, rows: list) -> str:
+    """``nf_pretty`` of the normal form of the rows ``(den, {output:
+    numerator})`` of a map, one per input in input order, read off the
+    ints: a weight is a head's mass over the mass from it on, reduced
+    by one gcd, and no form is built.  A case node ``(r, j)`` is the
+    inputs equal to r modulo 2^j, split on bit j."""
+    n_in, ket = len(rows).bit_length() - 1, _ket(n_out)
+
+    def leaf(at: tuple, indent: str) -> list:
+        items = sorted(rows[at[0]][1].items())
+        value, total = items.pop()
+        lines = [ket(indent, "", value)]
+        for value, mass in reversed(items):
+            total += mass
+            g = math.gcd(mass, total)
+            lines.append(ket(indent, f"{mass // g}/{total // g} ", value))
+        lines.reverse()
+        return lines
+
+    return _case_lines(
+        (0, 0), lambda at: None if at[1] == n_in else
+        ((at[0] | 1 << at[1], at[1] + 1), (at[0], at[1] + 1)), leaf)

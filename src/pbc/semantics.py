@@ -383,7 +383,9 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # at, and reads as a dict only when first asked to.  A tensor with a
 # point on one side places the other side's rope anew, part by part,
 # instead of copying its entries, and a distance between two ropes pairs
-# their parts (``_excess``).
+# their parts (``_excess``).  A coin beside wiring is a product node, its
+# row fixed when it is built (``_product``), and a Seq multiplies a
+# distribution of many outcomes by it in one pass.
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -398,14 +400,18 @@ class _Node:
     input bit ``sel[i]``; its ``det`` is built on first use, because most
     wiring only ever fuses into larger wiring.  ``injective`` says that
     ``det`` never merges two inputs, and ``depth`` how deep its calls
-    nest.  A coin's memo holds its one row, and it has no kernel.
+    nest.  A coin's memo holds its one row, and it has no kernel.  A
+    product node (``_product``) is a fixed row placed among wiring:
+    ``fixed`` holds its selection, whose holes (None) are the row's
+    bits, and the row, and ``det`` and ``injective`` are its
+    selection's.
     """
 
     __slots__ = ("n_in", "n_out", "sel", "det", "injective", "depth",
-                 "memo", "kernel")
+                 "memo", "kernel", "fixed")
 
     def __init__(self, n_in, n_out, *, sel=None, det=None, injective=False,
-                 depth=1, kernel=None, memo=None):
+                 depth=1, kernel=None, memo=None, fixed=None):
         self.n_in = n_in
         self.n_out = n_out
         self.sel = sel  # tuple of input bit positions, or None
@@ -414,10 +420,14 @@ class _Node:
         self.depth = depth
         self.kernel = kernel  # int -> generator yielding (node, int)
         self.memo = {} if kernel is not None else memo  # int -> row
+        self.fixed = fixed  # (selection with holes, row), or None
 
     def function(self):
+        """The function of a wiring node's selection, or of a product
+        node's, built on first use."""
         if self.det is None:
-            self.det = _select(self.sel, self.n_in)
+            self.det = _select(self.fixed[0] if self.sel is None else self.sel,
+                               self.n_in)
         return self.det
 
 
@@ -465,9 +475,12 @@ def _shallow(node: _Node) -> _Node:
 
 
 def _select(sel: tuple, n_in: int):
-    """The int function of a bit selection: one mask per shift amount."""
+    """The int function of a bit selection: one mask per shift amount;
+    a hole in it, None, is an output bit left 0."""
     by_shift: dict = {}
     for out_bit, in_bit in enumerate(sel):
+        if in_bit is None:  # a hole: the bit stays 0
+            continue
         shift = out_bit - in_bit
         by_shift[shift] = by_shift.get(shift, 0) | (1 << in_bit)
     if not by_shift:
@@ -495,6 +508,38 @@ def _select(sel: tuple, n_in: int):
 
 def _wiring(n_in: int, sel: tuple) -> _Node:
     return _Node(n_in, len(sel), sel=sel, injective=len(set(sel)) == n_in)
+
+
+def _fixed(node: _Node):
+    """A node's fixed row and the selection it is placed among, as
+    ``(selection, row)``: a product node's, or a coin's, whose every
+    output bit is a hole; else None."""
+    if node.fixed is None and node.kernel is None and node.memo is not None:
+        return (None,) * node.n_out, node.memo[0]
+    return node.fixed
+
+
+def _product(n_in: int, sel: tuple, row: tuple, injective: bool) -> _Node:
+    """The product node of a reduced row ``(den, {bits: numerator})``,
+    whose bits are the holes of the selection ``sel``: its row at x is
+    the fixed row or-ed with the selected bits of x.  A distribution
+    of many outcomes is multiplied by it in one pass (``Series._seq``)
+    when the selection is injective, so no two outcomes collide.  The
+    kernel builds a function of the selection of its own, on first use,
+    so that it holds no reference to its node."""
+    den, fixed = row
+    det = None
+
+    def kernel(x):
+        nonlocal det
+        if det is None:
+            det = _select(sel, n_in)
+        hi = det(x)
+        return (den, {hi | y: m for y, m in fixed.items()}) if hi else row
+        yield  # a generator, as every kernel is
+
+    return _Node(n_in, len(sel), kernel=kernel, fixed=(sel, row),
+                 injective=injective)
 
 
 def _phi(w: int):
@@ -1044,14 +1089,17 @@ class Series:
                 stages.extend(run)
         if len(stages) == 1:
             return stages[0]
-        steps = tuple((None, False, s, s.memo) if s.memo is not None else
-                      (s.function(), s.injective, None, None)
+        # A product node whose selection is injective is placed.
+        steps = tuple((None, False, s, s.memo,
+                       s.fixed is not None and s.injective)
+                      if s.memo is not None else
+                      (s.function(), s.injective, None, None, None)
                       for s in stages)
         cap = self.cap
 
         def kernel(x):
             den, dist = 1, {x: 1}
-            for det, injective, child, rows in steps:
+            for det, injective, child, rows, placed in steps:
                 if len(dist) == 1:
                     (v,) = dist
                     if det is not None:
@@ -1060,6 +1108,18 @@ class Series:
                         row = rows.get(v)
                         den, dist = (row if row is not None
                                      else (yield child, v))
+                elif placed:  # a product stage, as _mix would mix it
+                    fn, (d, row) = child.function(), child.fixed[1]
+                    r = len(row)
+                    if len(dist) * r > cap:  # refused where _mix refuses
+                        raise _support_error((cap // r + 1) * r, cap)
+                    # The row is reduced, so the gcd of the numerators
+                    # of the product is that of dist's.
+                    g = math.gcd(den * d, *dist.values())
+                    den, row = den * d // g, row.items()
+                    dist = {u | y: n * m for u, n in
+                            [(fn(v), n // g) for v, n in dist.items()]
+                            for y, m in row}
                 elif det is None:
                     parts = []
                     for v, n in dist.items():
@@ -1121,6 +1181,18 @@ class Series:
         n_in, n_out = f.n_in + g_in, f.n_out + g_out
         if f.sel is not None and g.sel is not None:
             return _wiring(n_in, g.sel + tuple(s + g_in for s in f.sel))
+        # A coin or a product node beside wiring is a product node; the
+        # two read disjoint input bits, and a coin reads none.
+        if g.sel is not None and (fixed := _fixed(f)) is not None:
+            sel, (den, row) = fixed
+            return _product(n_in, g.sel + tuple([
+                s if s is None else s + g_in for s in sel]),
+                (den, {y << g_out: m for y, m in row.items()}),
+                g.injective and (f.fixed is None or f.injective))
+        if f.sel is not None and (fixed := _fixed(g)) is not None:
+            sel, row = fixed
+            return _product(n_in, sel + tuple([s + g_in for s in f.sel]), row,
+                            f.injective and (g.fixed is None or g.injective))
         g_mask = (1 << g_in) - 1
         f_rows, g_rows = f.memo, g.memo
         fd = None if f_rows is not None else f.function()

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from circuitgen import random_circuit
 from pbc import (
-    B, Id, Par, Seq, Swap, bools, cli, coin, copy_gen, discard_gen, par,
-    parse_circuit, pretty_term, seq, terms,
+    B, Id, Par, Seq, Swap, bools, cli, coin, copy_gen, discard_gen, nf_pretty,
+    normalize, par, parse_circuit, pretty_term, seq, terms,
 )
 from pbc import combinators as C
 from pbc.cli import main
@@ -340,6 +340,22 @@ def test_two_loops_with_one_body_read_no_row(capsys, monkeypatch, tmp_path):
     assert (code, out) == (2, "") and "needs 5 wires" in err
 
 
+def test_a_product_stage_refuses_the_support_where_mix_does(capsys,
+                                                            monkeypatch,
+                                                            tmp_path):
+    # Each coin stage multiplies the whole distribution at once; the
+    # last doubles 16 outcomes, above 2^4, and is refused where mixing
+    # them two at a time would pass the limit: at 18.
+    monkeypatch.setenv("PBC_MAX_WIRES", "4")
+    path = tmp_path / "f.pbc"
+    path.write_text("main = coin(1/2) x coin(1/3) ; id<B^2> x coin(1/2) ; "
+                    "id<B^3> x coin(1/2) ; id<B^4> x coin(1/2) ; del<B^5>\n")
+    assert run(capsys, "eval", str(path)) == (
+        2, "", "pbc: an intermediate distribution has 18 outcomes, above "
+               "the limit of 16 (2^PBC_MAX_WIRES; set PBC_MAX_WIRES to raise "
+               "it)\n")
+
+
 def test_eval_rejects_a_range(capsys):
     code, _, err = run(capsys, "eval", OTP_L, "--k", "0..3")
     assert code == 2
@@ -374,6 +390,51 @@ def test_normalize_points_parametric_terms_to_eval(capsys):
     assert (code, out) == (2, "")
     assert "eval --k K" in err
     assert "pass a size" not in err
+
+
+def _normalizes_as_the_form_prints(capsys, path) -> None:
+    """``pbc normalize`` prints ``nf_pretty`` of the file's normal form,
+    or, where there is none, exits 2 with no stdout."""
+    code, out, err = run(capsys, "normalize", str(path))
+    try:
+        term = parse_circuit(Path(path).read_text())
+        want = nf_pretty(normalize(term)) + "\n"
+    except terms.PBCError:
+        assert (code, out) == (2, "") and err.startswith("pbc: ")
+        return
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.pbc")),
+                         ids=lambda p: p.name)
+def test_normalize_prints_the_form_of_each_data_file(capsys, path):
+    _normalizes_as_the_form_prints(capsys, path)
+
+
+def test_normalize_prints_the_form_of_random_circuits(capsys, tmp_path):
+    rng = random.Random(27)
+    path = tmp_path / "f.pbc"
+    for _ in range(300):
+        term = random_circuit(rng, rng.randint(0, 3), rng.randint(0, 10),
+                              max_gens=30, max_wires=12, max_den=8)
+        path.write_text(f"main = {pretty_term(term)}\n")
+        _normalizes_as_the_form_prints(capsys, path)
+
+
+def test_normalize_prints_the_form_of_twelve_fair_coins(capsys, tmp_path):
+    _normalizes_as_the_form_prints(capsys, _coins(tmp_path, 12))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("coin(1/2) ; del<B>", "|->\n"),
+    ("del<B>", "last=1:\n  |->\nlast=0:\n  |->\n"),
+])
+def test_normalize_prints_a_term_with_no_output_wire(capsys, tmp_path, text,
+                                                     want):
+    path = tmp_path / "f.pbc"
+    path.write_text(f"main = {text}\n")
+    assert run(capsys, "normalize", str(path)) == (0, want, "")
+    _normalizes_as_the_form_prints(capsys, path)
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +921,21 @@ def test_the_key_guess_series_to_twelve_runs_under_150_mb():
         """)
     assert (halves, sizes) == ("True", "13")
     assert max_rss_mb < 150
+
+
+def test_the_key_guess_series_to_sixteen_runs_under_250_mb():
+    # Sizes 0..16 peak near 170 MB: each level's flag-cleared row is
+    # shared by every input whose flag has cleared, and compared once
+    # per size.
+    halves, sizes, max_rss_mb = _peak_mb("""
+        from fractions import Fraction
+        from pbc import combinators as C, distance_series
+        series = distance_series(C.keyguess_lhs(), C.keyguess_rhs(), 0, 16)
+        print(all(d == Fraction(1, 2) ** k for k, d in series.pairs),
+              len(series.pairs))
+        """)
+    assert (halves, sizes) == ("True", "17")
+    assert max_rss_mb < 250
 
 
 def test_the_all_ones_series_to_nineteen_runs_under_60_mb():

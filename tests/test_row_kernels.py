@@ -9,7 +9,10 @@ same order.  A tensor with a point on one side places a row kept as its
 parts anew; it must read out as the reference map.  A distance between
 two rows kept as their parts pairs them part against part
 (``semantics._excess``); it must give the distance of the flattened
-rows and of the reference maps.
+rows and of the reference maps.  A coin beside wiring multiplies a
+whole distribution in one pass (``semantics._product``); it must give
+the rows ``_mix`` gives over the same parts, entry order included, and
+the reference map.
 """
 
 import random
@@ -550,3 +553,88 @@ def test_a_thousand_levels_deep_row_evaluates_and_walks(monkeypatch, capsys,
     weights = sorted(Fraction(line.split("\t")[2]) for line in lines[2:])
     assert weights[0] == weights[1] == Fraction(1, 2**1000)
     assert weights[2:] == [Fraction(1, 2**i) for i in range(999, 0, -1)]
+
+
+# ---------------------------------------------------------------------------
+# Product stages: a coin beside wiring multiplies a whole distribution.
+
+def _rows_and_mixes(term, k=None, placed=True) -> tuple:
+    """A term's rows as ``(den, [(output, numerator), ...])``, entries in
+    their order, and how many rows ``_mix`` built for them.  Unplaced,
+    no product node is built, so every coin beside wiring is evaluated
+    entry by entry through ``_par``'s kernel and mixed by ``_mix``."""
+    mixes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mix = semantics._mix
+        mp.setattr(semantics, "_mix", lambda *args: (
+            mixes.append(args) or mix(*args)))
+        if not placed:
+            mp.setattr(semantics, "_fixed", lambda node: None)
+        _, rows = Series().rows(term, k)
+    return [(den, list(row.items())) for den, row in rows], len(mixes)
+
+
+def _products(term, k=None) -> int:
+    """How many product stages a term's rows took, after checking that
+    they are the rows ``_mix`` gives, entry order included, and, read
+    out, the reference map.  Each product stage stands for one
+    ``_mix``, and nothing else differs."""
+    rows, mixes = _rows_and_mixes(term, k)
+    want, unplaced_mixes = _rows_and_mixes(term, k, placed=False)
+    assert rows == want
+    reference = (reference_denote(term) if k is None
+                 else reference_denote(instantiate(k, term)))
+    assert [semantics._fractions(den, dict(row), {}) for den, row in rows
+            ] == list(reference.rows)
+    return unplaced_mixes - mixes
+
+
+def test_a_coin_at_every_position_multiplies_as_mix_mixes():
+    # Every width up to 12 wires, the coin at every position, after a
+    # distribution of 2^w outcomes of unequal weights.
+    taken = 0
+    for w in range(12):
+        before = par(*(coin(Fraction(1, j + 2)) for j in range(w)))
+        for i in range(w + 1):
+            stage = par(Id(bools(i)), coin("2/7"), Id(bools(w - i)))
+            taken += _products(seq(before, stage) if w else stage)
+    # From two coins on, the distribution has many outcomes.
+    assert taken == sum(w + 1 for w in range(1, 12))
+
+
+def test_random_circuits_multiply_as_mix_mixes():
+    rng, taken = random.Random(27), 0
+    for _ in range(120):
+        term = random_circuit(rng, rng.randint(0, 3), rng.randint(0, 10),
+                              max_gens=30, max_wires=12, max_den=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 14 wires and more warn
+            taken += _products(term)
+    assert taken >= 200
+
+
+@pytest.mark.parametrize("term", [
+    seq(coin("1/3"), par(coin("1/2"), discard_gen(B))),
+    seq(par(coin("1/3"), coin("1/5")), par(Id(B), coin("1/2"),
+                                           discard_gen(B))),
+    seq(par(coin("1/3"), coin("1/5")), par(discard_gen(B), coin("1/2"),
+                                           Id(B))),
+], ids=pretty_term)
+def test_a_coin_beside_a_discard_mixes_entry_by_entry(term):
+    # The selection drops an input bit, so two outcomes may meet: the
+    # stage keeps the per-entry path, and _mix sums them.
+    assert _products(term) == 0
+
+
+def test_a_coin_stage_in_a_loop_body_multiplies_as_mix_mixes():
+    # The body draws a coin beside its state, then another beside both:
+    # the second stage multiplies a distribution of two outcomes.
+    body = seq(par(Id(B), coin("1/3")), par(Id(bools(2)), coin("1/5")),
+               par(C.xor_gate(), Id(B)))
+    loop = TauStar(B, (), (B,), body)
+    assert sum(_products(loop, k) for k in range(6)) > 0
+    # Random loops, whose bodies are random circuits.
+    for salt in range(8):
+        for f in _random_loop_pair(1, [1], [1], salt):
+            for k in range(4):
+                _products(f, k)
