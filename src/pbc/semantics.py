@@ -139,20 +139,6 @@ class StochMap:
         return map_to_tsv(self)
 
 
-def _validate_rows(rows) -> None:
-    for row in rows:
-        if sum(row.values(), ZERO) != ONE:
-            raise ValueError("row weights do not sum to 1")
-        if any(p <= 0 for p in row.values()):
-            raise ValueError("rows must carry positive weights only")
-
-
-def stoch_map(in_arity: int, out_arity: int, rows) -> StochMap:
-    rows = tuple(dict(r) for r in rows)
-    _validate_rows(rows)
-    return StochMap(in_arity, out_arity, rows)
-
-
 def identity_map(n: int) -> StochMap:
     return StochMap(n, n, tuple(dirac(i) for i in range(1 << n)))
 
@@ -368,24 +354,29 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # the term nests.  A deterministic node calls its parts' functions
 # instead; one nested more than ``_DET_DEPTH`` calls deep becomes a
 # kernel.  Coin-free, if-free wiring also keeps its bit selection, so any
-# Seq/Par of wiring fuses into one selection, applied as a few shift/mask
-# groups.  A conditional ``(c x m x d) ; if`` is one node, a case split
-# with m ``id<B>`` and a choice with m ``coin(p)``: it reads m and asks
-# only for the arms m gives weight, so it never builds the product of
-# both arms.  A row of support one is always ``(1, {value: 1})``, and
-# numerators become reduced Fractions only in finished maps.  A row is
-# never mutated once made, so one row object may stand in many memos: a
-# stage hands out its child's dict as its own row, and a loop level's row
-# is built once per recipe, the body row and the continuation rows it
+# Seq or Par of wiring fuses into one selection, applied as a few shift/mask
+# groups.  A tensor is one node, whatever its number of factors
+# (``Series._par``): its wiring joins one selection whose holes are the
+# other factors' outputs; deterministic factors fill their holes inside
+# one function, and the rows of stochastic factors are placed beside the
+# point it gives (``_place``).  Wiring beside one coin alone is a
+# product node, the coin's row fixed when it is built, and a Seq
+# multiplies a distribution of many outcomes by it in one pass.  A
+# conditional ``(c x m x d) ; if`` is one node, a case split with m
+# ``id<B>`` and a choice with m ``coin(p)``: it reads m and asks only for
+# the arms m gives weight, so it never builds the product of both arms.
+# A row of support one is always ``(1, {value: 1})``, and numerators
+# become reduced Fractions only in finished maps.  A row is never
+# mutated once made, so one row object may stand in many memos: a stage
+# hands out its child's dict as its own row, and a loop level's row is
+# built once per recipe, the body row and the continuation rows it
 # mixes, and shared by every input of the loop with that recipe
 # (``_Loop``).  A row concatenated from such rows keeps them as its parts
 # (``_Cat``, a rope), each with the shift and the high bits it is placed
-# at, and reads as a dict only when first asked to.  A tensor with a
-# point on one side places the other side's rope anew, part by part,
-# instead of copying its entries, and a distance between two ropes pairs
-# their parts (``_excess``).  A coin beside wiring is a product node, its
-# row fixed when it is built (``_product``), and a Seq multiplies a
-# distribution of many outcomes by it in one pass.
+# at, and reads as a dict only when first asked to.  A tensor whose one
+# row of many outcomes is a rope places its parts anew instead of
+# copying its entries, and a distance between two ropes pairs their
+# parts (``_excess``).
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -401,10 +392,10 @@ class _Node:
     wiring only ever fuses into larger wiring.  ``injective`` says that
     ``det`` never merges two inputs, and ``depth`` how deep its calls
     nest.  A coin's memo holds its one row, and it has no kernel.  A
-    product node (``_product``) is a fixed row placed among wiring:
-    ``fixed`` holds its selection, whose holes (None) are the row's
-    bits, and the row, and ``det`` and ``injective`` are its
-    selection's.
+    product node, a tensor of wiring and one coin, has a kernel, and
+    ``fixed`` holds the coin's row placed at the coin's bits; its
+    ``det`` and ``injective`` are those of the wiring beside the coin,
+    whose bits it sets around that row.
     """
 
     __slots__ = ("n_in", "n_out", "sel", "det", "injective", "depth",
@@ -420,14 +411,12 @@ class _Node:
         self.depth = depth
         self.kernel = kernel  # int -> generator yielding (node, int)
         self.memo = {} if kernel is not None else memo  # int -> row
-        self.fixed = fixed  # (selection with holes, row), or None
+        self.fixed = fixed  # a product node's coin row, or None
 
     def function(self):
-        """The function of a wiring node's selection, or of a product
-        node's, built on first use."""
+        """The function of a wiring node's selection, built on first use."""
         if self.det is None:
-            self.det = _select(self.fixed[0] if self.sel is None else self.sel,
-                               self.n_in)
+            self.det = _select(self.sel, self.n_in)
         return self.det
 
 
@@ -511,35 +500,52 @@ def _wiring(n_in: int, sel: tuple) -> _Node:
 
 
 def _fixed(node: _Node):
-    """A node's fixed row and the selection it is placed among, as
-    ``(selection, row)``: a product node's, or a coin's, whose every
-    output bit is a hole; else None."""
-    if node.fixed is None and node.kernel is None and node.memo is not None:
-        return (None,) * node.n_out, node.memo[0]
-    return node.fixed
+    """A coin's row, the one its memo holds and no kernel adds to; else
+    None."""
+    return node.memo[0] if node.kernel is None and node.memo else None
 
 
-def _product(n_in: int, sel: tuple, row: tuple, injective: bool) -> _Node:
-    """The product node of a reduced row ``(den, {bits: numerator})``,
-    whose bits are the holes of the selection ``sel``: its row at x is
-    the fixed row or-ed with the selected bits of x.  A distribution
-    of many outcomes is multiplied by it in one pass (``Series._seq``)
-    when the selection is injective, so no two outcomes collide.  The
-    kernel builds a function of the selection of its own, on first use,
-    so that it holds no reference to its node."""
-    den, fixed = row
-    det = None
+def _fill(sel: tuple, n_in: int, dets: list):
+    """The function of a bit selection whose holes deterministic nodes
+    fill: each ``(fn, at, mask, to)`` reads its input at bit ``at`` under
+    ``mask`` and writes fn's output at bit ``to``."""
+    pick = _select(sel, n_in)
+    if not dets:
+        return pick
 
-    def kernel(x):
-        nonlocal det
-        if det is None:
-            det = _select(sel, n_in)
-        hi = det(x)
-        return (den, {hi | y: m for y, m in fixed.items()}) if hi else row
-        yield  # a generator, as every kernel is
+    def fill(x):
+        y = pick(x)
+        for fn, at, mask, to in dets:
+            y |= fn(x >> at & mask) << to
+        return y
+    return fill
 
-    return _Node(n_in, len(sel), kernel=kernel, fixed=(sel, row),
-                 injective=injective)
+
+def _place(hi: int, wide: list, cap: int) -> tuple:
+    """The row of a tensor: the point ``hi`` of the outputs its other
+    factors fix, beside its rows of more than one outcome, each ``(to,
+    den, row)`` placed at bit ``to``, from left to right, the left one
+    varying slowest.  A lone row beside no point at bit 0 is itself, and
+    a lone rope is placed anew part by part, no entry copied.  A lone
+    row is within the cap already; several are refused, before they
+    are multiplied, at the product of their sizes, the tensor's whole
+    outcome count."""
+    if len(wide) == 1:
+        ((to, den, row),) = wide
+        if not (to or hi):
+            return den, row
+        if row.__class__ is _Cat:
+            return den, _Cat(tuple((n, s + to, (at << to) | hi, part, d)
+                                   for n, s, at, part, d in row.parts),
+                             row.size, row.split + to)
+    elif (size := math.prod([len(row) for _, _, row in wide])) > cap:
+        raise _support_error(size, cap)
+    den, out = 1, {hi: 1}
+    for to, d, row in wide:
+        den *= d
+        out = {u | y << to: n * m
+               for u, n in out.items() for y, m in row.items()}
+    return den, out
 
 
 def _phi(w: int):
@@ -669,16 +675,15 @@ def _plain(row) -> dict:
     return row.plain() if row.__class__ is _Cat else row
 
 
-def _concat(den: int, parts: list, cap: int, split: int, push=None) -> tuple:
-    """``_mix`` of parts whose outputs, after ``hi`` and ``push``, are
-    pairwise disjoint, each part's row lying below bit ``split`` and
-    each ``hi`` a distinct multiple of ``2^split``: the same row, with
-    the same entries in the same order, and no lookup per entry.
-    Without ``push``, a row of ``_CAT_FLOOR`` entries or more is kept as
-    its parts (``_Cat``), and no entry is copied.  The support is summed
-    part by part, so it is refused at the part where it passes the cap,
-    as ``_mix`` refuses it."""
-    if len(parts) == 1 and parts[0][1] == 0 and push is None:
+def _concat(den: int, parts: list, cap: int, split: int) -> tuple:
+    """``_mix`` of parts whose outputs, after ``hi``, are pairwise
+    disjoint, each part's row lying below bit ``split`` and each ``hi`` a
+    distinct multiple of ``2^split``: the same row, with the same entries
+    in the same order, and no lookup per entry.  A row of ``_CAT_FLOOR``
+    entries or more is kept as its parts (``_Cat``), and no entry is
+    copied.  The support is summed part by part, so it is refused at the
+    part where it passes the cap, as ``_mix`` refuses it."""
+    if len(parts) == 1 and parts[0][1] == 0:
         return parts[0][2]
     scale = math.lcm(*{d for _, _, (d, _) in parts})
     kept, size = [], 0
@@ -690,10 +695,8 @@ def _concat(den: int, parts: list, cap: int, split: int, push=None) -> tuple:
     if size == 1:
         ((_, _, hi, row, _),) = kept
         (y,) = row
-        return 1, {push(y | hi) if push else y | hi: 1}
+        return 1, {y | hi: 1}
     row = _Cat(tuple(kept), size, split)
-    if push is not None:
-        return den * scale, {push(y): m for y, m in row.plain().items()}
     return den * scale, row if size >= _CAT_FLOOR else row.plain()
 
 
@@ -821,10 +824,12 @@ class _Loop:
             if row is None:
                 # Continuation outputs lie below 2^c_bits, so parts of
                 # distinct stream heads, as their hi tells, are disjoint.
-                # A loop that emits nothing has one head.
+                # A loop that emits nothing has one head.  A push moves
+                # the heads, so its rows are mixed.
                 rows[key] = row = (
-                    _concat(den, parts, cap, c_bits, push)
-                    if b and len({h for _, h, _ in parts}) == len(parts)
+                    _concat(den, parts, cap, c_bits)
+                    if push is None and b
+                    and len({h for _, h, _ in parts}) == len(parts)
                     else _mix(den, parts, cap, push))
             return row
 
@@ -1026,16 +1031,8 @@ class Series:
             c, m, d = nodes[i:i + 3]
             cond = self._cond(c, m, d, width(phi.at))
             nodes[i:i + 3] = ([cond] if cond is not None
-                              else [self._par(self._par(c, m), d),
-                                    self._gen(phi)])
-        if isinstance(term, Seq):
-            return self._seq(nodes)
-        # Pairwise into a balanced tree: a chain of n factors nests log n
-        # deep, so its functions and the driver's stack stay shallow.
-        while len(nodes) > 1:
-            pairs = [self._par(f, g) for f, g in zip(nodes[::2], nodes[1::2])]
-            nodes = pairs + nodes[2 * len(pairs):]
-        return nodes[0]
+                              else [self._par([c, m, d]), self._gen(phi)])
+        return (self._seq if isinstance(term, Seq) else self._par)(nodes)
 
     def _tau(self, term: TauStar) -> _Node:
         """A loop's level at the size.  A loop over a size-free body is
@@ -1109,7 +1106,7 @@ class Series:
                         den, dist = (row if row is not None
                                      else (yield child, v))
                 elif placed:  # a product stage, as _mix would mix it
-                    fn, (d, row) = child.function(), child.fixed[1]
+                    fn, (d, row) = child.function(), child.fixed
                     r = len(row)
                     if len(dist) * r > cap:  # refused where _mix refuses
                         raise _support_error((cap // r + 1) * r, cap)
@@ -1176,72 +1173,58 @@ class Series:
 
         return _Node(c_at + c.n_in, w, kernel=kernel)
 
-    def _par(self, f: _Node, g: _Node) -> _Node:
-        g_in, g_out = g.n_in, g.n_out
-        n_in, n_out = f.n_in + g_in, f.n_out + g_out
-        if f.sel is not None and g.sel is not None:
-            return _wiring(n_in, g.sel + tuple(s + g_in for s in f.sel))
-        # A coin or a product node beside wiring is a product node; the
-        # two read disjoint input bits, and a coin reads none.
-        if g.sel is not None and (fixed := _fixed(f)) is not None:
-            sel, (den, row) = fixed
-            return _product(n_in, g.sel + tuple([
-                s if s is None else s + g_in for s in sel]),
-                (den, {y << g_out: m for y, m in row.items()}),
-                g.injective and (f.fixed is None or f.injective))
-        if f.sel is not None and (fixed := _fixed(g)) is not None:
-            sel, row = fixed
-            return _product(n_in, sel + tuple([s + g_in for s in f.sel]), row,
-                            f.injective and (g.fixed is None or g.injective))
-        g_mask = (1 << g_in) - 1
-        f_rows, g_rows = f.memo, g.memo
-        fd = None if f_rows is not None else f.function()
-        gd = None if g_rows is not None else g.function()
-        if fd is not None and gd is not None:
-            return _shallow(_Node(
-                n_in, n_out,
-                det=lambda x: (fd(x >> g_in) << g_out) | gd(x & g_mask),
-                injective=f.injective and g.injective,
-                depth=1 + max(f.depth, g.depth)))
+    def _par(self, nodes: list) -> _Node:
+        """A tensor of nodes, the first on the left, as one node, built in
+        one pass from the right.  The wiring joins one bit selection, and
+        every other node's outputs are holes in it.  With no other node
+        it is wiring; with deterministic nodes alone, one function that
+        fills their holes (``_fill``).  Else its kernel reads the point
+        that function gives and the rows of the stochastic nodes, and
+        places them (``_place``); beside one coin alone it is a product
+        node, the coin's row fixed."""
+        sel, dets, steps, n_in = [], [], [], 0
+        for node in reversed(nodes):
+            if node.sel is not None:
+                sel += [s + n_in for s in node.sel]
+            else:
+                place = n_in, (1 << node.n_in) - 1, len(sel)
+                if node.memo is None:
+                    dets.append((node.function(), *place))
+                else:
+                    steps.append((node, node.memo, *place))
+                sel += [None] * node.n_out
+            n_in += node.n_in
+        sel, n_out = tuple(sel), len(sel)
+        if not dets and not steps:
+            return _wiring(n_in, sel)
+        injective = all(n.injective for n in nodes if n.memo is None)
+        point = _fill(sel, n_in, dets)
+        if not steps:
+            return _shallow(_Node(n_in, n_out, det=point, injective=injective,
+                                  depth=1 + max(n.depth for n in nodes)))
+        fixed = None
+        if not dets and len(steps) == 1 and (coin := _fixed(steps[0][0])):
+            den, row = coin
+            to = steps[0][-1]
+            fixed = den, {y << to: m for y, m in row.items()}
+        steps.reverse()  # left to right, as _place takes them
         cap = self.cap
 
         def kernel(x):
-            u, v = x >> g_in, x & g_mask
-            if fd is not None:
-                df, kf = 1, {fd(u): 1}
-            else:
-                row = f_rows.get(u)
-                df, kf = row if row is not None else (yield f, u)
-            if gd is not None:
-                dg, kg = 1, {gd(v): 1}
-            else:
-                row = g_rows.get(v)
-                dg, kg = row if row is not None else (yield g, v)
-            # A point beside a rope places the rope's parts anew.
-            if len(kf) == 1:
-                (u,) = kf
-                if not u:
-                    return dg, kg
-                hi = u << g_out
-                if kg.__class__ is _Cat:
-                    return dg, _Cat(tuple(
-                        (n, s, hi | at, row, d)
-                        for n, s, at, row, d in kg.parts), kg.size, kg.split)
-                return dg, {hi | v: m for v, m in kg.items()}
-            if len(kg) == 1:
-                (lo,) = kg
-                if kf.__class__ is _Cat:
-                    return df, _Cat(tuple(
-                        (n, s + g_out, (at << g_out) | lo, row, d)
-                        for n, s, at, row, d in kf.parts),
-                        kf.size, kf.split + g_out)
-                return df, {(u << g_out) | lo: n for u, n in kf.items()}
-            if len(kf) * len(kg) > cap:
-                raise _support_error(len(kf) * len(kg), cap)
-            return df * dg, {(u << g_out) | v: n * m
-                             for u, n in kf.items() for v, m in kg.items()}
+            hi, wide = point(x), []
+            for node, rows, at, mask, to in steps:
+                u = x >> at & mask
+                row = rows.get(u)
+                den, out = row if row is not None else (yield node, u)
+                if len(out) == 1:
+                    (y,) = out
+                    hi |= y << to
+                else:
+                    wide.append((to, den, out))
+            return _place(hi, wide, cap)
 
-        return _Node(n_in, n_out, kernel=kernel)
+        return _Node(n_in, n_out, kernel=kernel, fixed=fixed,
+                     det=point if fixed else None, injective=injective)
 
     def rows(self, term: Term, k: int | None = None) -> tuple:
         """A term at size k as its output width and its rows, one per

@@ -15,6 +15,7 @@ from pbc import (
     CONSISTENT,
     EqualUpTo,
     Id,
+    StochMap,
     Swap,
     TauStar,
     UNIT,
@@ -64,7 +65,6 @@ from pbc.combinators import (
     vn_rhs,
     zip_streams,
 )
-from pbc.semantics import stoch_map
 
 from circuitgen import random_circuit
 from reference import tv_distance_overlap
@@ -136,7 +136,7 @@ def test_criterion_03_canonical_forms(capsys):
         forms = set()
         for table in range(16):
             rows = [dirac((table >> w) & 1) for w in range(4)]
-            from_map = synthesize_from_map(stoch_map(2, 1, rows))
+            from_map = synthesize_from_map(StochMap(2, 1, tuple(rows)))
             assert normalize(_mux_realization(table)) == from_map
             assert normalize(nf_to_term(from_map)) == from_map
             forms.add(from_map)

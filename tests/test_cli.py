@@ -356,6 +356,23 @@ def test_a_product_stage_refuses_the_support_where_mix_does(capsys,
                "it)\n")
 
 
+def test_a_tensor_of_wide_rows_is_refused_at_its_whole_outcome_count(
+        capsys, monkeypatch, tmp_path):
+    # Five fair coins side by side are one node, whose 32 outcomes, above
+    # 2^2, are refused before any two of its rows are multiplied, however
+    # the factors group.
+    monkeypatch.setenv("PBC_MAX_WIRES", "2")
+    path = tmp_path / "f.pbc"
+    for coins in ("coin(1/2) x coin(1/2) x coin(1/2) x coin(1/2) x coin(1/2)",
+                  "(coin(1/2) x coin(1/2)) x (coin(1/2) x (coin(1/2) x "
+                  "coin(1/2)))"):
+        path.write_text(f"main = {coins} ; del<B^5>\n")
+        assert run(capsys, "eval", str(path)) == (
+            2, "", "pbc: an intermediate distribution has 32 outcomes, above "
+                   "the limit of 4 (2^PBC_MAX_WIRES; set PBC_MAX_WIRES to "
+                   "raise it)\n")
+
+
 def test_eval_rejects_a_range(capsys):
     code, _, err = run(capsys, "eval", OTP_L, "--k", "0..3")
     assert code == 2

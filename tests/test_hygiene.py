@@ -26,10 +26,11 @@ def _imported(tree: ast.Module) -> dict:
 
 def _used(tree: ast.Module) -> set:
     """Names the module reads, in code, in string annotations, or as
-    re-exports listed in ``__all__``."""
+    re-exports listed in ``__all__``; a name only assigned to is not
+    read."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, (ast.AnnAssign, ast.arg, ast.FunctionDef)):
             ann = (node.returns if isinstance(node, ast.FunctionDef)
@@ -50,6 +51,42 @@ def test_every_imported_name_is_used(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _defined(tree: ast.Module) -> dict:
+    """Module-level functions, classes and constants, mapped to their
+    line numbers; dunder names such as ``__all__`` are left out."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]):
+                if (isinstance(target, ast.Name)
+                        and not target.id.startswith("__")):
+                    names[target.id] = node.lineno
+    return names
+
+
+def _read(path: Path) -> set:
+    """Names a module reads (``_used``), or reads as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return _used(tree) | {node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute)}
+
+
+PACKAGE_READS = set().union(*map(_read, PACKAGE.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_name_is_read_in_the_package(path):
+    # A function, class or constant nothing reads is dead code, unless
+    # an ``__all__`` exports it.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dead = {name: line for name, line in _defined(tree).items()
+            if name not in PACKAGE_READS}
+    assert not dead, f"{path.name} defines names nothing reads: {dead}"
 
 
 # Functions that may call themselves: each recursion is bounded by a

@@ -9,10 +9,11 @@ same order.  A tensor with a point on one side places a row kept as its
 parts anew; it must read out as the reference map.  A distance between
 two rows kept as their parts pairs them part against part
 (``semantics._excess``); it must give the distance of the flattened
-rows and of the reference maps.  A coin beside wiring multiplies a
-whole distribution in one pass (``semantics._product``); it must give
+rows and of the reference maps.  A coin beside wiring is a product
+node, which multiplies a whole distribution in one pass; it must give
 the rows ``_mix`` gives over the same parts, entry order included, and
-the reference map.
+the reference map.  A tensor of any number of factors is one node
+(``Series._par``); its rows must be the reference map's.
 """
 
 import random
@@ -29,6 +30,7 @@ from circuitgen import random_circuit
 from pbc import (
     B,
     Id,
+    Swap,
     TauStar,
     Term,
     UNIT,
@@ -41,6 +43,7 @@ from pbc import (
     hom_distance,
     instantiate,
     par,
+    phi_gen,
     pretty_term,
     seq,
     star,
@@ -158,9 +161,9 @@ def checked_concat():
     built = []
     concat, mix = semantics._concat, semantics._mix
 
-    def checked(den, parts, cap, split, push=None):
-        row = concat(den, parts, cap, split, push)
-        want = mix(den, parts, cap, push)
+    def checked(den, parts, cap, split):
+        row = concat(den, parts, cap, split)
+        want = mix(den, parts, cap)
         # The same entries in the same order; only _mix divides by the
         # gcd of the row.
         scale, rest = divmod(row[0], want[0])
@@ -345,8 +348,8 @@ def test_a_walk_sums_each_part_at_its_place_against_its_own_row(
     rows = {name: semantics._concat(4, parts, 1 << 20, 1)
             for name, parts in recipes.items()}
     for name in ("A1", "B1"):  # placed beside the point 1, on the right
-        beside = Series()._par(_Node(0, 3, memo={0: rows[name]}),
-                               _Node(0, 1, det=lambda x: 1))
+        beside = Series()._par([_Node(0, 3, memo={0: rows[name]}),
+                                _Node(0, 1, det=lambda x: 1)])
         rows[name + "p"] = semantics._row(beside, 0)
     assert rows["A1p"][1].__class__ is semantics._Cat
     # A1p's parts at their new place, 2y + 1 under heads of split 2, as
@@ -373,7 +376,8 @@ def _random_ropes(data) -> list:
     """Random rows as ``(den, row, width)``: a few dicts, then ropes
     built by ``_concat`` from rows drawn among those before, so parts
     are shared, at random splits, heads, multipliers and denominators,
-    each placed anew beside a point on the left or the right, or not."""
+    each placed anew beside a point on the left, the right or both sides,
+    or not."""
     draw = data.draw
     pool = []
     for _ in range(draw(st.integers(1, 3))):
@@ -393,14 +397,15 @@ def _random_ropes(data) -> list:
             sum(ns), [(n, h << split, pool[i][:2])
                       for n, h, i in zip(ns, heads, picks)], 1 << 30, split)
         w = split + 2
-        side, v = draw(st.sampled_from(["", "left", "right"])), draw(
+        side, v = draw(st.sampled_from(["", "left", "right", "both"])), draw(
             st.integers(0, 1))
-        if side:  # beside the one-bit point v
+        if side:  # beside the one-bit point v, or between two
             point = _Node(0, 1, det=lambda x: v)
             rope = _Node(0, w, memo={0: (den, row)})
-            den, row = semantics._row(Series()._par(
-                *((point, rope) if side == "left" else (rope, point))), 0)
-            w += 1
+            nodes = {"left": [point, rope], "right": [rope, point],
+                     "both": [point, rope, point]}[side]
+            den, row = semantics._row(Series()._par(nodes), 0)
+            w += len(nodes) - 1
         pool.append((den, row, w))
     return pool
 
@@ -638,3 +643,107 @@ def test_a_coin_stage_in_a_loop_body_multiplies_as_mix_mixes():
         for f in _random_loop_pair(1, [1], [1], salt):
             for k in range(4):
                 _products(f, k)
+
+
+# ---------------------------------------------------------------------------
+# One node per tensor.
+
+@pytest.mark.parametrize("gen", [
+    coin("1/3"), copy_gen(B), discard_gen(B), phi_gen(B), Swap(B, B),
+], ids=pretty_term)
+def test_a_stage_among_wiring_builds_one_node_besides_its_factors(
+        monkeypatch, gen):
+    built = []
+    init = _Node.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Node, "__init__", counted)
+    series = Series()
+    stage = par(Id(bools(2)), gen, Id(bools(3)))
+    assert series.node(stage) is built[-1]
+    # id<B^2>, the generator, id<B^3>, and the tensor.
+    assert len(built) == 4
+    monkeypatch.undo()
+    _, rows = series.rows(stage)
+    assert [semantics._fractions(den, row, {}) for den, row in rows
+            ] == list(reference_denote(stage).rows)
+
+
+def test_a_tensor_lists_its_outcomes_with_its_left_factor_slowest():
+    # In the order the reference's tensor lists them, over the product
+    # of the denominators; the tensor's rows of other widths are placed
+    # around a point.
+    term = par(coin("1/3"), Id(B), coin("1/5"), discard_gen(B))
+    rows = Series().rows(term)[1]
+    assert [(den, list(row)) for den, row in rows] == [
+        (15, list(want)) for want in reference_denote(term).rows]
+    assert list(rows[0][1]) == [0b101, 0b100, 0b001, 0b000]
+
+
+_biases = st.sampled_from(["0", "1", "1/2", "1/3", "3/4"])
+
+
+def _small_circuit(salt: int) -> Term:
+    rng = random.Random(salt)
+    return random_circuit(rng, rng.randint(0, 2), rng.randint(0, 2),
+                          max_gens=4, max_wires=4, max_den=4)
+
+
+_wiring = st.one_of(
+    st.builds(lambda w: Id(bools(w)), st.integers(0, 2)),
+    st.sampled_from([Swap(B, B), copy_gen(B), discard_gen(B)]))
+_factors = st.one_of(
+    _wiring,
+    st.sampled_from([C.not_gate(), phi_gen(B)]),
+    st.builds(coin, _biases),
+    st.builds(_small_circuit, st.integers(0, 10**6)),
+    st.builds(lambda p: TauStar(UNIT, (), (B,), coin(p)), _biases),
+)
+# Any factors, or wiring around one biased coin: a product node.
+_tensors = st.one_of(
+    st.lists(_factors, min_size=2, max_size=6),
+    st.builds(lambda ws, p, i: ws[:i] + [coin(p)] + ws[i:],
+              st.lists(_wiring, min_size=1, max_size=5),
+              st.sampled_from(["1/2", "1/3", "3/4"]), st.integers(0, 5)))
+
+
+def _kind(node: _Node) -> str:
+    return ("wiring" if node.sel is not None else "product" if node.fixed
+            else "function" if node.memo is None else "kernel")
+
+
+def test_tensors_of_many_factors_read_out_as_the_reference_map(capsys,
+                                                               tmp_path):
+    path, kinds = tmp_path / "t.pbc", []
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tensors, st.integers(0, 3))
+    def check(drawn, k):
+        # Factors are taken while the tensor stays within 7 wires in
+        # and 9 out; the first two always fit.
+        fs, n_in, n_out = [], 0, 0
+        for f in drawn:
+            t = typecheck(f)
+            n_in += width(t.domain, k)
+            n_out += width(t.codomain, k)
+            if len(fs) >= 2 and (n_in > 7 or n_out > 9):
+                break
+            fs.append(f)
+        term = par(*fs)
+        want = reference_denote(instantiate(k, term))
+        series = Series()
+        _, rows = series.rows(term, k)
+        assert [semantics._fractions(den, row, {}) for den, row in rows
+                ] == list(want.rows)
+        kinds.append(_kind(series.node(term)))
+        path.write_text(f"main = {pretty_term(term)}\n")
+        assert main(["eval", str(path), "--k", str(k)]) == 0
+        assert capsys.readouterr().out == map_to_tsv(want)
+
+    check()
+    # Every kind of tensor node was built.
+    assert min(map(kinds.count, ("wiring", "product", "function",
+                                 "kernel"))) >= 3
