@@ -29,7 +29,7 @@ from pbc import (
     instantiate, par, parse_circuit, parse_term, pretty_term, seq, star,
     star_equiv_bounded, tensor,
 )
-from pbc import semantics
+from pbc import _rows
 from pbc.combinators import not_gate, xor_gate
 from pbc.cli import main
 from pbc.semantics import bit_string
@@ -345,9 +345,9 @@ def test_loops_over_generated_bodies_get_the_reference_verdicts(
             if k == 2:
                 # A nested loop's rows are ropes of ropes from 2 entries
                 # on, so the distances pair their parts at these sizes.
-                mp.setattr(semantics, "_CAT_FLOOR", 2)
-                walk = semantics._excess
-                mp.setattr(semantics, "_excess", lambda *args: (
+                mp.setattr(_rows, "_CAT_FLOOR", 2)
+                walk = _rows._excess
+                mp.setattr(_rows, "_excess", lambda *args: (
                     walks.append(args) or walk(*args)))
             assert _run("eq", *paths, "--k", str(k)) == (code, line, ""), pair
             assert _run("dist", *paths, "--k", f"0..{k}") == (

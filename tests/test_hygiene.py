@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import re
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -140,6 +142,39 @@ def test_only_objects_and_terms_check_words():
                for node in ast.walk(ast.parse(path.read_text(
                    encoding="utf-8"))))}
     assert callers == {"objects.py", "terms.py"}
+
+
+def test_only_rows_reads_a_rope():
+    # The rope's format is one module's: every other module builds,
+    # compares and reads rows through _rows's kernels and _plain.
+    def reads(node):
+        return (isinstance(node, ast.Name) and node.id == "_Cat"
+                or isinstance(node, ast.alias) and node.name == "_Cat"
+                or isinstance(node, ast.Attribute)
+                and node.attr in ("parts", "split", "flat"))
+    readers = {
+        path.name for path in PACKAGE.glob("*.py")
+        if any(map(reads, ast.walk(ast.parse(path.read_text(
+            encoding="utf-8")))))}
+    assert readers == {"_rows.py"}
+
+
+def test_every_package_name_the_readme_cites_exists():
+    # A dotted name under a package module, such as `pbc.semantics.denote`,
+    # `_rows._concat` or `semantics.Series()`, must still be there.
+    modules = {path.stem for path in MODULES}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = []
+    for cited in re.finditer(r"`(pbc\.)?(\w+)((?:\.\w+)*)(?:\(\))?`", text):
+        prefix, module, attrs = cited.groups()
+        if module not in modules or not (prefix or attrs):
+            continue
+        try:
+            reduce(getattr, attrs.split(".")[1:],
+                   importlib.import_module(f"pbc.{module}"))
+        except AttributeError:
+            missing.append(cited.group(0))
+    assert not missing, f"README cites names that are gone: {missing}"
 
 
 @pytest.mark.parametrize("name", ["Seq", "Par", "TauStar"])

@@ -1,14 +1,14 @@
 """The evaluator's row kernels against plain formulas.
 
-``semantics._tv`` sums, in one pass over the smaller row, the mass one
+``_rows._tv`` sums, in one pass over the smaller row, the mass one
 integer row puts above the other; it must be half their L1 distance.
-``semantics._concat`` builds a loop row whose parts cannot collide by
-concatenating them; it must build the row ``semantics._mix`` builds
+``_rows._concat`` builds a loop row whose parts cannot collide by
+concatenating them; it must build the row ``_rows._mix`` builds
 from the same parts: the same denominator, the same entries, in the
 same order.  A tensor with a point on one side places a row kept as its
 parts anew; it must read out as the reference map.  A distance between
 two rows kept as their parts pairs them part against part
-(``semantics._excess``); it must give the distance of the flattened
+(``_rows._excess``); it must give the distance of the flattened
 rows and of the reference maps.  A coin beside wiring is a product
 node, which multiplies a whole distribution in one pass; it must give
 the rows ``_mix`` gives over the same parts, entry order included, and
@@ -52,7 +52,7 @@ from pbc import (
     width,
 )
 from pbc import combinators as C
-from pbc import semantics
+from pbc import _rows, semantics
 from pbc.cli import main
 from pbc.semantics import Series, _Node, map_to_tsv
 from reference import reference_denote, tv_distance_overlap
@@ -75,12 +75,13 @@ def _weights(row: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # One-pass row distance.
 
-_rows = st.dictionaries(st.integers(0, 7), st.integers(1, 6),
-                        min_size=1, max_size=8)
+_int_rows = st.dictionaries(st.integers(0, 7), st.integers(1, 6),
+                            min_size=1, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rows, _rows, st.sampled_from(["overlap", "disjoint", "inside"]),
+@given(_int_rows, _int_rows,
+       st.sampled_from(["overlap", "disjoint", "inside"]),
        st.integers(1, 3), st.integers(1, 3))
 @example({3: 1}, {3: 2}, "overlap", 1, 1)  # point rows, unequal dens
 @example({3: 1}, {5: 1}, "overlap", 1, 1)  # point rows apart
@@ -97,8 +98,8 @@ def test_the_one_pass_distance_is_half_the_l1_distance(a, b, shape, ka, kb):
     b = {y: n * kb for y, n in b.items()}
     (da, v), (db, w) = _weights(a), _weights(b)
     want = _half_l1(v, w)
-    assert semantics._tv(da, a, db, b) == want
-    assert semantics._tv(db, b, da, a) == want
+    assert _rows._tv(da, a, db, b) == want
+    assert _rows._tv(db, b, da, a) == want
     assert tv_distance(v, w) == want == tv_distance_overlap(v, w)
     if shape == "disjoint":
         assert want == 1
@@ -263,11 +264,11 @@ def test_ropes_placed_beside_a_point_read_out_as_the_reference_map(
         for k in range(11):
             want = reference_denote(instantiate(k, term))
             _, rows = series.rows(term, k)
-            assert [semantics._fractions(den, row, {}) for den, row in rows
+            assert [_rows._fractions(den, row, {}) for den, row in rows
                     ] == list(want.rows), k
             if k >= 6:  # 64 entries: the root row is a placed rope
                 _, row = semantics._row(series.node(term), 0)
-                assert row.__class__ is semantics._Cat
+                assert row.__class__ is _rows._Cat
             assert main(["eval", str(path), "--k", str(k)]) == 0
             assert capsys.readouterr().out == map_to_tsv(want), k
 
@@ -280,11 +281,11 @@ def _count_walks(monkeypatch, floor=None) -> list:
     two rows' parts, one entry per such distance; with ``floor`` given,
     every concatenation of that many entries or more is kept as its
     parts."""
-    walks, walk = [], semantics._excess
-    monkeypatch.setattr(semantics, "_excess", lambda *args: (
+    walks, walk = [], _rows._excess
+    monkeypatch.setattr(_rows, "_excess", lambda *args: (
         walks.append(args[-1]) or walk(*args)))
     if floor is not None:
-        monkeypatch.setattr(semantics, "_CAT_FLOOR", floor)
+        monkeypatch.setattr(_rows, "_CAT_FLOOR", floor)
     return walks
 
 
@@ -303,7 +304,7 @@ def _scanned_distance(f, g, k):
     """The distance over the rows as plain dicts: no part is walked."""
     _, f_rows = Series().rows(f, k)
     _, g_rows = Series().rows(g, k)
-    return max(semantics._tv(*a, *b) for a, b in zip(f_rows, g_rows))
+    return max(_rows._tv(*a, *b) for a, b in zip(f_rows, g_rows))
 
 
 @pytest.mark.parametrize("floor", [None, 2])
@@ -345,28 +346,29 @@ def test_a_walk_sums_each_part_at_its_place_against_its_own_row(
                "A3": [(1, 0, part), (3, 2, point)],
                "B1": [(2, 2, part), (2, 0, part)],
                "B2": [(1, 4, part), (3, 0, point)]}  # a head A lacks
-    rows = {name: semantics._concat(4, parts, 1 << 20, 1)
+    rows = {name: _rows._concat(4, parts, 1 << 20, 1)
             for name, parts in recipes.items()}
     for name in ("A1", "B1"):  # placed beside the point 1, on the right
         beside = Series()._par([_Node(0, 3, memo={0: rows[name]}),
                                 _Node(0, 1, det=lambda x: 1)])
         rows[name + "p"] = semantics._row(beside, 0)
-    assert rows["A1p"][1].__class__ is semantics._Cat
+    assert rows["A1p"][1].__class__ is _rows._Cat
     # A1p's parts at their new place, 2y + 1 under heads of split 2, as
     # rows of their own: paired with A1p, each part meets a row it is
     # scanned against at two places.
-    rows["C"] = semantics._concat(2, [(1, 4, (3, {1: 1, 3: 2})),
-                                      (1, 0, (1, {1: 1}))], 1 << 20, 2)
+    rows["C"] = _rows._concat(2, [(1, 4, (3, {1: 1, 3: 2})),
+                                  (1, 0, (1, {1: 1}))], 1 << 20, 2)
 
     def want(a, b):
-        return _half_l1(_weights(dict(a[1]))[1], _weights(dict(b[1]))[1])
+        return _half_l1(_weights(_rows._plain(a[1]))[1],
+                        _weights(_rows._plain(b[1]))[1])
 
     memo, pairs = {}, 0
     for a, b in [("A1", "B1"), ("A2", "B1"), ("A3", "B1"), ("A1", "B2"),
                  ("A2", "B2"), ("A1p", "B1p"), ("A1", "A2"),
                  ("A1p", "C")]:
         for x, y in ((a, b), (b, a)):
-            assert semantics._tv(*rows[x], *rows[y], memo) == want(
+            assert _rows._tv(*rows[x], *rows[y], memo) == want(
                 rows[x], rows[y]), (x, y)
             pairs += 1
     assert len(walks) == pairs
@@ -377,9 +379,20 @@ def _random_ropes(data) -> list:
     built by ``_concat`` from rows drawn among those before, so parts
     are shared, at random splits, heads, multipliers and denominators,
     each placed anew beside a point on the left, the right or both sides,
-    or not."""
+    or not.  Last come four ropes over two drawn rows, so that every
+    pool holds pairs of each kind: the first rope's split and heads,
+    those heads at the other rows, its split with a head it lacks, and
+    another split."""
     draw = data.draw
     pool = []
+
+    def rope(picks, heads, split):
+        ns = draw(st.lists(st.integers(1, 3), min_size=len(picks),
+                           max_size=len(picks)))
+        return _rows._concat(
+            sum(ns), [(n, h << split, pool[i][:2])
+                      for n, h, i in zip(ns, heads, picks)], 1 << 30, split)
+
     for _ in range(draw(st.integers(1, 3))):
         w = draw(st.integers(0, 2))
         row = draw(st.dictionaries(st.integers(0, (1 << w) - 1),
@@ -391,22 +404,25 @@ def _random_ropes(data) -> list:
         split = max(pool[i][2] for i in picks) + draw(st.integers(0, 1))
         heads = draw(st.lists(st.integers(0, 3), min_size=len(picks),
                               max_size=len(picks), unique=True))
-        ns = draw(st.lists(st.integers(1, 3), min_size=len(picks),
-                           max_size=len(picks)))
-        den, row = semantics._concat(
-            sum(ns), [(n, h << split, pool[i][:2])
-                      for n, h, i in zip(ns, heads, picks)], 1 << 30, split)
+        den, row = rope(picks, heads, split)
         w = split + 2
         side, v = draw(st.sampled_from(["", "left", "right", "both"])), draw(
             st.integers(0, 1))
         if side:  # beside the one-bit point v, or between two
             point = _Node(0, 1, det=lambda x: v)
-            rope = _Node(0, w, memo={0: (den, row)})
-            nodes = {"left": [point, rope], "right": [rope, point],
-                     "both": [point, rope, point]}[side]
+            rope_node = _Node(0, w, memo={0: (den, row)})
+            nodes = {"left": [point, rope_node], "right": [rope_node, point],
+                     "both": [point, rope_node, point]}[side]
             den, row = semantics._row(Series()._par(nodes), 0)
             w += len(nodes) - 1
         pool.append((den, row, w))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2,
+                          max_size=2))
+    split = max(pool[i][2] for i in picks)
+    h0, h1, h2, _ = draw(st.permutations(range(4)))
+    for heads, at in (((h0, h1), split), ((h1, h0), split),
+                      ((h0, h2), split), ((h0, h1), split + 1)):
+        pool.append((*rope(picks, heads, at), at + 2))
     return pool
 
 
@@ -417,16 +433,16 @@ def test_paired_walks_of_random_ropes_are_the_flattened_distances():
     @given(st.data())
     def check(data):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(semantics, "_CAT_FLOOR", 2)
+            mp.setattr(_rows, "_CAT_FLOOR", 2)
             pool = _random_ropes(data)
         memo = {}  # one scan's, over every pair
         for da, a, _ in pool:
             for db, b, _ in pool:
-                plain_a, plain_b = dict(a), dict(b)
+                plain_a, plain_b = _rows._plain(a), _rows._plain(b)
                 want = _half_l1(_weights(plain_a)[1], _weights(plain_b)[1])
-                assert semantics._tv(da, a, db, b, memo) == want
-                assert semantics._tv(da, plain_a, db, plain_b) == want
-                if a.__class__ is b.__class__ is semantics._Cat:
+                assert _rows._tv(da, a, db, b, memo) == want
+                assert _rows._tv(da, plain_a, db, plain_b) == want
+                if a.__class__ is b.__class__ is _rows._Cat:
                     kinds.append(
                         "fallback" if a.split != b.split else "matched"
                         if {hi >> a.split for _, _, hi, _, _ in a.parts}
@@ -530,7 +546,7 @@ def test_a_loop_whose_body_loops_walks_rows_of_concatenated_body_rows(
     # At size 3 the outer body's row from the set flag has 4 entries,
     # kept as its parts.
     _, body_row = semantics._row(series.node(inner), 1)
-    assert body_row.__class__ is semantics._Cat
+    assert body_row.__class__ is _rows._Cat
 
 
 def test_a_thousand_levels_deep_row_evaluates_and_walks(monkeypatch, capsys,
@@ -589,7 +605,7 @@ def _products(term, k=None) -> int:
     assert rows == want
     reference = (reference_denote(term) if k is None
                  else reference_denote(instantiate(k, term)))
-    assert [semantics._fractions(den, dict(row), {}) for den, row in rows
+    assert [_rows._fractions(den, dict(row), {}) for den, row in rows
             ] == list(reference.rows)
     return unplaced_mixes - mixes
 
@@ -668,7 +684,7 @@ def test_a_stage_among_wiring_builds_one_node_besides_its_factors(
     assert len(built) == 4
     monkeypatch.undo()
     _, rows = series.rows(stage)
-    assert [semantics._fractions(den, row, {}) for den, row in rows
+    assert [_rows._fractions(den, row, {}) for den, row in rows
             ] == list(reference_denote(stage).rows)
 
 
@@ -736,7 +752,7 @@ def test_tensors_of_many_factors_read_out_as_the_reference_map(capsys,
         want = reference_denote(instantiate(k, term))
         series = Series()
         _, rows = series.rows(term, k)
-        assert [semantics._fractions(den, row, {}) for den, row in rows
+        assert [_rows._fractions(den, row, {}) for den, row in rows
                 ] == list(want.rows)
         kinds.append(_kind(series.node(term)))
         path.write_text(f"main = {pretty_term(term)}\n")
