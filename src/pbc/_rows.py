@@ -55,7 +55,7 @@ def _mix(den: int, parts: list, cap: int, push=None) -> tuple:
     for n, hi, (d, row) in parts:
         if d != scale:
             n *= scale // d
-        for y, m in row.items():
+        for y, m in _plain(row).items():
             y |= hi
             if push is not None:
                 y = push(y)
@@ -83,10 +83,11 @@ class _Cat:
     may be another ``_Cat``.  Every part's row, so placed, lies below
     bit ``split`` once the bits of ``hi`` at and above it are cleared,
     and those bits, the part's head, differ from part to part.  ``len``
-    is the size it was given; ``items`` reads the dict of its entries,
-    part by part in order, built on first use and kept (``plain``).
-    Like every row it is never changed, so it may stand in many rows'
-    parts and many memos.
+    is the size it was given, two or more, read without flattening; the
+    entries are read only through ``_plain``, the dict of them, part by
+    part in order, built on first use and kept (``plain``).  Like every
+    row it is never changed, so it may stand in many rows' parts and
+    many memos.
     """
 
     __slots__ = ("parts", "size", "split", "flat")
@@ -121,9 +122,6 @@ class _Cat:
 
     def __len__(self):
         return self.size
-
-    def items(self):
-        return self.plain().items()
 
 
 def _plain(row) -> dict:
@@ -179,7 +177,7 @@ def _place(hi: int, wide: list, cap: int) -> tuple:
     for to, d, row in wide:
         den *= d
         out = {u | y << to: n * m
-               for u, n in out.items() for y, m in row.items()}
+               for u, n in out.items() for y, m in _plain(row).items()}
     return den, out
 
 

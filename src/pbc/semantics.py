@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from ._rows import (
-    WireLimitError, _concat, _fractions, _mix, _place, _plain,
+    ZERO, WireLimitError, _concat, _fractions, _mix, _place, _plain,
     _support_error, _tv,
 )
 from .objects import bools, is_star_free, width
@@ -38,7 +38,6 @@ __all__ = [
     "HARD_WIRE_LIMIT", "SOFT_WIRE_LIMIT",
 ]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 HARD_WIRE_LIMIT = 20
@@ -488,7 +487,7 @@ class _Loop:
             den, dist = row if row is not None else (yield body, e)
             r = y & r_mask
             parts, recipe = [], []
-            for o, m in dist.items():
+            for o, m in _plain(dist).items():
                 c = ((o & s_mask) << r_bits) | r
                 row = below_rows.get(c)
                 if row is None:
@@ -774,7 +773,9 @@ class Series:
                         row = rows.get(v)
                         den, dist = (row if row is not None
                                      else (yield child, v))
-                elif placed:  # a product stage, as _mix would mix it
+                    continue
+                dist = _plain(dist)  # each stage below reads every entry
+                if placed:  # a product stage, as _mix would mix it
                     fn, (d, row) = child.function(), child.fixed
                     r = len(row)
                     if len(dist) * r > cap:  # refused where _mix refuses
@@ -831,7 +832,7 @@ class Series:
             u = x >> d_in & m_mask
             row = (1, {mf(u): 1}) if mf else m_rows.get(u)
             den, bits = row if row is not None else (yield m, u)
-            parts = []
+            bits, parts = _plain(bits), []
             for bit, arm, fn, at, mask in arms:
                 if bit in bits:
                     u = x >> at & mask

@@ -146,7 +146,9 @@ def test_only_objects_and_terms_check_words():
 
 def test_only_rows_reads_a_rope():
     # The rope's format is one module's: every other module builds,
-    # compares and reads rows through _rows's kernels and _plain.
+    # compares and reads rows through _rows's kernels and _plain.  A
+    # rope has no mapping methods, so a reader that skips _plain fails
+    # on its first rope, which the row kernel tests make appear.
     def reads(node):
         return (isinstance(node, ast.Name) and node.id == "_Cat"
                 or isinstance(node, ast.alias) and node.name == "_Cat"

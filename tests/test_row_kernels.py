@@ -169,8 +169,8 @@ def checked_concat():
         # gcd of the row.
         scale, rest = divmod(row[0], want[0])
         assert rest == 0
-        assert list(row[1].items()) == [(y, m * scale)
-                                        for y, m in want[1].items()]
+        assert list(_rows._plain(row[1]).items()) == [
+            (y, m * scale) for y, m in want[1].items()]
         built.append(row)
         return row
 
@@ -659,6 +659,37 @@ def test_a_coin_stage_in_a_loop_body_multiplies_as_mix_mixes():
         for f in _random_loop_pair(1, [1], [1], salt):
             for k in range(4):
                 _products(f, k)
+
+
+def _stages_after_coins():
+    """A coin loop, whose rows from 64 entries on are kept as their
+    parts, then a stage that reads every entry of its row: a coin beside
+    wiring (a product stage), a loop beside wiring (a mixture), and
+    wiring that keeps or merges outcomes."""
+    coins = TauStar(UNIT, (), (B,), coin("1/2"))
+    return [seq(coins, after) for after in (
+        par(Id(star(B)), coin("1/3")), par(coin("1/3"), Id(star(B))),
+        par(Id(star(B)), coins), par(coin(1), Id(star(B))),
+        C.discard_at(star(B)))]
+
+
+@pytest.mark.parametrize("term", _stages_after_coins(), ids=pretty_term)
+def test_a_stage_after_a_rope_reads_the_reference_map(
+        capsys, monkeypatch, tmp_path, term):
+    path = tmp_path / "t.pbc"
+    path.write_text(f"main = {pretty_term(term)}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 14 wires and more warn
+        for floor, ks in ((None, range(6, 8)), (2, range(1, 6))):
+            if floor is not None:
+                monkeypatch.setattr(_rows, "_CAT_FLOOR", floor)
+            for k in ks:
+                want = reference_denote(instantiate(k, term))
+                _, rows = Series().rows(term, k)
+                assert [_rows._fractions(den, row, {}) for den, row in rows
+                        ] == list(want.rows), (floor, k)
+                assert main(["eval", str(path), "--k", str(k)]) == 0
+                assert capsys.readouterr().out == map_to_tsv(want), (floor, k)
 
 
 # ---------------------------------------------------------------------------
