@@ -49,8 +49,11 @@ def _parse_k(text: str) -> tuple[int, int]:
     m = _K_RE.match(text)
     if not m:
         raise PBCError(f"bad --k value {text!r}: expected K or LO..HI")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) is not None else lo
+    try:
+        lo = int(m.group(1))
+        hi = int(m.group(2)) if m.group(2) is not None else lo
+    except ValueError:  # past the interpreter's digit limit
+        raise PBCError("bad --k value: too many digits") from None
     if hi < lo:
         raise PBCError(f"bad --k range {text!r}: upper end below lower")
     return lo, hi

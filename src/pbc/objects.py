@@ -93,7 +93,8 @@ def power(obj: Object, n: int) -> Object:
     """n-fold tensor of an object with itself."""
     if n < 0:
         raise ValueError(f"negative power: {n}")
-    return tuple(obj) * n
+    # The unit at any power is the unit, whatever n's size.
+    return tuple(obj) * n if obj else UNIT
 
 
 def star(obj: Object) -> Object:

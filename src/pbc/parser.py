@@ -6,7 +6,8 @@ and ``(obj)``.  Terms are ``id<obj>``, ``swap<obj,obj>``, ``copy<obj>``,
 ``t x t`` and ``iter[state; (in,...); (out,...)](body)``, with ``x``
 binding tighter than ``;`` and both associating to the left.  Rationals
 are ``num/den`` or a bare integer.  Parentheses, and stars in an object,
-nest at most 200 levels deep.
+nest at most 200 levels deep; a power builds a word of at most 2^20
+atoms; an integer literal has at most the digits ``int()`` reads.
 
 Circuit files are UTF-8.  ``--`` starts a line comment.  Blanks are
 space, tab, CR and LF; any other character that no token takes (a form
@@ -71,17 +72,17 @@ _GENERATORS = {
     GEN_NAMES[PHI]: (phi_gen, phi_at),
 }
 
-# Blanks, then a token (an identifier, an integer or a symbol), a
-# comment, a stray character, or the end of the source: trailing blanks
-# are one match, not one failed search per blank.
+# Blanks and comments, then a token (an identifier, an integer or a
+# symbol), a stray character, or the end of the source: trailing blanks
+# are one match, not one failed search per blank.  Whatever follows the
+# blanks and comments is one of these, so a match never backtracks.
 _TOKEN = re.compile(r"""
-    [ \t\r\n]*
-    (?: ( [^\W\d]\w* | \d+ | [;()<>\[\],=^*/] )
-      | ( --[^\n]* )
-      | ( [^ \t\r\n] )
-      | \Z )
+    [ \t\r\n]* (?: --[^\n]* [ \t\r\n]* )*
+    ( [^\W\d]\w* | \d+ | [;()<>\[\],=^*/] | [^ \t\r\n] | \Z )
 """, re.VERBOSE)
 _SYMBOLS = frozenset(";()<>[],=^*/")
+# A character no token is made of: a stray token starts with one.
+_STRAY = re.compile(r"[^\w;()<>\[\],=^*/]")
 
 
 def _is_name(text: str) -> bool:
@@ -91,8 +92,14 @@ def _is_name(text: str) -> bool:
 
 # Parentheses nest the parser's recursion, and stars the recursion of
 # every walk over an object: past this depth a source is refused before
-# the recursion runs out.
+# the recursion runs out.  A power builds its word atom by atom, so one
+# longer than _MAX_ATOMS is refused before it is built.
 _MAX_NESTING = 200
+_MAX_ATOMS = 1 << 20
+
+# The token that closes each leaf of the form name<obj> or coin(p).
+_LEAF_CLOSE = {"id": ">", "swap": ">", "coin": ")",
+               **dict.fromkeys(_GENERATORS, ">")}
 
 
 def _star_depth(obj: Object) -> int:
@@ -112,33 +119,39 @@ def _error(source: str, offset: int, message: str) -> PBCSyntaxError:
 
 
 def _tokenize(source: str) -> tuple:
-    """The token texts, then ``""`` for the end of input, and the offset
-    at which each starts."""
-    texts, starts = [], []
-    end = len(source)
-    for m in _TOKEN.finditer(source):
-        kind = m.lastindex
-        if kind == 1:
-            texts.append(m[1])
-            starts.append(m.start(1))
-        elif kind == 3:
-            raise _error(source, m.start(3), f"stray character {m[3]!r}")
-        elif kind == 2 and m.end() == end:
-            # End of input after a trailing comment is placed at the comment.
-            end = m.start(2)
-    texts.append("")
-    starts.append(end)
-    return texts, starts
+    """The token texts, then ``""`` for the end of input."""
+    texts = _TOKEN.findall(source)
+    if len(texts) > 1 and texts[-2] == "":
+        # Trailing blanks end in "", and so does the empty match after.
+        texts.pop()
+    if _STRAY.search("".join(texts)):
+        stray = next(i for i, t in enumerate(texts) if _STRAY.match(t))
+        raise _error(source, _starts(source, len(texts))[stray],
+                     f"stray character {texts[stray]!r}")
+    return tuple(texts)
+
+
+def _starts(source: str, count: int) -> list:
+    """The offset at which each of ``count`` tokens starts, found again
+    on an error only.  End of input after a trailing comment is placed at the
+    comment, which starts at the first ``--`` of the last line."""
+    starts = [m.start(1) for m in _TOKEN.finditer(source)][:count]
+    comment = source.find("--", source.rfind("\n") + 1)
+    starts[-1] = comment if comment >= 0 else len(source)
+    return starts
 
 
 class _Parser:
     def __init__(self, source: str):
         self.source = source
-        self.toks, self.starts = _tokenize(source)
+        self.toks = _tokenize(source)
+        self.starts = None  # token offsets, found on the first error
         self.pos = 0
         self.depth = 0
         self.bindings: dict = {}
-        self.shared: dict = {}  # (Id, Swap or gate builder, *words) -> term
+        # A leaf's token run -> its term, read once per file; and
+        # (Id or Swap, *words) -> the one such term of these words.
+        self.leaves: dict = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -150,6 +163,8 @@ class _Parser:
 
     def error(self, message: str, pos: int | None = None) -> PBCSyntaxError:
         """``message`` at token ``pos``, by default the next one."""
+        if self.starts is None:
+            self.starts = _starts(self.source, len(self.toks))
         offset = self.starts[self.pos if pos is None else pos]
         return _error(self.source, offset, message)
 
@@ -178,6 +193,15 @@ class _Parser:
         except PBCTypeError as err:
             raise self.error(f"in {what}: {err}", at) from err
 
+    def integer(self) -> int:
+        """The next token, an integer literal."""
+        try:
+            value = int(self.toks[self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            raise self.error("integer literal too long") from None
+        self.pos += 1
+        return value
+
     # -- objects -----------------------------------------------------------
 
     def object_(self) -> Object:
@@ -203,8 +227,11 @@ class _Parser:
             self.pos += 1
             t = self.peek()
             if t.isdecimal():
-                self.pos += 1
-                obj = power(obj, int(t))
+                n = self.integer()
+                if len(obj) * n > _MAX_ATOMS:
+                    raise self.error(
+                        f"power longer than {_MAX_ATOMS} atoms", self.pos - 1)
+                obj = power(obj, n)
             elif t == "*":
                 obj = star(obj)
                 if _star_depth(obj) > _MAX_NESTING:
@@ -218,33 +245,29 @@ class _Parser:
     # -- terms ---------------------------------------------------------------
 
     def rational(self) -> Fraction:
-        t = self.peek()
-        if not t.isdecimal():
+        if not self.peek().isdecimal():
             raise self.error("expected a rational")
+        num = self.integer()
+        if not self.at("/"):
+            return Fraction(num)
         self.pos += 1
-        num = int(t)
-        if self.at("/"):
-            self.pos += 1
-            d = self.peek()
-            if not d.isdecimal():
-                raise self.error("expected a denominator")
-            den = int(d)
-            if den == 0:
-                raise self.error("zero denominator")
-            self.pos += 1
-            return Fraction(num, den)
-        return Fraction(num)
+        if not self.peek().isdecimal():
+            raise self.error("expected a denominator")
+        den = self.integer()
+        if den == 0:
+            raise self.error("zero denominator", self.pos - 1)
+        return Fraction(num, den)
 
     def term(self) -> Term:
-        out = self.term_factor()
-        while self.at(";"):
+        out, toks = self.term_factor(), self.toks
+        while toks[self.pos] == ";":
             self.pos += 1
             out = Seq(out, self.term_factor())
         return out
 
     def term_factor(self) -> Term:
-        out = self.term_primary()
-        while self.at("x"):
+        out, toks = self.term_primary(), self.toks
+        while toks[self.pos] == "x":
             self.pos += 1
             out = Par(out, self.term_primary())
         return out
@@ -256,33 +279,10 @@ class _Parser:
         return obj
 
     def term_primary(self) -> Term:
-        name = self.peek()
+        toks, pos = self.toks, self.pos
+        name = toks[pos]
         if name == "(":
             return self.nested(self.term)
-        if not _is_name(name):
-            raise self.error("expected a term")
-        if name == "id":
-            self.pos += 1
-            return self.one(Id, self.angle_object())
-        if name == "swap":
-            self.pos += 1
-            self.expect("<")
-            left = self.object_()
-            self.expect(",")
-            right = self.object_()
-            self.expect(">")
-            return self.one(Swap, left, right)
-        if name in _GENERATORS:
-            self.pos += 1
-            obj = self.angle_object()
-            primitive, lifted = _GENERATORS[name]
-            return primitive(obj) if is_star_free(obj) else lifted(obj)
-        if name == "coin":
-            self.pos += 1
-            self.expect("(")
-            p = self.rational()
-            self.expect(")")
-            return coin(p)
         if name == "iter":
             self.pos += 1
             self.expect("[")
@@ -293,24 +293,65 @@ class _Parser:
             outputs = self.object_list()
             self.expect("]")
             return TauStar(state, inputs, outputs, self.nested(self.term))
-        if name in _KEYWORDS:
+        # A leaf is read once per file: a repeated one is its token run,
+        # looked up.  A run with a parenthesis in its object is read
+        # again each time, so that no lookup skips the nesting bound.
+        if name in _BUILTINS:
+            end = pos + 1
+        elif name in _LEAF_CLOSE:
+            try:
+                end = toks.index(_LEAF_CLOSE[name], pos) + 1
+            except ValueError:  # unclosed: read it to its error
+                return self.leaf(name)
+        elif name in self.bindings:
+            self.pos += 1
+            return self.bindings[name]
+        elif not _is_name(name):
+            raise self.error("expected a term")
+        elif name in _KEYWORDS:
             raise self.error(f"{name!r} cannot start a term here")
-        if name in self.bindings:
-            term = self.bindings[name]
-        elif name in _BUILTINS:
-            term = self.one(_BUILTINS[name])
         else:
             raise self.error(f"unknown identifier {name!r}")
-        self.pos += 1
+        run = toks[pos:end]
+        term = self.leaves.get(run)
+        if term is None:
+            term = self.leaf(name)
+            if name == "coin" or "(" not in run:
+                self.leaves[run] = term
+        else:
+            self.pos = end
         return term
 
+    def leaf(self, name: str) -> Term:
+        """The leaf that starts with ``name``."""
+        self.pos += 1
+        if name == "id":
+            return self.one(Id, self.angle_object())
+        if name == "swap":
+            self.expect("<")
+            left = self.object_()
+            self.expect(",")
+            right = self.object_()
+            self.expect(">")
+            return self.one(Swap, left, right)
+        if name == "coin":
+            self.expect("(")
+            p = self.rational()
+            self.expect(")")
+            return coin(p)
+        if name in _GENERATORS:
+            obj = self.angle_object()
+            primitive, lifted = _GENERATORS[name]
+            return primitive(obj) if is_star_free(obj) else lifted(obj)
+        return _BUILTINS[name]()
+
     def one(self, make, *words) -> Term:
-        """The one ``id`` or ``swap`` term of these words, or the one term
-        of a builtin gate, in the source."""
+        """The one ``id`` or ``swap`` term of these words in the source,
+        however they are spelled."""
         key = (make, *words)
-        term = self.shared.get(key)
+        term = self.leaves.get(key)
         if term is None:
-            term = self.shared[key] = make(*words)
+            term = self.leaves[key] = make(*words)
         return term
 
     def object_list(self) -> tuple:

@@ -244,32 +244,39 @@ class _Node:
     input bit ``sel[i]``; its ``det`` is built on first use, because most
     wiring only ever fuses into larger wiring.  ``injective`` says that
     ``det`` never merges two inputs, and ``depth`` how deep its calls
-    nest.  A coin's memo holds its one row, and it has no kernel.  A
-    product node, a tensor of wiring and one coin, has a kernel, and
-    ``fixed`` holds the coin's row placed at the coin's bits; its
-    ``det`` and ``injective`` are those of the wiring beside the coin,
-    whose bits it sets around that row.
+    nest.  A deterministic tensor's ``fill`` is its selection, with a
+    hole, None, at each output bit of another factor, and the
+    deterministic factors that fill their holes; its ``det`` is built
+    from them on first use too.  A coin's memo holds its one row, and it
+    has no kernel.  A product node, a tensor of wiring and one coin, has
+    a kernel, and ``fixed`` holds the wiring beside the coin, as a node,
+    and the coin's row placed at the coin's bits, around which the
+    wiring sets its bits; its ``injective`` is the wiring's.
     """
 
-    __slots__ = ("n_in", "n_out", "sel", "det", "injective", "depth",
-                 "memo", "kernel", "fixed")
+    __slots__ = ("n_in", "n_out", "sel", "fill", "det", "injective",
+                 "depth", "memo", "kernel", "fixed")
 
-    def __init__(self, n_in, n_out, *, sel=None, det=None, injective=False,
-                 depth=1, kernel=None, memo=None, fixed=None):
+    def __init__(self, n_in, n_out, *, sel=None, fill=None, det=None,
+                 injective=False, depth=1, kernel=None, memo=None,
+                 fixed=None):
         self.n_in = n_in
         self.n_out = n_out
         self.sel = sel  # tuple of input bit positions, or None
+        self.fill = fill  # (selection with holes, filling dets), or None
         self.det = det  # int -> int
         self.injective = injective
         self.depth = depth
         self.kernel = kernel  # int -> generator yielding (node, int)
         self.memo = {} if kernel is not None else memo  # int -> row
-        self.fixed = fixed  # a product node's coin row, or None
+        self.fixed = fixed  # a product node's (wiring, coin row), or None
 
     def function(self):
-        """The function of a wiring node's selection, built on first use."""
+        """The function of a wiring node's selection, or of a
+        deterministic tensor's filled selection, built on first use."""
         if self.det is None:
-            self.det = _select(self.sel, self.n_in)
+            sel, dets = self.fill or (self.sel, ())
+            self.det = _fill(sel, self.n_in, dets)
         return self.det
 
 
@@ -358,13 +365,14 @@ def _fixed(node: _Node):
     return node.memo[0] if node.kernel is None and node.memo else None
 
 
-def _fill(sel: tuple, n_in: int, dets: list):
+def _fill(sel: tuple, n_in: int, dets: tuple):
     """The function of a bit selection whose holes deterministic nodes
-    fill: each ``(fn, at, mask, to)`` reads its input at bit ``at`` under
-    ``mask`` and writes fn's output at bit ``to``."""
+    fill: each ``(node, at, mask, to)`` reads its input at bit ``at``
+    under ``mask`` and writes the node's output at bit ``to``."""
     pick = _select(sel, n_in)
     if not dets:
         return pick
+    dets = [(node.function(), *place) for node, *place in dets]
 
     def fill(x):
         y = pick(x)
@@ -649,17 +657,20 @@ class Series:
         ``id`` can be reused, and where each conditional starts, with its
         word.  A loop is found by ``_tau``."""
         nodes, todo = self.nodes, [(root, None)]
+        pop, push = todo.pop, todo.append
         while todo:
-            term, parts = todo.pop()
+            term, parts = pop()
             if id(term) in nodes:
                 continue
             cls = term.__class__
-            if parts is None and cls in (Seq, Par, TauStar):
+            if parts is None and (cls is Seq or cls is Par or cls is TauStar):
                 parts = (_stages(factors(term)) if cls is Seq
                          else (factors(term), ()) if cls is Par
                          else ((term.body,), ()))
-                todo.append((term, parts))
-                todo.extend((t, None) for t in parts[0] if id(t) not in nodes)
+                push((term, parts))
+                for t in parts[0]:
+                    if id(t) not in nodes:
+                        push((t, None))
                 continue
             if cls is TauStar:
                 node, free = self._tau(term), False
@@ -667,11 +678,17 @@ class Series:
                 if parts is None:
                     shape, free = _leaf_shape(term)
                 else:
-                    built = [nodes[id(t)] for t in parts[0]]
-                    free = all(f for _, _, f in built)
-                    parts = [node for _, node, _ in built], parts[1]
-                    shape = (cls, *parts[0],
-                             *[(i, phi.at) for i, phi in parts[1]])
+                    subterms, conds = parts
+                    built, free = [], True
+                    for t in subterms:
+                        _, node, node_free = nodes[id(t)]
+                        built.append(node)
+                        if not node_free:
+                            free = False
+                    shape = (cls, *built)
+                    for i, phi in conds:
+                        shape += ((i, phi.at),)
+                    parts = built, conds
                 table = self.shapes if free else self.sized
                 node = table.get(shape)
                 if node is None:
@@ -776,7 +793,8 @@ class Series:
                     continue
                 dist = _plain(dist)  # each stage below reads every entry
                 if placed:  # a product stage, as _mix would mix it
-                    fn, (d, row) = child.function(), child.fixed
+                    wiring, d, row = child.fixed
+                    fn = wiring.function()
                     r = len(row)
                     if len(dist) * r > cap:  # refused where _mix refuses
                         raise _support_error((cap // r + 1) * r, cap)
@@ -848,10 +866,10 @@ class Series:
         one pass from the right.  The wiring joins one bit selection, and
         every other node's outputs are holes in it.  With no other node
         it is wiring; with deterministic nodes alone, one function that
-        fills their holes (``_fill``).  Else its kernel reads the point
-        that function gives and the rows of the stochastic nodes, and
-        places them (``_place``); beside one coin alone it is a product
-        node, the coin's row fixed."""
+        fills their holes (``_fill``), built on first use.  Else its
+        kernel reads the point that function gives and the rows of the
+        stochastic nodes, and places them (``_place``); beside one coin
+        alone it is a product node, the coin's row fixed."""
         sel, dets, steps, n_in = [], [], [], 0
         for node in reversed(nodes):
             if node.sel is not None:
@@ -859,7 +877,7 @@ class Series:
             else:
                 place = n_in, (1 << node.n_in) - 1, len(sel)
                 if node.memo is None:
-                    dets.append((node.function(), *place))
+                    dets.append((node, *place))
                 else:
                     steps.append((node, node.memo, *place))
                 sel += [None] * node.n_out
@@ -868,24 +886,25 @@ class Series:
         if not dets and not steps:
             return _wiring(n_in, sel)
         injective = all(n.injective for n in nodes if n.memo is None)
-        point = _fill(sel, n_in, dets)
+        point = _Node(n_in, n_out, fill=(sel, tuple(dets)),
+                      injective=injective,
+                      depth=1 + max(n.depth for n in nodes))
         if not steps:
-            return _shallow(_Node(n_in, n_out, det=point, injective=injective,
-                                  depth=1 + max(n.depth for n in nodes)))
+            return _shallow(point)
         fixed = None
         if not dets and len(steps) == 1 and (coin := _fixed(steps[0][0])):
             den, row = coin
             to = steps[0][-1]
-            fixed = den, {y << to: m for y, m in row.items()}
+            fixed = point, den, {y << to: m for y, m in row.items()}
         steps.reverse()  # left to right, as _place takes them
         cap = self.cap
 
         def kernel(x):
-            hi, wide = point(x), []
-            for node, rows, at, mask, to in steps:
+            hi, wide = point.function()(x), []
+            for child, rows, at, mask, to in steps:
                 u = x >> at & mask
                 row = rows.get(u)
-                den, out = row if row is not None else (yield node, u)
+                den, out = row if row is not None else (yield child, u)
                 if len(out) == 1:
                     (y,) = out
                     hi |= y << to
@@ -894,7 +913,7 @@ class Series:
             return _place(hi, wide, cap)
 
         return _Node(n_in, n_out, kernel=kernel, fixed=fixed,
-                     det=point if fixed else None, injective=injective)
+                     injective=injective)
 
     def rows(self, term: Term, k: int | None = None) -> tuple:
         """A term at size k as its output width and its rows, one per

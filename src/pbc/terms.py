@@ -65,9 +65,15 @@ class PBCTypeError(PBCError):
     """A term does not typecheck."""
 
 
+# A leaf's ``_type``, like a composite's, is the judgement ``typecheck``
+# found for it, kept on the object: the builders share generators, and
+# the parser one id and swap per word, so one leaf object may stand in
+# many terms.
 @dataclass(frozen=True, slots=True)
 class Id:
     obj: Object
+    _type: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
 
 class _Weak:
@@ -76,9 +82,6 @@ class _Weak:
     __slots__ = ("__weakref__",)
 
 
-# A leaf's ``_type``, like a composite's, is the judgement ``typecheck``
-# found for it, kept on the object: the builders share generators, so
-# one leaf object may stand in many terms.
 @dataclass(frozen=True, slots=True)
 class Gen(_Weak):
     kind: str
@@ -371,8 +374,12 @@ def typecheck(term: Term) -> TypeJudgement:
         t = todo.pop()
         cls = t.__class__
         if cls is Id:
-            o = _checked_word(t.obj)
-            judged.append((o, o, False))
+            j = t._type
+            if j is None:
+                o = _checked_word(t.obj)
+                j = (o, o, False)
+                object.__setattr__(t, "_type", j)
+            judged.append(j)
         elif cls is Seq or cls is Par or cls is TauStar:
             if t._type is not None:
                 judged.append(t._type)

@@ -106,6 +106,31 @@ def test_non_ascii_digits_are_a_syntax_error(capsys, tmp_path):
     assert "internal error" not in err
 
 
+def test_literals_past_the_digit_limit_are_errors_not_crashes(capsys,
+                                                              tmp_path):
+    # int() refuses 5,000 digits; the refusal is placed at the literal.
+    digits = "9" * 5000
+    src = tmp_path / "long.pbc"
+    for text, column in ((f"main = coin(1/{digits})", 15),
+                         (f"main = id<B^{digits}>", 13)):
+        src.write_text(text + "\n", encoding="utf-8")
+        assert run(capsys, "check", str(src)) == (
+            2, "", f"pbc: {src}: line 1, column {column}: integer literal "
+                   "too long\n")
+    assert run(capsys, "eval", ALL1_L, "--k", digits) == (
+        2, "", "pbc: bad --k value: too many digits\n")
+
+
+def test_a_power_past_the_word_bound_is_refused_at_its_exponent(capsys,
+                                                               tmp_path):
+    # 20,000,000 atoms would take seconds and hundreds of MB to build.
+    src = tmp_path / "wide.pbc"
+    src.write_text("main = id<B^20000000>\n", encoding="utf-8")
+    assert run(capsys, "check", str(src)) == (
+        2, "", f"pbc: {src}: line 1, column 13: power longer than 1048576 "
+               "atoms\n")
+
+
 def test_a_three_thousand_stage_pipeline_checks_and_compares(capsys,
                                                              tmp_path):
     src = tmp_path / "long.pbc"
@@ -953,6 +978,24 @@ def test_the_key_guess_series_to_sixteen_runs_under_250_mb():
         """)
     assert (halves, sizes) == ("True", "17")
     assert max_rss_mb < 250
+
+
+def test_a_hundred_thousand_stage_chain_checks_in_linear_time(tmp_path):
+    # The front end reads, judges and prints a 100,000-stage ; chain in
+    # about 0.4 s and 40 MB; a cost per stage that grew with the chain
+    # would pass both bounds many times over.
+    path = tmp_path / "chain.pbc"
+    path.write_text("main = " + " ; ".join(["not"] * 100_000) + "\n")
+    *out, seconds, max_rss_mb = _peak_mb(f"""
+        import time
+        from pbc.cli import main
+        start = time.perf_counter()
+        code = main(["check", {str(path)!r}])
+        print(code, time.perf_counter() - start)
+        """)
+    assert out == ["B", "->", "B", "0"]
+    assert float(seconds) < 10
+    assert max_rss_mb < 100
 
 
 def test_the_all_ones_series_to_nineteen_runs_under_60_mb():

@@ -340,6 +340,9 @@ def test_a_kept_judgement_is_invisible():
 
 def test_parentheses_nest_two_hundred_levels_deep():
     assert parse_term("(" * 200 + "id<B>" + ")" * 200) == Id(B)
+    # A repeated leaf is found in the file's leaf table at any depth.
+    assert (parse_term("id<B> ; " + "(" * 200 + "id<B>" + ")" * 200)
+            == Seq(Id(B), Id(B)))
     assert parse_object("(" * 200 + "B" + ")" * 200) == B
     # The 201st opening parenthesis is refused.
     with pytest.raises(PBCSyntaxError, match="^line 1, column 201: "):
@@ -469,6 +472,39 @@ _ERRORS = {
     "deep stars": (parse_object, "B" + "^*" * 201,
                    "line 1, column 403: stars nested deeper than 200 "
                    "levels"),
+    # A repeated leaf is looked up by its tokens; a run that differs, or
+    # one that never parsed, is read again, to its error.
+    "repeated leaf, malformed": (parse_term, "id<B> ; id<B x>",
+                                 "line 1, column 15: expected an object"),
+    "repeated leaf, unclosed": (parse_term, "id<B^2> ; id<B^2",
+                                "line 1, column 17: expected '>'"),
+    "repeated zero denominator": (parse_term,
+                                  "coin(1/2) x coin(1/0) x coin(1/0)",
+                                  "line 1, column 20: zero denominator"),
+    "repeated leaf, 201 deep": (parse_term,
+                                "id<B> ;\n" + "(" * 201 + "id<B>" + ")" * 201,
+                                "line 2, column 201: parentheses nested "
+                                "deeper than 200 levels"),
+    "repeated leaf's parenthesis, 201 deep": (
+        parse_term, "id<(B)> ; " + "(" * 200 + "id<(B)>" + ")" * 200,
+        "line 1, column 214: parentheses nested deeper than 200 levels"),
+    "stray after repeated leaves": (parse_term, "id<B> ; " * 100 + "id<B>\f",
+                                    "line 1, column 806: stray character "
+                                    "'\\x0c'"),
+    "trailing comment": (parse_circuit, "main = id<B> x id<B> x -- trailing",
+                         "line 1, column 24: expected a term"),
+    # Literals past int()'s digit limit, and powers past the word bound.
+    "long power": (parse_object, "B^" + "9" * 5000,
+                   "line 1, column 3: integer literal too long"),
+    "long denominator": (parse_circuit, "main = coin(1/" + "9" * 5000 + ")",
+                         "line 1, column 15: integer literal too long"),
+    "long numerator": (parse_term, "coin(" + "9" * 5000 + "/2)",
+                       "line 1, column 6: integer literal too long"),
+    "huge power": (parse_circuit, "main = id<B^20000000>",
+                   "line 1, column 13: power longer than 1048576 atoms"),
+    "huge power of a power": (parse_object, "(B^1024)^1025",
+                              "line 1, column 10: power longer than 1048576 "
+                              "atoms"),
 }
 
 
@@ -521,6 +557,26 @@ def test_let_chains_typecheck_in_linear_time(monkeypatch):
     assert leaves(200) <= 2 * leaves(100) + 1
 
 
+def test_each_distinct_leaf_is_parsed_once_per_file(monkeypatch):
+    from pbc.parser import _Parser
+    read = []
+    for method in ("object_", "rational"):
+        def counted(self, _inner=getattr(_Parser, method), _name=method):
+            read.append(_name)
+            return _inner(self)
+        monkeypatch.setattr(_Parser, method, counted)
+    t = parse_term(" x ".join(["id<B^3> x coin(1/3)"] * 1000))
+    assert sorted(read) == ["object_", "rational"]
+    assert str(typecheck(t)) == "B^3000 -> B^4000"
+
+
+def test_a_power_is_bounded_far_above_the_wire_limit():
+    assert parse_object("B^1048576") == bools(1 << 20)
+    assert parse_object("(B^1024)^1024") == bools(1 << 20)
+    # The empty word is empty at any power.
+    assert parse_object("I^99999999999999999999") == UNIT
+
+
 def test_coin_bias_rejects_floats():
     # Fraction(0.1) would silently be 3602879701896397/36028797018963968.
     with pytest.raises(TypeError, match="float"):
@@ -560,3 +616,6 @@ def test_equal_leaves_are_one_object_while_a_term_holds_them():
     assert t.first.left is t.second.right
     assert t.first.right is t.second.left
     assert parse_circuit(source).first.left is not t.first.left
+    # One id per word, however it is spelled.
+    t = parse_term("id<B^2> ; id<B x B> ; id<(B)^2>")
+    assert t.first.first is t.first.second is t.second
