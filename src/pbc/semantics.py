@@ -215,21 +215,25 @@ def hom_distance(f: StochMap, g: StochMap) -> Fraction:
 # round trip through the driver.  One loop, ``_row``, runs the pending
 # kernels on an explicit stack, so no evaluation recurses, however deep
 # the term nests.  A deterministic node calls its parts' functions
-# instead; one nested more than ``_DET_DEPTH`` calls deep becomes a
-# kernel.  Coin-free, if-free wiring also keeps its bit selection, so any
-# Seq or Par of wiring fuses into one selection, applied as a few shift/mask
-# groups.  A tensor is one node, whatever its number of factors
-# (``Series._par``): its wiring joins one selection whose holes are the
-# other factors' outputs; deterministic factors fill their holes inside
-# one function, and the rows of stochastic factors are placed beside the
-# point it gives (``_place``).  Wiring beside one coin alone is a
-# product node, the coin's row fixed when it is built, and a Seq
-# multiplies a distribution of many outcomes by it in one pass.  A
-# conditional ``(c x m x d) ; if`` is one node, a case split with m
-# ``id<B>`` and a choice with m ``coin(p)``: it reads m and asks only for
-# the arms m gives weight, so it never builds the product of both arms.
-# The rows, their format and the kernels that build and compare them,
-# are ``_rows``'s.
+# instead, built when its first row is read; one nested more than
+# ``_DET_DEPTH`` calls deep becomes a kernel.  Coin-free, if-free wiring
+# also keeps its bit selection, so any Seq or Par of wiring fuses into
+# one selection, applied as a few shift/mask groups; so does a loop over
+# wiring, each level one selection.  A Seq whose first stage is
+# deterministic keeps no rows: its memo reads and files rows in its
+# rest's memo at that stage's output (``_Through``).  A tensor is one
+# node, whatever its number of factors (``Series._par``): its wiring
+# joins one selection whose holes are the other factors' outputs;
+# deterministic factors fill their holes inside one function, and the
+# rows of stochastic factors are placed beside the point it gives
+# (``_place``).  Wiring beside one coin alone is a product node, the
+# coin's row fixed when it is built, and a Seq multiplies a
+# distribution of many outcomes by it in one pass.  A conditional
+# ``(c x m x d) ; if`` is one node, a case split with m ``id<B>`` and a
+# choice with m ``coin(p)``: it reads m and asks only for the arms m
+# gives weight, so it never builds the product of both arms.  The rows,
+# their format and the kernels that build and compare them, are
+# ``_rows``'s.
 
 # Far below the default recursion limit of 1000, whatever calls the
 # evaluator.
@@ -241,43 +245,61 @@ class _Node:
 
     Stochastic when ``memo`` is set, else deterministic.  ``sel`` is set
     on pure wiring: output bit i, counted from the least significant, is
-    input bit ``sel[i]``; its ``det`` is built on first use, because most
-    wiring only ever fuses into larger wiring.  ``injective`` says that
-    ``det`` never merges two inputs, and ``depth`` how deep its calls
-    nest.  A deterministic tensor's ``fill`` is its selection, with a
-    hole, None, at each output bit of another factor, and the
-    deterministic factors that fill their holes; its ``det`` is built
-    from them on first use too.  A coin's memo holds its one row, and it
-    has no kernel.  A product node, a tensor of wiring and one coin, has
-    a kernel, and ``fixed`` holds the wiring beside the coin, as a node,
-    and the coin's row placed at the coin's bits, around which the
-    wiring sets its bits; its ``injective`` is the wiring's.
+    input bit ``sel[i]``.  A deterministic node's ``det`` is built on
+    first use (``function``), from its selection or else by ``make``,
+    because most wiring only ever fuses into larger wiring and a question
+    that reads no row needs no function.  ``injective`` says that ``det``
+    never merges two inputs, and ``depth`` how deep its calls nest.  A
+    coin's memo holds its one row, and it has no kernel.  A product node,
+    a tensor of wiring and one coin, has a kernel, and ``fixed`` holds
+    the wiring beside the coin, as a node, and the coin's row placed at
+    the coin's bits, around which the wiring sets its bits; its
+    ``injective`` is the wiring's.  A Seq whose first stage is
+    deterministic keeps no rows of its own: its memo is a ``_Through``.
     """
 
-    __slots__ = ("n_in", "n_out", "sel", "fill", "det", "injective",
+    __slots__ = ("n_in", "n_out", "sel", "make", "det", "injective",
                  "depth", "memo", "kernel", "fixed")
 
-    def __init__(self, n_in, n_out, *, sel=None, fill=None, det=None,
+    def __init__(self, n_in, n_out, *, sel=None, make=None, det=None,
                  injective=False, depth=1, kernel=None, memo=None,
                  fixed=None):
         self.n_in = n_in
         self.n_out = n_out
         self.sel = sel  # tuple of input bit positions, or None
-        self.fill = fill  # (selection with holes, filling dets), or None
+        self.make = make  # () -> the function, or None
         self.det = det  # int -> int
         self.injective = injective
         self.depth = depth
         self.kernel = kernel  # int -> generator yielding (node, int)
-        self.memo = {} if kernel is not None else memo  # int -> row
+        self.memo = {} if kernel is not None and memo is None else memo
         self.fixed = fixed  # a product node's (wiring, coin row), or None
 
     def function(self):
-        """The function of a wiring node's selection, or of a
-        deterministic tensor's filled selection, built on first use."""
+        """The function of a deterministic node, built on first use."""
         if self.det is None:
-            sel, dets = self.fill or (self.sel, ())
-            self.det = _fill(sel, self.n_in, dets)
+            self.det = (_select(self.sel, self.n_in) if self.make is None
+                        else self.make())
         return self.det
+
+
+class _Through:
+    """The memo of a node whose row at x is node ``rest``'s row at f(x),
+    f the function of a deterministic node ``pre``: it reads and files
+    rows at f(x) in rest's memo, ``rows``, and keeps none of its own.
+    So a ``;`` that opens with a deterministic stage keeps no rows."""
+
+    __slots__ = ("pre", "rows")
+
+    def __init__(self, pre: _Node, rows):
+        self.pre = pre
+        self.rows = rows
+
+    def get(self, x):
+        return self.rows.get(self.pre.function()(x))
+
+    def __setitem__(self, x, row):
+        self.rows[self.pre.function()(x)] = row
 
 
 def _row(node: _Node, x: int) -> tuple:
@@ -309,10 +331,8 @@ def _row(node: _Node, x: int) -> tuple:
 
 def _as_kernel(node: _Node) -> _Node:
     """A deterministic node as a stochastic one, of support one."""
-    det = node.function()
-
     def kernel(x):
-        return 1, {det(x): 1}
+        return 1, {node.function()(x): 1}
         yield  # a generator, as every kernel is
 
     return _Node(node.n_in, node.n_out, kernel=kernel)
@@ -399,15 +419,28 @@ def _compose(nodes: list) -> _Node:
             fused.append(g)
     if len(fused) == 1:
         return fused[0]
-    fns = tuple(n.function() for n in fused)
 
-    def det(x):
-        for fn in fns:
-            x = fn(x)
-        return x
-    return _shallow(_Node(fused[0].n_in, fused[-1].n_out, det=det,
+    def make():
+        fns = tuple(n.function() for n in fused)
+
+        def det(x):
+            for fn in fns:
+                x = fn(x)
+            return x
+        return det
+    return _shallow(_Node(fused[0].n_in, fused[-1].n_out, make=make,
                           injective=all(n.injective for n in fused),
                           depth=1 + max(n.depth for n in fused)))
+
+
+def _through(pre: _Node, rest: _Node) -> _Node:
+    """A deterministic node, then a stochastic one, as one node that
+    keeps no rows: its row at x is rest's row at pre's output at x, and
+    its kernel is rest's kernel there, whose row its memo files in
+    rest's."""
+    return _Node(pre.n_in, rest.n_out,
+                 kernel=lambda x: rest.kernel(pre.function()(x)),
+                 memo=_Through(pre, rest.memo))
 
 
 class _Loop:
@@ -418,7 +451,10 @@ class _Loop:
     Level n is a stochastic node for tau^n.  Its kernel pops the front
     elements, runs the body on them, asks level n - 1 for each
     continuation and pushes the outputs; pop and push are selections,
-    left out when the identity.  No level depends on the size the loop
+    left out when the identity.  A loop over wiring is wiring: deterministic
+    maps compose and tensor to deterministic maps, so each of its levels
+    is one selection, the four stages of the equation fused, with no
+    kernel, memo or recipe table.  No level depends on the size the loop
     runs at, so a loop kept from one size to the next only adds the
     levels it lacks.
 
@@ -451,8 +487,9 @@ class _Loop:
 
     def __init__(self, body: _Node, sig: tuple, cap: int):
         sw, ins, outs = sig
-        # ``step`` memoizes the body's rows.
-        self.step = body if body.memo is not None else _as_kernel(body)
+        # ``step`` is wiring or memoizes the body's rows.
+        self.step = (body if body.memo is not None or body.sel is not None
+                     else _as_kernel(body))
         self.sw, self.a, self.outs = sw, sum(ins), outs
         # Pop and push are the wiring tau_k_expand uses, over Boolean
         # words; with at most one nonempty stream they are the identity.
@@ -462,7 +499,8 @@ class _Loop:
                           if sum(1 for w in outs if w) > 1 else None)
         self.cap = cap
         self.rows = {}  # recipe -> row
-        self.levels = [_as_kernel(_wiring(sw, tuple(range(sw))))]
+        level = _wiring(sw, tuple(range(sw)))
+        self.levels = [level if body.sel is not None else _as_kernel(level)]
 
     def level(self, k: int) -> _Node:
         """The node of tau^k."""
@@ -476,14 +514,25 @@ class _Loop:
         # Both are star-free wiring, so they compile to one selection.
         pop = push = None
         if self.in_words:
-            wiring = par(Id(bools(sw)), pop_term(self.in_words, n - 1))
-            pop = Series().node(wiring).function()
+            pop = Series().node(par(Id(bools(sw)),
+                                    pop_term(self.in_words, n - 1)))
         if self.out_words:
-            wiring = par(push_term(self.out_words, n - 1), Id(bools(sw)))
-            push = Series().node(wiring).function()
+            push = Series().node(par(push_term(self.out_words, n - 1),
+                                     Id(bools(sw))))
         body, below = self.step, self.levels[-1]
-        body_rows, below_rows, rows = body.memo, below.memo, self.rows
         r_bits = (n - 1) * a
+        if body.sel is not None:
+            # pop ; (body x id) ; (id x tau^(n-1)) ; push, each a
+            # selection, the left factor of a tensor on the high bits.
+            stages = (pop, _wiring(sw + n * a, (*range(r_bits), *(
+                          s + r_bits for s in body.sel))),
+                      _wiring(below.n_in + b, (*below.sel, *range(
+                          below.n_in, below.n_in + b))),
+                      push)
+            self.levels.append(_compose([s for s in stages if s is not None]))
+            return
+        pop, push = pop and pop.function(), push and push.function()
+        body_rows, below_rows, rows = body.memo, below.memo, self.rows
         r_mask = (1 << r_bits) - 1
         s_mask = (1 << sw) - 1
         c_bits = (n - 1) * b + sw
@@ -595,7 +644,12 @@ class Series:
     gets fresh levels at each size, even when its type is star-free,
     because the inner loop's value depends on the size.  Each loop
     builds its level rows through a table of its own, once per recipe
-    (see ``_Loop``), dropped with the loop.  Over increasing sizes
+    (see ``_Loop``), dropped with the loop; a loop over wiring builds
+    none, each level one selection.  A ``;`` whose first stage is
+    deterministic keeps no rows of its own: it reads its rest's rows at
+    that stage's output (``_through``), so the left side of key-guess
+    reads the loop's level rows directly, and its right side one row
+    for every input.  Over increasing sizes
     k = 0, 1, ..., K a series costs about as much as its largest size.
     Comparisons read the compiled roots one input row at a time as
     ``(den, {output: numerator})``; they build no map and no Fraction
@@ -762,7 +816,11 @@ class Series:
         raise PBCError(f"unknown generator kind {term.kind!r}")
 
     def _seq(self, nodes: list) -> _Node:
-        # Runs of deterministic stages compose into one stage each.
+        """A run of stages as one node.  Runs of deterministic stages
+        compose into one stage each.  When the first stage is
+        deterministic, the node keeps no rows (``_through``): its rest
+        is the one stochastic stage, or the node of the remaining
+        stages."""
         stages = []
         for det, run in groupby(nodes, key=lambda n: n.memo is None):
             if det:
@@ -771,21 +829,25 @@ class Series:
                 stages.extend(run)
         if len(stages) == 1:
             return stages[0]
+        if stages[0].memo is None:
+            rest = stages[1] if len(stages) == 2 else self._chain(stages[1:])
+            return _through(stages[0], rest)
+        return self._chain(stages)
+
+    def _chain(self, stages: list) -> _Node:
+        """Stages, the first stochastic, as one node with a kernel."""
         # A product node whose selection is injective is placed.
-        steps = tuple((None, False, s, s.memo,
-                       s.fixed is not None and s.injective)
-                      if s.memo is not None else
-                      (s.function(), s.injective, None, None, None)
+        steps = tuple((s, s.memo, s.fixed is not None and s.injective)
                       for s in stages)
         cap = self.cap
 
         def kernel(x):
             den, dist = 1, {x: 1}
-            for det, injective, child, rows, placed in steps:
+            for child, rows, placed in steps:
                 if len(dist) == 1:
                     (v,) = dist
-                    if det is not None:
-                        dist = {det(v): 1}
+                    if rows is None:
+                        dist = {child.function()(v): 1}
                     else:
                         row = rows.get(v)
                         den, dist = (row if row is not None
@@ -805,7 +867,7 @@ class Series:
                     dist = {u | y: n * m for u, n in
                             [(fn(v), n // g) for v, n in dist.items()]
                             for y, m in row}
-                elif det is None:
+                elif rows is not None:
                     parts = []
                     for v, n in dist.items():
                         row = rows.get(v)
@@ -813,10 +875,11 @@ class Series:
                             row = yield child, v
                         parts.append((n, 0, row))
                     den, dist = _mix(den, parts, cap)
-                elif injective:
+                elif child.injective:
+                    det = child.function()
                     dist = {det(v): n for v, n in dist.items()}
                 else:
-                    out: dict = {}
+                    det, out = child.function(), {}
                     for v, n in dist.items():
                         y = det(v)
                         out[y] = out.get(y, 0) + n
@@ -835,26 +898,27 @@ class Series:
             return None
         d_in, m_mask, d_mask = d.n_in, (1 << m.n_in) - 1, (1 << d.n_in) - 1
         c_at = d_in + m.n_in
-        cf, mf, df = (n.function() if n.memo is None else None
-                      for n in (c, m, d))
-        if cf and mf and df:
-            return _shallow(_Node(
-                c_at + c.n_in, w,
-                det=lambda x: (cf(x >> c_at) if mf(x >> d_in & m_mask)
-                               else df(x & d_mask)),
-                depth=1 + max(c.depth, m.depth, d.depth)))
-        arms = ((1, c, cf, c_at, -1), (0, d, df, 0, d_mask))
+        if c.memo is None and m.memo is None and d.memo is None:
+            def make():
+                cf, mf, df = c.function(), m.function(), d.function()
+                return lambda x: (cf(x >> c_at) if mf(x >> d_in & m_mask)
+                                  else df(x & d_mask))
+            return _shallow(_Node(c_at + c.n_in, w, make=make,
+                                  depth=1 + max(c.depth, m.depth, d.depth)))
+        arms = ((1, c, c.memo, c_at, -1), (0, d, d.memo, 0, d_mask))
         m_rows, cap = m.memo, self.cap
 
         def kernel(x):
             u = x >> d_in & m_mask
-            row = (1, {mf(u): 1}) if mf else m_rows.get(u)
+            row = (m_rows.get(u) if m_rows is not None
+                   else (1, {m.function()(u): 1}))
             den, bits = row if row is not None else (yield m, u)
             bits, parts = _plain(bits), []
-            for bit, arm, fn, at, mask in arms:
+            for bit, arm, rows, at, mask in arms:
                 if bit in bits:
                     u = x >> at & mask
-                    row = (1, {fn(u): 1}) if fn else arm.memo.get(u)
+                    row = (rows.get(u) if rows is not None
+                           else (1, {arm.function()(u): 1}))
                     parts.append((bits[bit], 0, row if row is not None
                                   else (yield arm, u)))
             return _mix(den, parts, cap)
@@ -886,7 +950,8 @@ class Series:
         if not dets and not steps:
             return _wiring(n_in, sel)
         injective = all(n.injective for n in nodes if n.memo is None)
-        point = _Node(n_in, n_out, fill=(sel, tuple(dets)),
+        dets = tuple(dets)
+        point = _Node(n_in, n_out, make=lambda: _fill(sel, n_in, dets),
                       injective=injective,
                       depth=1 + max(n.depth for n in nodes))
         if not steps:

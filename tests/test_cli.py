@@ -966,9 +966,10 @@ def test_the_key_guess_series_to_twelve_runs_under_150_mb():
 
 
 def test_the_key_guess_series_to_sixteen_runs_under_250_mb():
-    # Sizes 0..16 peak near 170 MB: each level's flag-cleared row is
+    # Sizes 0..16 peak near 145 MB: each level's flag-cleared row is
     # shared by every input whose flag has cleared, and compared once
-    # per size.
+    # per size; the ; that opens each side with a deterministic stage
+    # files no rows, and the loop that discards the guesses is wiring.
     halves, sizes, max_rss_mb = _peak_mb("""
         from fractions import Fraction
         from pbc import combinators as C, distance_series

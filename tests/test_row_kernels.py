@@ -240,6 +240,21 @@ def test_the_support_guard_applies_to_concatenated_rows(monkeypatch):
     assert len(raised) == 1
 
 
+def test_a_mixture_of_exactly_the_limit_is_not_refused(capsys, monkeypatch,
+                                                       tmp_path):
+    # A choice between two coins side by side, four outcomes, and the
+    # constant 00, one of them: the mixture has exactly 2^2 outcomes,
+    # which the limit admits.
+    monkeypatch.setenv("PBC_MAX_WIRES", "2")
+    path = tmp_path / "f.pbc"
+    path.write_text("main = (coin(1/2) x coin(1/3)) x coin(1/5) x "
+                    "(coin(0) x coin(0)) ; if<B^2>\n")
+    assert main(["eval", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "in\tout\tprob\n-\t00\t13/15\n-\t01\t1/30\n-\t10\t1/15\n"
+        "-\t11\t1/30\n")
+
+
 # ---------------------------------------------------------------------------
 # Rows kept as their parts, placed anew beside a point.
 
@@ -331,6 +346,26 @@ def test_key_guess_distances_walk_the_shared_rows(monkeypatch, floor):
     # pairs the two, the first one too.
     assert len(walks) == sum(1 << k for k in range(
         6 if floor is None else 1, 11))
+
+
+@pytest.mark.parametrize("floor", [None, 2])
+def test_one_part_at_two_offsets_is_compared_where_each_stands(monkeypatch,
+                                                               floor):
+    # A coin loop's level row holds the level below twice, one part per
+    # emitted bit.  Placed beside coin(0) on one side and beside coin(1)
+    # or a coin of either value on the other, each pair of parts the
+    # walk meets is one row at one shift and two offsets: rows that share
+    # no outcome, or only some.
+    walks = _count_walks(monkeypatch, floor)
+    coins = TauStar(UNIT, (), (B,), coin("1/2"))
+    zero = par(coins, coin(0))
+    for other, d in ((par(coins, coin(1)), 1),
+                     (par(coins, coin("1/3")), Fraction(1, 3))):
+        for k in (range(6, 8) if floor is None else range(1, 6)):
+            assert Series().distance(zero, other, k) == d, k
+            assert Series().distance(other, zero, k) == d, k
+            assert _reference_distance(zero, other, k) == d, k
+    assert walks
 
 
 def test_a_walk_sums_each_part_at_its_place_against_its_own_row(

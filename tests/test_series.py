@@ -171,11 +171,15 @@ def _reparsed(term):
 
 def _twin_loops():
     """Pairs of loops of one signature whose bodies are one map: the
-    one-time pad's two loops, and random bodies against their normal
-    form, against themselves followed by an identity and against a
-    re-parsed copy, over one and over two output streams, where the
-    loop pushes its outputs."""
+    one-time pad's two loops, two loops over wiring, copy and copy then
+    swap, and random bodies against their normal form, against
+    themselves followed by an identity and against a re-parsed copy,
+    over one and over two output streams, where the loop pushes its
+    outputs."""
     yield "otp", C.otp_star_lhs(), C.otp_star_rhs()
+    # Wiring bodies, so wiring loops, that push two output streams.
+    yield ("wiring", TauStar(UNIT, (B,), (B, B), copy_gen(B)),
+           TauStar(UNIT, (B,), (B, B), seq(copy_gen(B), Swap(B, B))))
     rng = random.Random(11)
     for sw, outs in ((1, (B,)), (0, (B, B)), (1, (B, B))):
         body = random_circuit(rng, sw + 1, len(outs) + sw, max_gens=6,
@@ -240,14 +244,15 @@ def _count_row_builds(monkeypatch) -> list:
 def test_a_key_guess_series_builds_each_distinct_row_once(monkeypatch):
     # Level n of the guessing loop has 2^n rows with the flag set and one
     # shared by every input with it cleared; the top level 8 is asked
-    # only with the flag set.  The loops that discard the guesses and
-    # draw the fresh keys have one row per level.  So sizes 0..8 mix
-    # (2 + ... + 2^7) + 7 + 2^8 + 8 + 8 = 533 rows, where building every
+    # only with the flag set.  The loop that draws the fresh keys has one
+    # row per level; the loop that discards the guesses is wiring, one
+    # selection per level, and mixes none.  So sizes 0..8 mix
+    # (2 + ... + 2^7) + 7 + 2^8 + 8 = 525 rows, where building every
     # input's row mixes 1,282.
     calls = _count_row_builds(monkeypatch)
     series = distance_series(C.keyguess_lhs(), C.keyguess_rhs(), 0, 8)
     assert series.pairs[-1] == (8, Fraction(1, 2**8))
-    assert len(calls) == 533
+    assert len(calls) == 525
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,6 +483,28 @@ def test_a_term_and_its_reparsed_copy_compile_to_one_root_node(monkeypatch):
     assert series.difference(f, g) is None
 
 
+def test_a_file_and_its_copy_are_equal_with_no_function_built(
+        monkeypatch, capsys, tmp_path):
+    # A deterministic stage builds its function when its first row is
+    # read, so eq on a file and its copy, one node and no row read,
+    # turns no bit selection into a function; eval reads every row.
+    calls, select = [], semantics._select
+    monkeypatch.setattr(semantics, "_select", lambda *args: (
+        calls.append(args) or select(*args)))
+    rng = random.Random(41)
+    paths = [str(tmp_path / f"{side}.pbc") for side in ("file", "copy")]
+    for _ in range(6):
+        term = random_circuit(rng, 2, 10, max_gens=40, max_wires=12,
+                              max_den=8)
+        for path in paths:
+            Path(path).write_text(f"main = {pretty_term(term)}\n")
+        assert main(["eq", *paths]) == 0
+        assert capsys.readouterr().out == "EQUAL\n"
+    assert calls == []
+    assert main(["eval", paths[0]]) == 0
+    assert calls
+
+
 def _roots(series, f, g, k):
     """The root nodes of two terms of one type at size k."""
     series._at(same_type(f, g), k)
@@ -602,6 +629,9 @@ def _mutant_loops():
                                          par(fair, Id(B))),
            TauStar(UNIT, (B,), (bools(2),), par(third, Id(B))))
     yield ("last-input", *_last_input_only())
+    # Two wiring loops: a delay line against the identity on the stream.
+    yield ("wiring-swap", TauStar(B, (B,), (B,), Id(bools(2))),
+           TauStar(B, (B,), (B,), Swap(B, B)))
     # One body, one type, but the empty input stream on either side:
     # the signatures differ, so the loops stay two, equal all the same.
     body = seq(par(third, Id(B)), C.xor_gate())
