@@ -287,19 +287,28 @@ class _Through:
     """The memo of a node whose row at x is node ``rest``'s row at f(x),
     f the function of a deterministic node ``pre``: it reads and files
     rows at f(x) in rest's memo, ``rows``, and keeps none of its own.
-    So a ``;`` that opens with a deterministic stage keeps no rows."""
+    So a ``;`` that opens with a deterministic stage keeps no rows.  f is
+    built on first use and kept in ``f``."""
 
-    __slots__ = ("pre", "rows")
+    __slots__ = ("pre", "rows", "f")
 
     def __init__(self, pre: _Node, rows):
         self.pre = pre
         self.rows = rows
+        self.f = None
+
+    def at(self, x):
+        """f(x), f built and kept on first use."""
+        f = self.f
+        if f is None:
+            f = self.f = self.pre.function()
+        return f(x)
 
     def get(self, x):
-        return self.rows.get(self.pre.function()(x))
+        return self.rows.get((self.f or self.at)(x))
 
     def __setitem__(self, x, row):
-        self.rows[self.pre.function()(x)] = row
+        self.rows[(self.f or self.at)(x)] = row
 
 
 def _row(node: _Node, x: int) -> tuple:
@@ -330,9 +339,15 @@ def _row(node: _Node, x: int) -> tuple:
 
 
 def _as_kernel(node: _Node) -> _Node:
-    """A deterministic node as a stochastic one, of support one."""
+    """A deterministic node as a stochastic one, of support one; the
+    function is kept from the first run."""
+    det = None
+
     def kernel(x):
-        return 1, {node.function()(x): 1}
+        nonlocal det
+        if det is None:
+            det = node.function()
+        return 1, {det(x): 1}
         yield  # a generator, as every kernel is
 
     return _Node(node.n_in, node.n_out, kernel=kernel)
@@ -438,9 +453,9 @@ def _through(pre: _Node, rest: _Node) -> _Node:
     keeps no rows: its row at x is rest's row at pre's output at x, and
     its kernel is rest's kernel there, whose row its memo files in
     rest's."""
+    memo = _Through(pre, rest.memo)
     return _Node(pre.n_in, rest.n_out,
-                 kernel=lambda x: rest.kernel(pre.function()(x)),
-                 memo=_Through(pre, rest.memo))
+                 kernel=lambda x: rest.kernel(memo.at(x)), memo=memo)
 
 
 class _Loop:
@@ -835,19 +850,28 @@ class Series:
         return self._chain(stages)
 
     def _chain(self, stages: list) -> _Node:
-        """Stages, the first stochastic, as one node with a kernel."""
-        # A product node whose selection is injective is placed.
-        steps = tuple((s, s.memo, s.fixed is not None and s.injective)
-                      for s in stages)
-        cap = self.cap
+        """Stages, the first stochastic, as one node with a kernel.  The
+        deterministic stages' functions are bound on its first run."""
+        cap, steps = self.cap, None
+
+        def bind():
+            # A product node whose selection is injective is placed.
+            return tuple(
+                (s, s.memo, s.function() if s.memo is None else None,
+                 s.injective, (s.fixed[0].function(), *s.fixed[1:])
+                 if s.fixed is not None and s.injective else None)
+                for s in stages)
 
         def kernel(x):
+            nonlocal steps
+            if steps is None:
+                steps = bind()
             den, dist = 1, {x: 1}
-            for child, rows, placed in steps:
+            for child, rows, det, injective, placed in steps:
                 if len(dist) == 1:
                     (v,) = dist
-                    if rows is None:
-                        dist = {child.function()(v): 1}
+                    if det is not None:
+                        dist = {det(v): 1}
                     else:
                         row = rows.get(v)
                         den, dist = (row if row is not None
@@ -855,8 +879,7 @@ class Series:
                     continue
                 dist = _plain(dist)  # each stage below reads every entry
                 if placed:  # a product stage, as _mix would mix it
-                    wiring, d, row = child.fixed
-                    fn = wiring.function()
+                    fn, d, row = placed
                     r = len(row)
                     if len(dist) * r > cap:  # refused where _mix refuses
                         raise _support_error((cap // r + 1) * r, cap)
@@ -867,7 +890,7 @@ class Series:
                     dist = {u | y: n * m for u, n in
                             [(fn(v), n // g) for v, n in dist.items()]
                             for y, m in row}
-                elif rows is not None:
+                elif det is None:
                     parts = []
                     for v, n in dist.items():
                         row = rows.get(v)
@@ -875,11 +898,10 @@ class Series:
                             row = yield child, v
                         parts.append((n, 0, row))
                     den, dist = _mix(den, parts, cap)
-                elif child.injective:
-                    det = child.function()
+                elif injective:
                     dist = {det(v): n for v, n in dist.items()}
                 else:
-                    det, out = child.function(), {}
+                    out: dict = {}
                     for v, n in dist.items():
                         y = det(v)
                         out[y] = out.get(y, 0) + n
@@ -905,20 +927,27 @@ class Series:
                                   else df(x & d_mask))
             return _shallow(_Node(c_at + c.n_in, w, make=make,
                                   depth=1 + max(c.depth, m.depth, d.depth)))
-        arms = ((1, c, c.memo, c_at, -1), (0, d, d.memo, 0, d_mask))
-        m_rows, cap = m.memo, self.cap
+        m_rows, cap, bound = m.memo, self.cap, None
+
+        def bind():
+            # The functions of the chooser and arms that are deterministic.
+            mf, cf, df = (n.function() if n.memo is None else None
+                          for n in (m, c, d))
+            return mf, ((1, c, cf, c_at, -1), (0, d, df, 0, d_mask))
 
         def kernel(x):
+            nonlocal bound
+            if bound is None:
+                bound = bind()
+            mf, arms = bound
             u = x >> d_in & m_mask
-            row = (m_rows.get(u) if m_rows is not None
-                   else (1, {m.function()(u): 1}))
+            row = (1, {mf(u): 1}) if mf else m_rows.get(u)
             den, bits = row if row is not None else (yield m, u)
             bits, parts = _plain(bits), []
-            for bit, arm, rows, at, mask in arms:
+            for bit, arm, fn, at, mask in arms:
                 if bit in bits:
                     u = x >> at & mask
-                    row = (rows.get(u) if rows is not None
-                           else (1, {arm.function()(u): 1}))
+                    row = (1, {fn(u): 1}) if fn else arm.memo.get(u)
                     parts.append((bits[bit], 0, row if row is not None
                                   else (yield arm, u)))
             return _mix(den, parts, cap)
@@ -962,10 +991,13 @@ class Series:
             to = steps[0][-1]
             fixed = point, den, {y << to: m for y, m in row.items()}
         steps.reverse()  # left to right, as _place takes them
-        cap = self.cap
+        cap, fill = self.cap, None
 
         def kernel(x):
-            hi, wide = point.function()(x), []
+            nonlocal fill
+            if fill is None:
+                fill = point.function()
+            hi, wide = fill(x), []
             for child, rows, at, mask, to in steps:
                 u = x >> at & mask
                 row = rows.get(u)

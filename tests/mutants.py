@@ -2,7 +2,7 @@
 """Comparison mutants of one package module, run against a test subset.
 
     python tests/mutants.py src/pbc/_rows.py tests/test_row_kernels.py \
-        tests/test_series.py tests/test_semantics.py [--timeout S]
+        tests/test_series.py tests/test_semantics.py
 
 Each comparison operator in the module (``==``, ``!=``, ``<``, ``<=``,
 ``>``, ``>=``) is flipped, one at a time: ``==`` and ``!=`` swap, and
@@ -12,10 +12,9 @@ swap).  A mutant is the module rewritten from its syntax tree
 directory, so the checkout itself is never changed.  The tests run in
 that copy, one child process at a time, with ``pytest -x``; a mutant is
 killed when they fail, survives when they pass, and times out when they
-run past the cap, which is three times the unmutated run plus 10 s
-unless ``--timeout`` is given.  Each mutant is printed as it finishes,
-then the score.  Uses the standard library only; pytest does not
-collect this file.
+run past the cap, three times the unmutated run plus 10 s.  Each mutant
+is printed as it finishes, then the score.  Uses the standard library
+only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -79,9 +78,6 @@ def main(argv=None) -> int:
     ap.add_argument("module",
                     help="the module to mutate, e.g. src/pbc/_rows.py")
     ap.add_argument("tests", nargs="+", help="test files or node ids")
-    ap.add_argument("--timeout", type=float,
-                    help="seconds per mutant (default: 3 x the clean run "
-                         "+ 10)")
     args = ap.parse_args(argv)
     # A termination unwinds, so the copy is removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
@@ -99,7 +95,7 @@ def main(argv=None) -> int:
         if verdict != "passed":
             print(f"the tests fail without a mutant ({seconds:.1f} s)")
             return 2
-        cap = args.timeout or 3 * seconds + 10
+        cap = 3 * seconds + 10
         print(f"clean run: {seconds:.1f} s; cap per mutant {cap:.0f} s",
               flush=True)
         names = {"failed": "killed", "passed": "survived",

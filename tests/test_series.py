@@ -505,6 +505,29 @@ def test_a_file_and_its_copy_are_equal_with_no_function_built(
     assert calls
 
 
+def test_each_function_is_bound_once_however_many_rows_are_read(
+        monkeypatch):
+    # A loop over a deterministic body that is not wiring (a kernel per
+    # level), a ; that opens with a deterministic stage (lazy_flip), a
+    # conditional with deterministic arms, a deterministic ; step and
+    # tensors with deterministic factors: each kernel binds its parts'
+    # functions on its first run, so reading 8 times the rows asks for
+    # no more functions.
+    calls, function = [], semantics._Node.function
+    monkeypatch.setattr(semantics._Node, "function", lambda node: (
+        calls.append(node) or function(node)))
+    term = seq(par(TauStar(UNIT, (B,), (B,), C.not_gate()),
+                   C.lazy_flip("1/3")),
+               par(Id(star(B)), C.not_gate()),
+               par(Id(star(B)), C.lazy_flip("1/4")))
+    counts = []
+    for k in (4, 7):
+        calls.clear()
+        assert Series().map(term, k) == _unrolled(term, k)
+        counts.append(len(calls))
+    assert counts[1] == counts[0]
+
+
 def _roots(series, f, g, k):
     """The root nodes of two terms of one type at size k."""
     series._at(same_type(f, g), k)

@@ -27,6 +27,9 @@ from pbc import _rows, semantics
 from pbc.semantics import Series
 from reference import reference_denote
 
+# Read before any test patches it.
+DEFAULT_FLOOR = _rows._CAT_FLOOR
+
 
 def _kind(node) -> str:
     if node.sel is not None:
@@ -99,7 +102,7 @@ def test_every_stage_after_every_row_kind_reads_the_reference_map(
         monkeypatch, row, stage):
     term = seq(ROWS[row], STAGES[stage])
     _assert_reference(term, range(5), monkeypatch)
-    _assert_reference(term, [6], monkeypatch, floor=_rows._CAT_FLOOR)
+    _assert_reference(term, [6], monkeypatch, floor=DEFAULT_FLOOR)
 
 
 def test_the_new_node_kinds_are_built_where_the_matrix_puts_them():
@@ -151,7 +154,7 @@ PLACES = {
 def test_nodes_that_keep_no_rows_read_out_where_others_read_them(
         monkeypatch, term):
     _assert_reference(term, range(5), monkeypatch)
-    _assert_reference(term, [6], monkeypatch, floor=_rows._CAT_FLOOR)
+    _assert_reference(term, [6], monkeypatch, floor=DEFAULT_FLOOR)
 
 
 def test_a_stream_of_streams_reads_its_last_elements(monkeypatch):
